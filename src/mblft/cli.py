@@ -4,7 +4,11 @@ Subcommands::
 
     mblft equilibrium MODEL.yaml
         Solve the parameter-dependent equilibrium and print nominal body
-        orientations, joint torques/loads and the root reaction.
+        orientations, joint torques/loads and the root reaction.  Runs
+        assembly steps 1-2 (geometry, wrenches) only, so step-3 failures
+        (no degrees of freedom, a singular generalized mass matrix, an
+        unknown ``outputs:`` state name, an ill-posed A/B at nominal) are
+        reported by ``linearize`` and ``validate``, not here.
 
     mblft linearize MODEL.yaml -o MODEL.json [--no-reduce] [--strict-bounds]
         Assemble the linearized LFT state-space model and write it as a
@@ -45,6 +49,8 @@ from .assembly import (
     assemble,
     modes,
     sample_point,
+    step1_geometry,
+    step2_wrenches,
 )
 from .bodies import BodyError
 from .joints import JointError
@@ -117,8 +123,7 @@ def _json_text(obj) -> str:
 def cmd_equilibrium(args) -> int:
     prec = _precision()
     model = load_model(args.model)
-    lm = assemble(model)
-    rep = lm.equilibrium.report()
+    rep = step2_wrenches(model, step1_geometry(model)).report()
     out = [f"model: {model.name}", "bodies:"]
     for name, info in rep["bodies"].items():
         out.append(

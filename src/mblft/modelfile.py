@@ -64,8 +64,8 @@ class _Mark(dict):
     line = None
 
 
-class _Loader(yaml.SafeLoader):
-    pass
+class _Loader(yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader):
+    """Safe loader, on libyaml's C parser when PyYAML was built with it."""
 
 
 def _construct_mapping(loader, node):

@@ -4,8 +4,9 @@ import pathlib
 
 import numpy as np
 import pytest
+import yaml
 
-from mblft import cli
+from mblft import assembly, cli, modelfile
 from mblft.modelfile import ModelFileError, load_model
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
@@ -60,7 +61,45 @@ def test_unknown_key_rejected_with_line(tmp_path):
     with pytest.raises(ModelFileError) as e:
         load_model(_write(tmp_path, bad))
     assert "colour" in str(e.value)
-    assert "line" in str(e.value)
+    assert "(line 4)" in str(e.value)
+
+
+class _PurePythonLoader(yaml.SafeLoader):
+    pass
+
+
+_PurePythonLoader.add_constructor(
+    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, modelfile._construct_mapping
+)
+
+
+def _shape(node):
+    """Types, values, key order and mapping lines of a loaded document."""
+    if isinstance(node, dict):
+        return ("map", node.line, [(k, _shape(v)) for k, v in node.items()])
+    if isinstance(node, list):
+        return ("seq", [_shape(v) for v in node])
+    return (type(node).__name__, node)
+
+
+@pytest.mark.parametrize("path", sorted(MODELS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_loader_matches_pure_python_parser(path):
+    if yaml.__with_libyaml__:
+        assert issubclass(modelfile._Loader, yaml.CSafeLoader)
+    text = path.read_text(encoding="utf-8")
+    got = yaml.load(text, Loader=modelfile._Loader)
+    want = yaml.load(text, Loader=_PurePythonLoader)
+    assert _shape(got) == _shape(want)
+    assert got.line is not None and got["bodies"][0].line > got.line
+
+
+def test_malformed_yaml_rejected(tmp_path, capsys):
+    bad = _write(tmp_path, "name: [x\n")
+    with pytest.raises(ModelFileError) as e:
+        load_model(bad)
+    assert "not valid YAML" in str(e.value)
+    assert cli.main(["equilibrium", str(bad)]) == cli.EXIT_SCHEMA
+    assert "not valid YAML" in capsys.readouterr().err
 
 
 def test_missing_unit_rejected(tmp_path):
@@ -132,6 +171,37 @@ def test_cli_equilibrium_prints_torques(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "elbow" in out and "torque=-58.86" in out
+
+
+@pytest.mark.parametrize(
+    "name", ["pendulum.yaml", "two_link_arm.yaml", "balloon_planar.yaml"]
+)
+def test_cli_equilibrium_skips_step3(name, capsys, monkeypatch):
+    model = load_model(MODELS / name)
+    rep = assembly.assemble(model).equilibrium.report()
+
+    def vec(v):
+        return "[" + ", ".join(f"{x:.15g}" for x in v) + "]"
+
+    want = [f"model: {model.name}", "bodies:"]
+    want += [
+        f"  {b}: euler_deg={vec(info['euler_deg'])} position={vec(info['position'])}"
+        for b, info in rep["bodies"].items()
+    ]
+    want.append("joints:")
+    want += [
+        f"  {j}: torque={info['torque']:.15g} load={vec(info['load'])}"
+        for j, info in rep["joints"].items()
+    ]
+    want.append(f"root_reaction: {vec(rep['root_reaction'])}")
+
+    def step3_not_allowed(*args, **kwargs):
+        raise AssertionError("equilibrium must not run step 3")
+
+    monkeypatch.setattr(assembly, "step3_linearize", step3_not_allowed)
+    monkeypatch.setenv("MBLFT_PRECISION", "15")
+    assert cli.main(["equilibrium", str(MODELS / name)]) == 0
+    assert capsys.readouterr().out == "\n".join(want) + "\n"
 
 
 def test_cli_linearize_and_sample_grid(tmp_path, capsys):
@@ -216,7 +286,7 @@ def test_cli_schema_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path, MINIMAL.replace("mass", "masss"))
     rc = cli.main(["equilibrium", str(bad)])
     assert rc == cli.EXIT_SCHEMA
-    assert "masss" in capsys.readouterr().err or True
+    assert "masss" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_code(capsys):
