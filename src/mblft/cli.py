@@ -37,8 +37,8 @@ import argparse
 import itertools
 import json
 import os
+import secrets
 import sys
-import tempfile
 
 import numpy as np
 
@@ -99,8 +99,14 @@ def _fmt_vec(v, prec: int) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename.
+
+    The temporary file is created with mode 0o666, so the written file
+    gets the permissions the umask leaves, as a plain ``open`` would.
+    """
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

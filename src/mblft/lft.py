@@ -14,7 +14,7 @@ spread = (upper - lower) / 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -41,9 +41,6 @@ __all__ = [
     "vstack",
     "block",
     "blockdiag",
-    "Wiring",
-    "compose",
-    "interconnect",
     "rotation_lft_half",
     "rotation_lft_quarter",
     "rotation_about_axis",
@@ -557,9 +554,10 @@ class LftMatrix:
         """The same LFT with its Delta channels balanced exactly."""
         if self.ndelta == 0:
             return self
-        b, c, dm = self._balanced_blocks()
-        m = np.block([[self.a, b], [c, dm]])
-        return LftMatrix(m, self.rows, self.cols, self.delta)
+        r, c = self.rows, self.cols
+        m = self.m.copy()
+        m[:r, c:], m[r:, :c], m[r:, c:] = self._balanced_blocks()
+        return LftMatrix(m, r, c, self.delta)
 
     # -- algebra -----------------------------------------------------------
 
@@ -816,8 +814,7 @@ def lift_scalar(expr: Scalar) -> LftMatrix:
 
 def lift_matrix(entries: Sequence[Sequence[Scalar]]) -> LftMatrix:
     """Lift a nested list of scalars/expressions to a matrix LFT."""
-    rows = [hstack([lift_scalar(e) for e in row]) for row in entries]
-    return vstack(rows)
+    return block([[lift_scalar(e) for e in row] for row in entries])
 
 
 # ---------------------------------------------------------------------------
@@ -825,113 +822,61 @@ def lift_matrix(entries: Sequence[Sequence[Scalar]]) -> LftMatrix:
 # ---------------------------------------------------------------------------
 
 
-def hstack(blocks: Iterable[LftMatrix]) -> LftMatrix:
-    blocks = [b if isinstance(b, LftMatrix) else constant(b) for b in blocks]
-    r = blocks[0].rows
-    if any(b.rows != r for b in blocks):
-        raise ValueError("hstack: row counts differ")
-    c = sum(b.cols for b in blocks)
-    d = sum(b.ndelta for b in blocks)
-    m = np.zeros((r + d, c + d))
-    co = ro = 0
-    for bmat in blocks:
-        m[:r, co : co + bmat.cols] = bmat.a
-        m[:r, c + ro : c + ro + bmat.ndelta] = bmat.b
-        m[r + ro : r + ro + bmat.ndelta, co : co + bmat.cols] = bmat.c
-        m[r + ro : r + ro + bmat.ndelta, c + ro : c + ro + bmat.ndelta] = bmat.d
-        co += bmat.cols
-        ro += bmat.ndelta
-    delta = tuple(p for bmat in blocks for p in bmat.delta)
-    return LftMatrix(m, r, c, delta)
-
-
-def vstack(blocks: Iterable[LftMatrix]) -> LftMatrix:
-    blocks = [b if isinstance(b, LftMatrix) else constant(b) for b in blocks]
-    return hstack([b.T for b in blocks]).T
+def _as_lft(x) -> LftMatrix:
+    return x if isinstance(x, LftMatrix) else constant(x)
 
 
 def block(rows: Sequence[Sequence[LftMatrix]]) -> LftMatrix:
-    return vstack([hstack(row) for row in rows])
+    """Block matrix of a grid of LFTs (or constant arrays), in one pass.
+
+    The blocks of a grid row share its row count, and every grid row
+    spans the same number of columns.  The Delta channels are those of
+    the blocks in row-major order; each block's A, B, C and D are copied
+    into place in one coefficient matrix.
+    """
+    grid = [[_as_lft(b) for b in row] for row in rows]
+    heights = [row[0].rows for row in grid]
+    c = sum(b.cols for b in grid[0])
+    for row, h in zip(grid, heights):
+        if any(b.rows != h for b in row):
+            raise ValueError("block: row counts differ within a block row")
+        if sum(b.cols for b in row) != c:
+            raise ValueError("block: column counts differ between block rows")
+    r = sum(heights)
+    delta = tuple(p for row in grid for b in row for p in b.delta)
+    m = np.zeros((r + len(delta), c + len(delta)))
+    ro = do = 0
+    for row, h in zip(grid, heights):
+        co = 0
+        for b in row:
+            w, n, bm = b.cols, len(b.delta), b.m
+            m[ro : ro + h, co : co + w] = bm[:h, :w]
+            if n:
+                m[ro : ro + h, c + do : c + do + n] = bm[:h, w:]
+                m[r + do : r + do + n, co : co + w] = bm[h:, :w]
+                m[r + do : r + do + n, c + do : c + do + n] = bm[h:, w:]
+            co += w
+            do += n
+        ro += h
+    return LftMatrix(m, r, c, delta)
+
+
+def hstack(blocks: Iterable[LftMatrix]) -> LftMatrix:
+    return block([list(blocks)])
+
+
+def vstack(blocks: Iterable[LftMatrix]) -> LftMatrix:
+    return block([[b] for b in blocks])
 
 
 def blockdiag(blocks: Sequence[LftMatrix]) -> LftMatrix:
-    blocks = [b if isinstance(b, LftMatrix) else constant(b) for b in blocks]
-    r = sum(b.rows for b in blocks)
-    c = sum(b.cols for b in blocks)
-    rows = []
-    ro = co = 0
-    for bmat in blocks:
-        row = [zeros(bmat.rows, co), bmat, zeros(bmat.rows, c - co - bmat.cols)]
-        rows.append(hstack([x for x in row if x.cols > 0]))
-        co += bmat.cols
-        ro += bmat.rows
-    return vstack(rows)
-
-
-# ---------------------------------------------------------------------------
-# Interconnection
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Wiring:
-    """Port map for composing two LFT blocks.
-
-    Inputs of the combined block-diagonal system receive
-    ``u = E @ u_ext + F @ y`` where y stacks the outputs of both blocks;
-    ``outputs`` selects the externally visible output rows.
-    """
-
-    connections: list[tuple[int, int, float]] = field(default_factory=list)
-    external_inputs: list[tuple[int, int, float]] = field(default_factory=list)
-    outputs: list[int] = field(default_factory=list)
-    n_external: int = 0
-
-
-def interconnect(
-    g: LftMatrix, F: np.ndarray, E: np.ndarray, outputs: Sequence[int]
-) -> LftMatrix:
-    """Close the loop u = E u_ext + F y around y = g(u); select output rows."""
-    F = np.asarray(F, dtype=float)
-    E = np.asarray(E, dtype=float)
-    r, c = g.rows, g.cols
-    if F.shape != (c, r) or E.shape[0] != c:
-        raise ValueError("wiring matrices have inconsistent dimensions")
-    lhs = np.eye(r) - g.a @ F
-    if np.linalg.cond(lhs) > 1e13:
-        raise WellPosednessError("ill-posed interconnection (algebraic loop)")
-    s = np.linalg.inv(lhs)
-    a_new = s @ g.a @ E
-    b_new = s @ g.b
-    c_new = g.c @ E + g.c @ F @ a_new
-    d_new = g.d + g.c @ F @ b_new
-    n_ext = E.shape[1]
-    d = g.ndelta
-    m = np.zeros((r + d, n_ext + d))
-    m[:r, :n_ext] = a_new
-    m[:r, n_ext:] = b_new
-    m[r:, :n_ext] = c_new
-    m[r:, n_ext:] = d_new
-    out = LftMatrix(m, r, n_ext, g.delta).submatrix(list(outputs), range(n_ext))
-    out.check_wellposed()
-    return out
-
-
-def compose(a: LftMatrix, b: LftMatrix, wiring: Wiring) -> LftMatrix:
-    """Interconnect two LFT blocks through a port map."""
-    g = blockdiag([a, b])
-    F = np.zeros((g.cols, g.rows))
-    for out_idx, in_idx, gain in wiring.connections:
-        F[in_idx, out_idx] += gain
-    E = np.zeros((g.cols, wiring.n_external))
-    for in_idx, ext_idx, gain in wiring.external_inputs:
-        E[in_idx, ext_idx] += gain
-    return interconnect(g, F, E, wiring.outputs)
-
-
-def series(a: LftMatrix, b: LftMatrix) -> LftMatrix:
-    """y = a(b(u))."""
-    return a @ b
+    blocks = [_as_lft(b) for b in blocks]
+    return block(
+        [
+            [b if i == j else zeros(b.rows, o.cols) for j, o in enumerate(blocks)]
+            for i, b in enumerate(blocks)
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1008,18 +953,6 @@ def rotation_about_axis(axis: np.ndarray, t: HalfTanParam) -> LftMatrix:
 _REDUCE_RTOL = 1e-12
 
 
-def _drop_channels(m: LftMatrix, drop: list[int]) -> LftMatrix:
-    keep = [i for i in range(m.ndelta) if i not in drop]
-    sel_r = [*range(m.rows), *[m.rows + i for i in keep]]
-    sel_c = [*range(m.cols), *[m.cols + i for i in keep]]
-    return LftMatrix(
-        m.m[np.ix_(sel_r, sel_c)],
-        m.rows,
-        m.cols,
-        tuple(m.delta[i] for i in keep),
-    )
-
-
 def _controllable_basis(
     a: np.ndarray, e: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int]:
@@ -1042,32 +975,35 @@ def _controllable_basis(
     return q, k
 
 
-def _controllable_part(m: LftMatrix, name: str) -> LftMatrix:
-    """Drop the channels of ``name`` that no input or other channel excites.
+def _uncontrollable_channels(
+    m: np.ndarray, r: int, c: int, idx: list[int]
+) -> list[int]:
+    """Make the channels ``idx`` controllable; return those to drop.
 
-    With the parameter's channels j seen as the states of a 1-D system in
-    delta_j, the Krylov space of (D_jj, [C_j, D_j,rest]) is the controllable
-    part; its orthogonal complement carries z = w = 0 and is removed.
+    ``m`` is a coefficient matrix with r rows and c columns outside Delta
+    (its transposed view serves the observability side).  With the
+    parameter's channels seen as the states of a 1-D system in its delta,
+    the Krylov space of (D_jj, [C_j, D_j,rest]) is the controllable part.
+    Its basis replaces the channels in place, and the channels spanning
+    the orthogonal complement, which carry z = w = 0, are returned.  A
+    single channel needs no staircase: it is controllable exactly when
+    the 2-norm of its row outside D_jj, the one singular value the
+    staircase would compute, exceeds the tolerance, and it is kept or
+    dropped without a change of basis.
     """
-    idx = [i for i, p in enumerate(m.delta) if p.name == name]
-    if not idx:
-        return m
-    r, c = m.rows, m.cols
     rows = [r + i for i in idx]
     cols = [c + i for i in idx]
-    zrows = m.m[rows, :]
+    zrows = m[rows, :]
     others = np.ones(zrows.shape[1], dtype=bool)
     others[cols] = False
-    scale = max(np.linalg.norm(zrows), np.linalg.norm(m.m[:, cols]))
-    q, k = _controllable_basis(
-        zrows[:, cols], zrows[:, others], _REDUCE_RTOL * scale
-    )
-    if k == len(idx):
-        return m
-    big = m.m.copy()
-    big[rows, :] = q.T @ zrows
-    big[:, cols] = big[:, cols] @ q
-    return _drop_channels(LftMatrix(big, r, c, m.delta), idx[k:])
+    tol = _REDUCE_RTOL * max(np.linalg.norm(zrows), np.linalg.norm(m[:, cols]))
+    if len(idx) == 1:
+        return [] if np.linalg.norm(zrows[:, others]) > tol else idx
+    q, k = _controllable_basis(zrows[:, cols], zrows[:, others], tol)
+    if 0 < k < len(idx):
+        m[rows, :] = q.T @ zrows
+        m[:, cols] = m[:, cols] @ q
+    return idx[k:]
 
 
 def reduce_lft(m: LftMatrix) -> LftMatrix:
@@ -1078,19 +1014,35 @@ def reduce_lft(m: LftMatrix) -> LftMatrix:
     channels are treated as the states of a 1-D system in its delta:
     the uncontrollable part of (D_jj, [C_j, D_j,rest]) and the
     unobservable part of (D_jj, [B_j; D_rest,j]) are removed by an
-    orthogonal change of those channels.  Rank decisions count a singular
-    value as zero below 1e-12 times the balanced norm of the parameter's
-    rows and columns, so they do not depend on how the channels happen to
-    be scaled, nor on the BLAS thread count.  The passes repeat until no
-    channel is removed.  The result evaluates to the same matrix up to
-    round-off, with occurrence counts that never increase.
+    orthogonal change of those channels, worked on the rows and then on
+    the columns of one coefficient array.  Rank decisions count a
+    singular value as zero below 1e-12 times the balanced norm of the
+    parameter's rows and columns, so they do not depend on how the
+    channels happen to be scaled, nor on the BLAS thread count.  The
+    passes repeat until no channel is removed.  The result evaluates to
+    the same matrix up to round-off, with occurrence counts that never
+    increase.
     """
+    r, c = m.rows, m.cols
     while m.ndelta:
         m = m.balanced()
-        before = m.ndelta
+        # balanced() copies, so the in-place changes of basis touch no
+        # caller's array; a pass without drops changes nothing
+        big, delta = m.m, m.delta
         for name in [p.name for p in m.params()]:
-            m = _controllable_part(m, name)
-            m = _controllable_part(m.T, name).T
-        if m.ndelta == before:
+            for observe in (False, True):
+                idx = [i for i, p in enumerate(delta) if p.name == name]
+                if not idx:
+                    break
+                view = (big.T, c, r) if observe else (big, r, c)
+                drop = _uncontrollable_channels(*view, idx)
+                if drop:
+                    keep = [i for i in range(len(delta)) if i not in drop]
+                    sel_r = [*range(r), *[r + i for i in keep]]
+                    sel_c = [*range(c), *[c + i for i in keep]]
+                    big = big[np.ix_(sel_r, sel_c)]
+                    delta = tuple(delta[i] for i in keep)
+        if len(delta) == m.ndelta:
             break
+        m = LftMatrix(big, r, c, delta)
     return m

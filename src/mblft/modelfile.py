@@ -577,11 +577,15 @@ def parse_model(doc) -> MultibodyModel:
 
 def load_model(path) -> MultibodyModel:
     """Load and validate a model file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.load(fh, Loader=_Loader)
-        except yaml.YAMLError as e:
-            raise ModelFileError(f"{path}: not valid YAML: {e}") from None
+    except yaml.YAMLError as e:
+        raise ModelFileError(f"{path}: not valid YAML: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ModelFileError(f"{path}: not UTF-8 text: {e}") from None
+    except IsADirectoryError:
+        raise ModelFileError(f"{path}: is a directory, not a model file") from None
     if doc is None:
         raise ModelFileError(f"{path}: empty file")
     return parse_model(doc)

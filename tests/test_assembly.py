@@ -194,7 +194,8 @@ print(json.dumps({
 """
 
 
-def _balloon_probe(threads: str) -> dict:
+def _run_at_threads(threads: str, *argv: str) -> str:
+    """stdout of ``python -c argv...`` with every BLAS thread count set."""
     # the thread count is read when numpy loads BLAS, so set it before that
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -203,11 +204,17 @@ def _balloon_probe(threads: str) -> dict:
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, "-c", _BALLOON_PROBE, str(MODELS / "balloon_planar.yaml")],
+        [sys.executable, "-c", *argv],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    return proc.stdout
+
+
+def _balloon_probe(threads: str) -> dict:
+    return json.loads(
+        _run_at_threads(threads, _BALLOON_PROBE, str(MODELS / "balloon_planar.yaml"))
+    )
 
 
 def test_balloon_reduction_independent_of_blas_threads():
@@ -216,6 +223,31 @@ def test_balloon_reduction_independent_of_blas_threads():
     assert one["b"] == two["b"]
     a1, a2 = np.array(one["A"]), np.array(two["A"])
     assert np.linalg.norm(a1 - a2) <= 1e-12 * np.linalg.norm(a1)
+
+
+_LINEARIZE_ALL = """
+import pathlib, sys
+from mblft import cli
+out = pathlib.Path(sys.argv[1])
+for model in sys.argv[2:]:
+    target = out / (pathlib.Path(model).stem + ".json")
+    if cli.main(["linearize", model, "-o", str(target)]):
+        sys.exit(1)
+"""
+
+
+def _exports_at_threads(out: pathlib.Path, threads: str) -> dict:
+    out.mkdir()
+    models = sorted(str(p) for p in MODELS.glob("*.yaml"))
+    _run_at_threads(threads, _LINEARIZE_ALL, str(out), *models)
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_cli_exports_independent_of_blas_threads(tmp_path):
+    one = _exports_at_threads(tmp_path / "one", "1")
+    two = _exports_at_threads(tmp_path / "two", "2")
+    assert sorted(one) == ["balloon_planar.json", "pendulum.json", "two_link_arm.json"]
+    assert one == two
 
 
 # ---------------------------------------------------------------------------

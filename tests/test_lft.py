@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mblft import lft
@@ -115,6 +115,69 @@ def test_inverse_commutes_with_evaluation(seed):
     np.testing.assert_allclose(
         g.inv().evaluate(pt), np.linalg.inv(g.evaluate(pt)), atol=1e-10
     )
+
+
+def _random_block(rng, rows, cols, params):
+    """A constant array, a constant LFT, or a sparse or dense parameter LFT."""
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        return rng.standard_normal((rows, cols))
+    if kind == 3:
+        return _dense_lft(rng, rows, cols, params, occ=int(rng.integers(1, 3)))
+    used = [p for p in params if rng.random() < 0.6] if kind == 2 else []
+    return _random_lft(rng, rows, cols, used, occ=int(rng.integers(1, 3)))
+
+
+def _value(b, pt):
+    return b.evaluate(pt) if isinstance(b, lft.LftMatrix) else b
+
+
+def _delta(b):
+    return b.delta if isinstance(b, lft.LftMatrix) else ()
+
+
+def _same_lft(g, h):
+    assert (g.rows, g.cols, g.delta) == (h.rows, h.cols, h.delta)
+    np.testing.assert_array_equal(g.m, h.m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 31 - 1))
+@example(1, 1, 0)
+@example(1, 3, 1)
+@example(3, 1, 2)
+def test_block_matches_numpy_block(nr, nc, seed):
+    rng = np.random.default_rng(seed)
+    params = _params(2)
+    width = nc + int(rng.integers(0, 3))
+    grid = []
+    for _ in range(nr):
+        # each grid row cuts the same total width into its own nc pieces
+        cuts = sorted(rng.choice(np.arange(1, width), nc - 1, replace=False))
+        widths = np.diff([0, *cuts, width])
+        h = int(rng.integers(1, 4))
+        grid.append([_random_block(rng, h, int(w), params) for w in widths])
+    g = lft.block(grid)
+    assert g.delta == tuple(p for row in grid for b in row for p in _delta(b))
+    for _ in range(3):
+        pt = _point(params, rng)
+        np.testing.assert_allclose(
+            g.evaluate(pt),
+            np.block([[_value(b, pt) for b in row] for row in grid]),
+            rtol=0.0,
+            atol=1e-12,
+        )
+    _same_lft(g, lft.vstack([lft.hstack(row) for row in grid]))
+    if nr == 1:
+        _same_lft(g, lft.hstack(grid[0]))
+    if nc == 1:
+        _same_lft(g, lft.vstack([row[0] for row in grid]))
+    diag = [row[0] for row in grid]
+    padded = [
+        [b if i == j else np.zeros((b.shape[0], o.shape[1])) for j, o in enumerate(diag)]
+        for i, b in enumerate(diag)
+    ]
+    _same_lft(lft.blockdiag(diag), lft.block(padded))
 
 
 def test_stacking_matches_numpy():
@@ -255,6 +318,74 @@ def test_exact_channel_rescaling_changes_neither_gate_nor_reduction(seed):
         want = g.evaluate(pt)
         np.testing.assert_allclose(h.evaluate(pt), want, atol=1e-9)
         np.testing.assert_allclose(red.evaluate(pt), want, atol=1e-9)
+
+
+def _reference_reduce(m):
+    """reduce_lft spelled out on LftMatrix objects, with a staircase (SVD)
+    for every parameter and side and the observability side on ``m.T``."""
+
+    def controllable_part(m, name):
+        idx = [i for i, p in enumerate(m.delta) if p.name == name]
+        if not idx:
+            return m
+        r, c = m.rows, m.cols
+        rows, cols = [r + i for i in idx], [c + i for i in idx]
+        zrows = m.m[rows, :]
+        others = np.ones(zrows.shape[1], dtype=bool)
+        others[cols] = False
+        tol = lft._REDUCE_RTOL * max(
+            np.linalg.norm(zrows), np.linalg.norm(m.m[:, cols])
+        )
+        q, k = lft._controllable_basis(zrows[:, cols], zrows[:, others], tol)
+        if k == len(idx):
+            return m
+        big = m.m.copy()
+        big[rows, :] = q.T @ zrows
+        big[:, cols] = big[:, cols] @ q
+        keep = [i for i in range(m.ndelta) if i not in idx[k:]]
+        sel_r = [*range(r), *[r + i for i in keep]]
+        sel_c = [*range(c), *[c + i for i in keep]]
+        return lft.LftMatrix(
+            big[np.ix_(sel_r, sel_c)], r, c, tuple(m.delta[i] for i in keep)
+        )
+
+    while m.ndelta:
+        m = m.balanced()
+        before = m.ndelta
+        for name in [p.name for p in m.params()]:
+            m = controllable_part(m, name)
+            m = controllable_part(m.T, name).T
+        if m.ndelta == before:
+            break
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_reduce_matches_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    params = _params(3)
+    occ = int(rng.integers(1, 4))
+    g = _dense_lft(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)), params, occ)
+    m = g.m.copy()
+    m[rng.random(m.shape) < 0.5] = 0.0
+    # cut some channels off from the ports and the other channels, or
+    # leave them a coupling near the rank tolerance, so that one-channel
+    # and many-channel parameters lose channels on either side
+    for i in rng.choice(g.ndelta, int(rng.integers(0, g.ndelta)), replace=False):
+        if rng.random() < 0.5:
+            m[g.rows + i, :] *= 10.0 ** -rng.uniform(9.0, 15.0)
+            m[:, g.cols + i] *= 10.0 ** -rng.uniform(9.0, 15.0)
+            m[g.rows + i, g.cols + i] = 0.5
+        elif rng.random() < 0.5:
+            m[g.rows + i, :] = 0.0
+        else:
+            m[:, g.cols + i] = 0.0
+    g = lft.LftMatrix(m, g.rows, g.cols, g.delta)
+    for h in (g, g + g, _rescale_channels(g, rng) + _random_lft(rng, *g.shape, params)):
+        got, want = lft.reduce_lft(h), _reference_reduce(h)
+        assert got.delta == want.delta
+        np.testing.assert_array_equal(got.m, want.m)
 
 
 def test_reduce_collapses_linear_duplicates():

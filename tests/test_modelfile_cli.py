@@ -1,6 +1,8 @@
 """Model-file schema validation and the command-line front end."""
 import json
+import os
 import pathlib
+import stat
 
 import numpy as np
 import pytest
@@ -100,6 +102,18 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
     assert "not valid YAML" in str(e.value)
     assert cli.main(["equilibrium", str(bad)]) == cli.EXIT_SCHEMA
     assert "not valid YAML" in capsys.readouterr().err
+
+
+def test_non_utf8_model_rejected(tmp_path, capsys):
+    bad = tmp_path / "model.yaml"
+    bad.write_bytes(b"name: t\xff\xfe\n")
+    assert cli.main(["equilibrium", str(bad)]) == cli.EXIT_SCHEMA
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_directory_as_model_rejected(tmp_path, capsys):
+    assert cli.main(["equilibrium", str(tmp_path)]) == cli.EXIT_SCHEMA
+    assert "is a directory" in capsys.readouterr().err
 
 
 def test_missing_unit_rejected(tmp_path):
@@ -245,6 +259,28 @@ def test_cli_sample_point_file(tmp_path):
     assert max(abs(lam.imag)) == pytest.approx(np.sqrt(9.81), rel=1e-9)
 
 
+def test_cli_outputs_follow_umask(tmp_path):
+    export = tmp_path / "pend.json"
+    ptfile = tmp_path / "pts.json"
+    ptfile.write_text("{}")
+    outdir = tmp_path / "out"
+    umask = 0o027
+    old = os.umask(umask)
+    try:
+        assert cli.main(
+            ["linearize", str(MODELS / "pendulum.yaml"), "-o", str(export)]
+        ) == 0
+        assert cli.main(
+            ["sample", str(export), "--point-file", str(ptfile), "-o", str(outdir)]
+        ) == 0
+    finally:
+        os.umask(old)
+    written = [export, outdir / "point_0000.json", outdir / "poles.csv"]
+    assert sorted(outdir.iterdir()) == sorted(written[1:])
+    for path in written:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+
+
 def test_cli_strict_bounds_rejects_out_of_box(tmp_path, capsys):
     export = tmp_path / "arm.json"
     cli.main(
@@ -317,3 +353,4 @@ def test_cli_precision_env(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "torque=-58.86" in out
     assert "-58.8599" not in out
+
