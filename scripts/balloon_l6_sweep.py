@@ -2,8 +2,9 @@
 """Sweep the balloon's adjustable flight-chain length and map the poles.
 
 Assembles the planar balloon once (the design length l6 stays a symbolic
-LFT parameter), evaluates the A matrix over a sweep of l6, and writes a
-poles CSV (re,im,freq_hz,damping) suitable for plotting mode migration.
+LFT parameter), evaluates the A matrix over a sweep of l6 in one batched
+call, and writes a poles CSV (re,im,freq_hz,damping) suitable for
+plotting mode migration.
 Also reports the spectral abscissa over the sweep (the model is damped,
 so it should never be positive).
 """
@@ -35,8 +36,9 @@ def main() -> int:
     lm = assemble(model)
     rows = ["re,im,freq_hz,damping"]
     abscissa = -np.inf
-    for l6 in np.linspace(args.lo, args.hi, args.points):
-        a, _, _, _ = sample_model(lm, {"l6": float(l6)})
+    sweep = [{"l6": float(l6)} for l6 in np.linspace(args.lo, args.hi, args.points)]
+    a_sweep, _, _, _ = sample_model(lm, sweep)  # one batched evaluation
+    for a in a_sweep:
         for lam, f, z in modes(a):
             rows.append(f"{lam.real:.15g},{lam.imag:.15g},{f:.15g},{z:.15g}")
             abscissa = max(abscissa, lam.real)

@@ -26,6 +26,7 @@ where G holds the (constant) equilibrium kinematics diag(I, Gamma^-1).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -841,10 +842,15 @@ def assemble(model: MultibodyModel, reduce: bool = True) -> LinearLftModel:
 
 
 def sample_model(lm: LinearLftModel, point, strict: bool = False):
-    """Numeric (A, B, C, D) of the LFT model at a parameter point."""
+    """Numeric (A, B, C, D) of the LFT model at a parameter point, or
+    stacked over a sequence of points (see ``LftMatrix.evaluate``).
+    Parameters a point leaves out take their nominal values."""
     mode = "error" if strict else "ignore"
-    full = {name: p.nominal for name, p in lm.parameters.items()}
-    full.update(point)
+    nominal = {name: p.nominal for name, p in lm.parameters.items()}
+    if isinstance(point, Mapping):
+        full = {**nominal, **point}
+    else:
+        full = [{**nominal, **pt} for pt in point]
     return (
         lm.a.evaluate(full, out_of_bounds=mode),
         lm.b.evaluate(full, out_of_bounds=mode),

@@ -16,9 +16,12 @@ Subcommands::
         occurrence table.
 
     mblft sample EXPORT.json (--point-file PTS.json | --grid SPEC) -o DIR
-        Evaluate the exported model at each parameter point.  Writes one
-        matrices file per point plus a combined poles CSV
-        (header: re,im,freq_hz,damping).
+        Evaluate the exported model at each parameter point, in blocks of
+        points with one batched solve per matrix.  Writes one matrices
+        file per point plus a combined poles CSV
+        (header: re,im,freq_hz,damping).  If a point cannot be evaluated,
+        the files of the points before it are written, without the CSV,
+        and the exit code is 3.
 
     mblft validate MODEL.yaml [--points N] [--seed S]
         Cross-check the LFT linearization against a finite-difference
@@ -41,6 +44,7 @@ import secrets
 import sys
 
 import numpy as np
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import lft
 from .assembly import (
@@ -117,8 +121,127 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+# json's spellings of the floats whose repr it does not use
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_json(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# json's text of a scalar, by exact type (subclasses take the slow path)
+_JSON_SCALARS = {
+    str: _json_str,
+    float: _float_json,
+    np.float64: _float_json,
+    int: int.__repr__,
+    bool: lambda v: "true" if v else "false",
+    type(None): lambda v: "null",
+}
+
+
+def _json_key(k) -> str:
+    if isinstance(k, str):
+        return _json_str(k)
+    if isinstance(k, float):
+        return _json_str(_float_json(k))
+    if k is True:
+        return '"true"'
+    if k is False:
+        return '"false"'
+    if k is None:
+        return '"null"'
+    if isinstance(k, int):
+        return _json_str(int.__repr__(k))
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {type(k).__name__}"
+    )
+
+
+def _join(encode, items, sep: str) -> str | None:
+    """``items`` encoded with ``encode`` and joined, or None if one of them
+    is of another type (or, for floats, not finite)."""
+    try:
+        text = sep.join(map(encode, items))
+    except TypeError:
+        return None
+    # a finite float's repr has no "n"; json spells "nan"/"inf" otherwise
+    return None if encode is float.__repr__ and "n" in text else text
+
+
+def _json_parts(obj, level: int, out: list) -> None:
+    """Append the text of ``obj`` at nesting ``level`` to ``out``, as the
+    indent-1 encoding of ``json`` writes it (same spellings, and the same
+    type tests, which no type passes twice)."""
+    enc = _JSON_SCALARS.get(type(obj))
+    if enc is not None:
+        out.append(enc(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = "\n" + " " * (level + 1)
+        sep = "," + inner
+        close = "\n" + " " * level
+        if isinstance(obj, dict):
+            out.append("{")
+            for i, (k, v) in enumerate(obj.items()):
+                head = (sep if i else inner) + _json_key(k) + ": "
+                enc = _JSON_SCALARS.get(type(v))
+                if enc is not None:
+                    out.append(head + enc(v))
+                else:
+                    out.append(head)
+                    _json_parts(v, level + 1, out)
+            out.append(close + "}")
+            return
+        # one join for a list of floats or strings, one per row of a matrix
+        first, text = type(obj[0]), None
+        if first is float:
+            text = _join(float.__repr__, obj, sep)
+        elif first is str:
+            text = _join(_json_str, obj, sep)
+        elif first is list:
+            row_sep = sep + " "
+            rows = [
+                _join(float.__repr__, row, row_sep) if type(row) is list and row
+                else None
+                for row in obj
+            ]
+            if None not in rows:
+                text = sep.join(f"[{inner} {row}{inner}]" for row in rows)
+        if text is None:
+            out.append("[")
+            for i, v in enumerate(obj):
+                out.append(sep if i else inner)
+                _json_parts(v, level + 1, out)
+            out.append(close + "]")
+        else:
+            out.append("[" + inner + text + close + "]")
+    elif isinstance(obj, np.ndarray):
+        _json_parts(obj.tolist(), level, out)
+    elif isinstance(obj, str):
+        out.append(_json_str(obj))
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_float_json(obj))
+    else:  # json's default=float
+        _json_parts(float(obj), level, out)
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=1, default=float) + "\n"
+    """``json.dumps(obj, indent=1, default=float)`` plus a newline, with an
+    ndarray written as its ``tolist()``.
+
+    Given an indent, ``json`` encodes item by item in pure Python; this
+    writes the same text with one ``str.join`` per list of floats or strings.
+    """
+    out: list = []
+    _json_parts(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +342,23 @@ def _load_points(path: str) -> list:
     return data
 
 
+def _evaluate_prefix(mats: dict, points: list, mode: str) -> tuple:
+    """The matrices at the longest prefix of ``points`` where all of them
+    evaluate, and the error at the point after it (None if there is none).
+
+    The error is the one a point-by-point loop over A, B, C, D would raise
+    first: each failure shortens the prefix to the failing point, and the
+    prefix is evaluated again."""
+    err = None
+    while True:
+        try:
+            return {
+                tag: m.evaluate(points, out_of_bounds=mode) for tag, m in mats.items()
+            }, err
+        except lft.EvaluationError as exc:
+            points, err = points[: exc.index], exc
+
+
 def cmd_sample(args) -> int:
     prec = _precision()
     with open(args.export, "r", encoding="utf-8") as fh:
@@ -238,41 +378,43 @@ def cmd_sample(args) -> int:
                 f"unknown parameter(s) {sorted(unknown)!r}; "
                 f"known: {sorted(known)}"
             )
+        for name, value in pt.items():
+            try:
+                float(value)
+            except (TypeError, ValueError):
+                raise ModelFileError(
+                    f"parameter {name!r}: {value!r} is not a number"
+                ) from None
 
     os.makedirs(args.output, exist_ok=True)
     csv_rows = ["re,im,freq_hz,damping"]
-    for i, pt in enumerate(points):
-        full = dict(nominal)
-        full.update(pt)
-        num = {tag: m.evaluate(full, out_of_bounds=mode) for tag, m in mats.items()}
-        md = modes(num["A"])
-        payload = {
-            "point": {k: full[k] for k in sorted(full)},
-            "state_names": export["state_names"],
-            "input_names": export["input_names"],
-            "output_names": export["output_names"],
-            "A": [[float(v) for v in row] for row in num["A"]],
-            "B": [[float(v) for v in row] for row in num["B"]],
-            "C": [[float(v) for v in row] for row in num["C"]],
-            "D": [[float(v) for v in row] for row in num["D"]],
-            "poles": [
-                {
-                    "re": lam.real,
-                    "im": lam.imag,
-                    "freq_hz": f,
-                    "damping": z,
-                }
-                for lam, f, z in md
-            ],
-        }
-        _atomic_write(
-            os.path.join(args.output, f"point_{i:04d}.json"), _json_text(payload)
-        )
-        for lam, f, z in md:
-            csv_rows.append(
-                f"{_fmt(lam.real, prec)},{_fmt(lam.imag, prec)},"
-                f"{_fmt(f, prec)},{_fmt(z, prec)}"
+    for start in range(0, len(points), lft.EVAL_BLOCK):
+        block = [{**nominal, **pt} for pt in points[start : start + lft.EVAL_BLOCK]]
+        num, err = _evaluate_prefix(mats, block, mode)
+        for j, full in enumerate(block[: len(num["A"])]):
+            md = modes(num["A"][j])
+            payload = {
+                "point": {k: full[k] for k in sorted(full)},
+                "state_names": export["state_names"],
+                "input_names": export["input_names"],
+                "output_names": export["output_names"],
+                **{tag: num[tag][j] for tag in "ABCD"},
+                "poles": [
+                    {"re": lam.real, "im": lam.imag, "freq_hz": f, "damping": z}
+                    for lam, f, z in md
+                ],
+            }
+            _atomic_write(
+                os.path.join(args.output, f"point_{start + j:04d}.json"),
+                _json_text(payload),
             )
+            for lam, f, z in md:
+                csv_rows.append(
+                    f"{_fmt(lam.real, prec)},{_fmt(lam.imag, prec)},"
+                    f"{_fmt(f, prec)},{_fmt(z, prec)}"
+                )
+        if err is not None:
+            raise err
     _atomic_write(os.path.join(args.output, "poles.csv"), "\n".join(csv_rows) + "\n")
     print(f"sampled {len(points)} point(s) -> {args.output}")
     return EXIT_OK

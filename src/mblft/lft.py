@@ -14,8 +14,10 @@ spread = (upper - lower) / 2.
 from __future__ import annotations
 
 import math
+import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -51,6 +53,12 @@ KINDS = ("uncertain", "varying", "design")
 
 # Largest admitted 1-norm condition number of the balanced I - D Delta.
 _COND_LIMIT = 1e13
+# Points per batched solve of ``LftMatrix.evaluate``: it bounds the stacked
+# arrays (points x channels x (cols + channels)) whatever the grid size.
+EVAL_BLOCK = 64
+# Slack of the out-of-bounds test, in the parameter's own units.
+_BOUNDS_TOL = 1e-9
+_OUT_OF_BOUNDS = ("ignore", "warn", "error")
 # Cap on the sweeps of the channel balancing (it converges in a few).
 _BALANCE_SWEEPS = 50
 
@@ -64,7 +72,13 @@ class WellPosednessError(LftError):
 
 
 class EvaluationError(LftError):
-    pass
+    """An LFT cannot be evaluated at a point; ``index`` is the point's
+    position in the sequence given to ``LftMatrix.evaluate`` (0 for a
+    single point)."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 # ---------------------------------------------------------------------------
@@ -346,21 +360,37 @@ def _nominal_deltas(delta: tuple[Param, ...]) -> np.ndarray:
 
 
 def _solve_with_cond(
-    lhs: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray | None, float]:
-    """lhs^-1 rhs and the 1-norm condition number of lhs.
+    dm: np.ndarray, rhs: np.ndarray, deltas: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions and 1-norm condition numbers of the stacked I - D Delta_k.
 
-    One LU factorization serves both: lhs^-1 comes out of the same solve
-    as extra right-hand sides.  An exactly singular lhs reports an
-    infinite condition number and no solution.
+    ``deltas`` holds one row of normalized channel values per point and
+    ``rhs`` is [C, I]: one batched LU solve gives each point's
+    (I - D Delta_k)^-1 C and, from the appended identity, its inverse, so
+    the condition number is exact, not estimated.  An exactly singular
+    I - D Delta_k reports an infinite condition number and a NaN solution.
     """
-    n = lhs.shape[0]
+    n = dm.shape[0]
+    lhs = dm * deltas[:, None, :]
+    np.subtract(np.eye(n), lhs, out=lhs)
+    singular = []
     try:
-        x = np.linalg.solve(lhs, np.hstack([rhs, np.eye(n)]))
+        x = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
-        return None, math.inf
-    cond = np.abs(lhs).sum(axis=0).max() * np.abs(x[:, -n:]).sum(axis=0).max()
-    return x[:, : rhs.shape[1]], float(cond)
+        # one singular point fails the whole stack: solve point by point
+        x = np.full((len(lhs),) + rhs.shape, np.nan)
+        for k in range(len(lhs)):
+            try:
+                x[k] = np.linalg.solve(lhs[k], rhs)
+            except np.linalg.LinAlgError:
+                singular.append(k)
+    inv = x[..., -n:]
+    cond = (
+        np.abs(lhs, out=lhs).sum(axis=-2).max(axis=-1)
+        * np.abs(inv, out=inv).sum(axis=-2).max(axis=-1)
+    )
+    cond[singular] = math.inf
+    return x[..., :-n], cond
 
 
 def _channel_scales(m: "LftMatrix") -> np.ndarray:
@@ -409,10 +439,25 @@ def _channel_scales(m: "LftMatrix") -> np.ndarray:
     return np.exp2(log2s[:d] - log2s[d])
 
 
+class _EvalPlan(NamedTuple):
+    """What ``LftMatrix.evaluate`` needs besides the points (per channel)."""
+
+    names: tuple          # parameter names, in order of first channel
+    channel: np.ndarray   # channel -> index into names
+    center: np.ndarray
+    spread: np.ndarray    # 1 where the parameter's spread is 0 ...
+    fixed: np.ndarray     # ... at these channels, whose delta is 0
+    lower: np.ndarray     # bounds, widened by _BOUNDS_TOL
+    upper: np.ndarray
+    b: np.ndarray         # balanced B, D and [C, I]
+    dm: np.ndarray
+    rhs: np.ndarray
+
+
 class LftMatrix:
     """A rows x cols matrix-valued rational function of parameters."""
 
-    __slots__ = ("m", "rows", "cols", "delta", "_balanced")
+    __slots__ = ("m", "rows", "cols", "delta", "_balanced", "_plan")
 
     def __init__(self, m: np.ndarray, rows: int, cols: int, delta: tuple[Param, ...]):
         m = np.asarray(m, dtype=float)
@@ -427,6 +472,7 @@ class LftMatrix:
         self.cols = cols
         self.delta = tuple(delta)
         self._balanced = None
+        self._plan = None
 
     # -- structure ---------------------------------------------------------
 
@@ -480,56 +526,130 @@ class LftMatrix:
 
     def evaluate(
         self,
-        point: Mapping[str, float] | None = None,
+        point: Mapping[str, float] | Iterable[Mapping[str, float]] | None = None,
         out_of_bounds: str = "ignore",
     ) -> np.ndarray:
-        """Numeric value at a parameter point (missing names -> error)."""
-        point = dict(point or {})
-        d = self.ndelta
-        if d == 0:
-            return self.a.copy()
-        deltas = np.empty(d)
-        tol = 1e-9
-        for i, p in enumerate(self.delta):
+        """Numeric value at a parameter point, or stacked over points.
+
+        ``point`` maps parameter names to values (a missing name is an
+        error) and gives a rows x cols array; a sequence of such mappings
+        gives a (points, rows, cols) array, solved in blocks of
+        ``EVAL_BLOCK`` points with one batched solve per block.  A value
+        outside its parameter's bounds is accepted (``"ignore"``), warned
+        about (``"warn"``) or rejected (``"error"``).  The first point that
+        misses a parameter, is rejected or is ill-posed raises an
+        ``EvaluationError`` whose ``index`` is its position.
+        """
+        if out_of_bounds not in _OUT_OF_BOUNDS:
+            raise ValueError(
+                f"out_of_bounds must be one of {_OUT_OF_BOUNDS}, "
+                f"got {out_of_bounds!r}"
+            )
+        if point is None or isinstance(point, Mapping):
+            return self._evaluate_block([point or {}], 0, out_of_bounds)[0]
+        points = list(point)
+        starts = range(0, len(points), EVAL_BLOCK) or [0]
+        return np.concatenate([
+            self._evaluate_block(points[i : i + EVAL_BLOCK], i, out_of_bounds)
+            for i in starts
+        ])
+
+    def _evaluate_block(self, points: list, base: int, mode: str) -> np.ndarray:
+        k = len(points)
+        if self.ndelta == 0:
+            return np.repeat(self.a[None], k, axis=0)
+        plan = self._eval_plan()
+        width = len(plan.names)
+        try:
+            vals = [[float(pt[n]) for n in plan.names] for pt in points]
+        except KeyError:
+            stop = next(
+                i for i, pt in enumerate(points)
+                if not all(n in pt for n in plan.names)
+            )
+            vals = [[float(pt[n]) for n in plan.names] for pt in points[:stop]]
+        else:
+            stop = k
+        x = np.array(vals, dtype=float).reshape(len(vals), width)[:, plan.channel]
+        if mode != "ignore":
+            outside = ~((plan.lower <= x) & (x <= plan.upper))
+            if mode == "error" and outside.any():
+                stop = int(np.argmax(outside.any(axis=1)))
+                x = x[:stop]
+        deltas = (x - plan.center) / plan.spread
+        deltas[:, plan.fixed] = 0.0
+        sol, cond = _solve_with_cond(plan.dm, plan.rhs, deltas)
+        ill = cond > _COND_LIMIT
+        fail = int(np.argmax(ill)) if ill.any() else stop
+        if mode == "warn":
+            for i in np.flatnonzero(outside[:fail].any(axis=1)):
+                self._check_point(points[i], mode, base + int(i))
+        if fail < k:
+            # raises for a missing or rejected value, as in channel order
+            self._check_point(points[fail], mode, base + fail)
+            raise EvaluationError(
+                "ill-posed LFT at requested point "
+                f"(balanced cond {cond[fail]:.2e})",
+                base + fail,
+            )
+        return self.a + (plan.b * deltas[:, None, :]) @ sol
+
+    def _check_point(self, point: Mapping, mode: str, index: int) -> None:
+        """The checks of one point's channels, in channel order: raise for a
+        missing parameter or a rejected value, warn for a value under
+        ``"warn"``.  Only points that fail a batched check come here."""
+        for p in self.delta:
             if p.name not in point:
-                raise EvaluationError(f"parameter {p.name!r} missing from point")
+                raise EvaluationError(
+                    f"parameter {p.name!r} missing from point", index
+                )
             v = float(point[p.name])
-            if out_of_bounds != "ignore" and not (
-                p.lower - tol <= v <= p.upper + tol
+            if mode != "ignore" and not (
+                p.lower - _BOUNDS_TOL <= v <= p.upper + _BOUNDS_TOL
             ):
                 msg = (
                     f"parameter {p.name!r} value {v} outside "
                     f"[{p.lower}, {p.upper}]"
                 )
-                if out_of_bounds == "error":
-                    raise EvaluationError(msg)
-                import warnings
-
+                if mode == "error":
+                    raise EvaluationError(msg, index)
                 warnings.warn(msg)
-            deltas[i] = p.normalize(v)
-        b, c, dm = self._balanced_blocks()
-        sol, cond = _solve_with_cond(np.eye(d) - dm * deltas[None, :], c)
-        if cond > _COND_LIMIT:
-            raise EvaluationError(
-                f"ill-posed LFT at requested point (balanced cond {cond:.2e})"
+
+    def _eval_plan(self) -> "_EvalPlan":
+        """Per-matrix set-up of ``evaluate``, built once, as ``_balanced``."""
+        if self._plan is None:
+            names = list(dict.fromkeys(p.name for p in self.delta))
+            spread = np.array([p.spread for p in self.delta])
+            b, c, dm = self._balanced_blocks()
+            self._plan = _EvalPlan(
+                names=tuple(names),
+                channel=np.array([names.index(p.name) for p in self.delta]),
+                center=np.array([p.center for p in self.delta]),
+                spread=np.where(spread == 0.0, 1.0, spread),
+                fixed=np.flatnonzero(spread == 0.0),
+                lower=np.array([p.lower - _BOUNDS_TOL for p in self.delta]),
+                upper=np.array([p.upper + _BOUNDS_TOL for p in self.delta]),
+                b=b,
+                dm=dm,
+                rhs=np.hstack([c, np.eye(self.ndelta)]),
             )
-        return self.a + (b * deltas[None, :]) @ sol
+        return self._plan
 
     @property
     def nominal(self) -> np.ndarray:
         return self.evaluate({p.name: p.nominal for p in self.delta})
 
     def check_wellposed(self) -> None:
-        d = self.ndelta
-        if d == 0:
+        if self.ndelta == 0:
             return
-        _, c, dm = self._balanced_blocks()
-        lhs = np.eye(d) - dm * _nominal_deltas(self.delta)[None, :]
-        _, cond = _solve_with_cond(lhs, c)
-        if cond > _COND_LIMIT:
+        plan = self._eval_plan()
+        _, cond = _solve_with_cond(
+            plan.dm, plan.rhs, _nominal_deltas(self.delta)[None, :]
+        )
+        if cond[0] > _COND_LIMIT:
             raise WellPosednessError(
                 "LFT is ill-posed at the nominal parameter point "
-                f"(balanced cond {cond:.2e})"
+                f"(balanced cond {cond[0]:.2e})"
             )
 
     def _balanced_blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

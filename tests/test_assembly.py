@@ -233,6 +233,14 @@ for model in sys.argv[2:]:
     target = out / (pathlib.Path(model).stem + ".json")
     if cli.main(["linearize", model, "-o", str(target)]):
         sys.exit(1)
+grids = {
+    "two_link_arm": "t_t1=0.45:1.0:5,t_t2=0.45:2.4:5",
+    "balloon_planar": "l6=10:60:20",
+}
+for stem, grid in grids.items():
+    export, target = str(out / (stem + ".json")), str(out / (stem + "_sample"))
+    if cli.main(["sample", export, "--grid", grid, "-o", target]):
+        sys.exit(1)
 """
 
 
@@ -240,13 +248,21 @@ def _exports_at_threads(out: pathlib.Path, threads: str) -> dict:
     out.mkdir()
     models = sorted(str(p) for p in MODELS.glob("*.yaml"))
     _run_at_threads(threads, _LINEARIZE_ALL, str(out), *models)
-    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return {
+        str(p.relative_to(out)): p.read_bytes()
+        for p in sorted(out.rglob("*")) if p.is_file()
+    }
 
 
 def test_cli_exports_independent_of_blas_threads(tmp_path):
+    """``linearize`` exports and ``sample`` outputs (the arm's README grid,
+    the balloon's l6 grid) are byte-identical at 1 and 2 BLAS threads."""
     one = _exports_at_threads(tmp_path / "one", "1")
     two = _exports_at_threads(tmp_path / "two", "2")
-    assert sorted(one) == ["balloon_planar.json", "pendulum.json", "two_link_arm.json"]
+    exports = ["balloon_planar.json", "pendulum.json", "two_link_arm.json"]
+    assert [name for name in one if "/" not in name] == exports
+    assert sum(name.startswith("two_link_arm_sample/point_") for name in one) == 25
+    assert sum(name.startswith("balloon_planar_sample/point_") for name in one) == 20
     assert one == two
 
 

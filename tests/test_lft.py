@@ -85,6 +85,132 @@ def test_missing_parameter_raises():
         lft.from_param(p).evaluate({})
 
 
+@pytest.mark.parametrize("occ", [0, 1])
+def test_unknown_out_of_bounds_mode_rejected(occ):
+    p = lft.Param("k", 2.0, 1.0, 3.0, "uncertain")
+    g = _random_lft(np.random.default_rng(0), 2, 2, [p], occ=occ)
+    for point in ({"k": 5.0}, [{"k": 2.0}, {"k": 5.0}]):
+        with pytest.raises(ValueError, match="eror"):
+            g.evaluate(point, out_of_bounds="eror")
+    assert g.evaluate({"k": 5.0}, out_of_bounds="ignore").shape == (2, 2)
+
+
+def test_out_of_bounds_warnings_per_point():
+    p = lft.Param("k", 2.0, 1.0, 3.0, "uncertain")
+    g = lft.from_param(p)
+    with pytest.warns(UserWarning) as batch:
+        got = g.evaluate([{"k": 0.5}, {"k": 2.0}, {"k": 4.0}], out_of_bounds="warn")
+    np.testing.assert_array_equal(got[:, 0, 0], [0.5, 2.0, 4.0])
+    assert [str(w.message) for w in batch] == [
+        "parameter 'k' value 0.5 outside [1.0, 3.0]",
+        "parameter 'k' value 4.0 outside [1.0, 3.0]",
+    ]
+
+
+# ---------------------------------------------------------------------------
+# batched evaluation
+# ---------------------------------------------------------------------------
+
+# point counts around the block boundary of the batched solve
+_COUNTS = [0, 1, 2, lft.EVAL_BLOCK - 1, lft.EVAL_BLOCK, lft.EVAL_BLOCK + 1,
+           2 * lft.EVAL_BLOCK + 3]
+# a parameter whose box is a single value (zero spread: delta is always 0)
+_FIXED = lft.Param("z", 0.5, 0.5, 0.5, "design")
+
+
+def _batch_lft(rng, kind, rescale):
+    """A random 2 x 3 LFT of p0, p1 and the zero-spread z (none: 'const')."""
+    params = _params(2) + [_FIXED]
+    if kind == "const":
+        g = lft.constant(rng.standard_normal((2, 3)))
+    elif kind == "dense":
+        g = _dense_lft(rng, 2, 3, params)
+    else:  # repeated rank-one channels of each parameter
+        g = _random_lft(rng, 2, 3, params, occ=3)
+    return (_rescale_channels(g, rng) if rescale else g), params
+
+
+def _per_point(g, points, mode="ignore"):
+    return np.array([g.evaluate(pt, out_of_bounds=mode) for pt in points]).reshape(
+        (len(points),) + g.shape
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from(["const", "dense", "repeated"]),
+    st.booleans(),
+    st.sampled_from(_COUNTS),
+)
+@example(0, "dense", True, lft.EVAL_BLOCK + 1)
+@example(1, "const", False, 2 * lft.EVAL_BLOCK + 3)
+def test_batched_evaluate_equals_per_point_bit_for_bit(seed, kind, rescale, n):
+    rng = np.random.default_rng(seed)
+    g, params = _batch_lft(rng, kind, rescale)
+    points = [_point(params, rng) for _ in range(n)]
+    got = g.evaluate(points, out_of_bounds="error")
+    assert got.shape == (n,) + g.shape
+    assert np.array_equal(got, _per_point(g, points))
+    assert np.array_equal(g.evaluate(iter(points)), got)
+
+
+def _faulty(points, k, fault):
+    """Make point k fail: 'ill' (near-singular), 'singular', 'outside' or
+    'missing'."""
+    pt = dict(points[k])
+    if fault == "ill":
+        pt["q"] = 1.0 - 1e-15
+    elif fault == "singular":
+        pt["q"] = 1.0
+    elif fault == "outside":
+        pt["p0"] = 100.0
+    else:
+        pt.pop("p1", None)
+    points[k] = pt
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2 ** 31 - 1),
+    st.booleans(),
+    st.sampled_from(_COUNTS[1:]),
+    st.data(),
+)
+@example(0, True, lft.EVAL_BLOCK + 1, None)
+def test_batched_evaluate_raises_at_the_first_failing_point(seed, rescale, n, data):
+    rng = np.random.default_rng(seed)
+    g, params = _batch_lft(rng, "repeated", rescale)
+    # + u q / (1 - q) v: ill-posed at q -> 1, singular at q = 1
+    q = lft.Param("q", 0.0, -1.0, 1.0, "uncertain")
+    bad = lft.LftMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]), 1, 1, (q,))
+    g = g + lft.constant(rng.standard_normal((2, 1))) @ bad @ lft.constant(
+        rng.standard_normal((1, 3))
+    )
+    faults = ["ill", "singular", "outside", "missing"]
+    if data is None:  # the explicit example: the last point of a full block
+        k, fault, later = lft.EVAL_BLOCK - 1, "ill", None
+    else:
+        k = data.draw(st.integers(0, n - 1))
+        fault = data.draw(st.sampled_from(faults))
+        later = data.draw(st.none() | st.tuples(st.integers(k, n - 1),
+                                                st.sampled_from(faults)))
+    points = [{**_point(params, rng), "q": 0.0} for _ in range(n)]
+    if later is not None:
+        _faulty(points, *later)
+    _faulty(points, k, fault)
+    with pytest.raises(lft.EvaluationError) as one:
+        g.evaluate(points[k], out_of_bounds="error")
+    assert one.value.index == 0
+    with pytest.raises(lft.EvaluationError) as many:
+        g.evaluate(points, out_of_bounds="error")
+    assert str(many.value) == str(one.value)
+    assert many.value.index == k
+    assert np.array_equal(
+        g.evaluate(points[:k], out_of_bounds="error"), _per_point(g, points[:k])
+    )
+
+
 # ---------------------------------------------------------------------------
 # algebra closure (evaluation commutes with the operations)
 # ---------------------------------------------------------------------------

@@ -7,6 +7,9 @@ import stat
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mblft import assembly, cli, modelfile
 from mblft.modelfile import ModelFileError, load_model
@@ -294,6 +297,95 @@ def test_cli_strict_bounds_rejects_out_of_box(tmp_path, capsys):
         ["sample", str(export), "--grid", "m1=100:101:2", "-o", str(outdir)]
     )
     assert rc == cli.EXIT_NUMERICAL
+
+
+def test_cli_strict_bounds_keeps_the_points_before_the_failure(tmp_path, capsys):
+    export = tmp_path / "arm.json"
+    args = ["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(export)]
+    assert cli.main(args + ["--strict-bounds"]) == 0
+    points = [{"t_t1": 0.5}, {"t_t1": 0.9}, {"m1": 100.0}, {"t_t1": 0.6}]
+    ptfile = tmp_path / "pts.json"
+    ptfile.write_text(json.dumps(points))
+    outdir = tmp_path / "out"
+    sample = ["sample", str(export), "--point-file", str(ptfile), "-o"]
+    assert cli.main(sample + [str(outdir)]) == cli.EXIT_NUMERICAL
+    assert "parameter 'm1' value 100.0 outside" in capsys.readouterr().err
+    assert sorted(p.name for p in outdir.iterdir()) == [
+        "point_0000.json", "point_0001.json",
+    ]
+    # the files written are those of a run on the good points alone
+    ptfile.write_text(json.dumps(points[:2]))
+    assert cli.main(sample + [str(tmp_path / "ok")]) == 0
+    for name in ("point_0000.json", "point_0001.json"):
+        assert (outdir / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1.0]])
+def test_cli_sample_rejects_a_value_that_is_not_a_number(tmp_path, capsys, value):
+    export = tmp_path / "arm.json"
+    args = ["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(export)]
+    assert cli.main(args) == 0
+    ptfile = tmp_path / "pts.json"
+    ptfile.write_text(json.dumps([{"t_t1": 0.5}, {"t_t1": value}]))
+    outdir = tmp_path / "out"
+    sample = ["sample", str(export), "--point-file", str(ptfile), "-o", str(outdir)]
+    assert cli.main(sample) == cli.EXIT_SCHEMA
+    assert "'t_t1'" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def _as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _as_lists(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+    | st.text()
+    | hnp.arrays(
+        st.sampled_from([np.float64, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.recursive(
+        _JSON_LEAVES,
+        lambda kids: st.lists(kids, max_size=5)
+        | st.dictionaries(st.text(), kids, max_size=5),
+        max_leaves=30,
+    )
+)
+def test_json_text_is_the_json_module_text(doc):
+    # ndarrays are written as their tolist(): json.dumps cannot take them
+    want = json.dumps(_as_lists(doc), indent=1, default=float) + "\n"
+    assert cli._json_text(doc) == want
+
+
+def test_json_text_of_floats_lists_and_keys():
+    doc = {
+        "é": [float("nan"), float("inf"), -float("inf"), -0.0, 1e-310],
+        "rows": [[1.0, 2.5], [3.0, float("nan")], [], [1.0, 2]],
+        "mixed": [2.0, "x", None, True, np.float64(0.1), np.int64(3)],
+        "names": ["a", "ü", "b\n"],
+        "tuple": (1.5, ("x",)),
+        7: "int key", 2.5: "float key", True: "bool key", None: "null key",
+        "array": np.array([[1.0, -2.0], [np.inf, 0.5]]),
+    }
+    want = json.dumps(_as_lists(doc), indent=1, default=float) + "\n"
+    assert cli._json_text(doc) == want
 
 
 def test_cli_no_reduce_equivalent_evaluation(tmp_path):
