@@ -130,7 +130,7 @@ def _float_json(x: float) -> str:
     return _NON_FINITE.get(text, text)
 
 
-# json's text of a scalar, by exact type (subclasses take the slow path)
+# json's text of a scalar, by exact type
 _JSON_SCALARS = {
     str: _json_str,
     float: _float_json,
@@ -142,21 +142,9 @@ _JSON_SCALARS = {
 
 
 def _json_key(k) -> str:
-    if isinstance(k, str):
-        return _json_str(k)
-    if isinstance(k, float):
-        return _json_str(_float_json(k))
-    if k is True:
-        return '"true"'
-    if k is False:
-        return '"false"'
-    if k is None:
-        return '"null"'
-    if isinstance(k, int):
-        return _json_str(int.__repr__(k))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {type(k).__name__}"
-    )
+    if not isinstance(k, str):
+        raise TypeError(f"keys must be str, not {type(k).__name__}")
+    return _json_str(k)
 
 
 def _join(encode, items, sep: str) -> str | None:
@@ -172,12 +160,16 @@ def _join(encode, items, sep: str) -> str | None:
 
 def _json_parts(obj, level: int, out: list) -> None:
     """Append the text of ``obj`` at nesting ``level`` to ``out``, as the
-    indent-1 encoding of ``json`` writes it (same spellings, and the same
-    type tests, which no type passes twice)."""
+    indent-1 encoding of ``json`` writes it.
+
+    Takes the scalars of ``_JSON_SCALARS``, lists, dicts with str keys and
+    ndarrays; any other value is written as ``float(value)``, as
+    ``default=float`` does (so subclasses of str and int, which ``json``
+    writes as such, are not supported)."""
     enc = _JSON_SCALARS.get(type(obj))
     if enc is not None:
         out.append(enc(obj))
-    elif isinstance(obj, (list, tuple, dict)):
+    elif isinstance(obj, (list, dict)):
         if not obj:
             out.append("{}" if isinstance(obj, dict) else "[]")
             return
@@ -221,12 +213,6 @@ def _json_parts(obj, level: int, out: list) -> None:
             out.append("[" + inner + text + close + "]")
     elif isinstance(obj, np.ndarray):
         _json_parts(obj.tolist(), level, out)
-    elif isinstance(obj, str):
-        out.append(_json_str(obj))
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, float):
-        out.append(_float_json(obj))
     else:  # json's default=float
         _json_parts(float(obj), level, out)
 
@@ -381,7 +367,7 @@ def cmd_sample(args) -> int:
         for name, value in pt.items():
             try:
                 float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ModelFileError(
                     f"parameter {name!r}: {value!r} is not a number"
                 ) from None

@@ -375,7 +375,9 @@ def _solve_with_cond(
     np.subtract(np.eye(n), lhs, out=lhs)
     singular = []
     try:
-        x = np.linalg.solve(lhs, rhs)
+        # rhs[None]: a stack of one matrix, as numpy 1.x and 2.x both read
+        # it (numpy 1.x would take a 2-D b beside a 3-D a as vectors)
+        x = np.linalg.solve(lhs, rhs[None])
     except np.linalg.LinAlgError:
         # one singular point fails the whole stack: solve point by point
         x = np.full((len(lhs),) + rhs.shape, np.nan)

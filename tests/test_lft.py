@@ -211,6 +211,43 @@ def test_batched_evaluate_raises_at_the_first_failing_point(seed, rescale, n, da
     )
 
 
+def _solve_as_numpy1(solve):
+    """``solve`` with numpy 1.x's reading of ``b``: beside a k-D ``a``, a
+    (k-1)-D ``b`` is a stack of vectors, whatever its last dimension."""
+
+    def wrapped(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        if b.ndim == a.ndim - 1:
+            if b.shape[-1] != a.shape[-1]:
+                raise ValueError("solve1: mismatch in its core dimension 0")
+            return solve(a, b[..., None])[..., 0]
+        return solve(a, b)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("singular", [False, True])
+def test_evaluate_under_numpy1_solve_semantics(monkeypatch, n, singular):
+    rng = np.random.default_rng(5)
+    g, params = _batch_lft(rng, "repeated", False)
+    q = lft.Param("q", 0.0, -1.0, 1.0, "uncertain")
+    bad = lft.LftMatrix(np.array([[0.0, 1.0], [1.0, 1.0]]), 1, 1, (q,))
+    g = g + lft.constant(np.ones((2, 1))) @ bad @ lft.constant(np.ones((1, 3)))
+    points = [{**_point(params, rng), "q": 0.0} for _ in range(n)]
+    want = g.evaluate(points)
+    if singular:  # the point-by-point fallback solves 2-D a against 2-D b
+        points[-1]["q"] = 1.0
+    monkeypatch.setattr(np.linalg, "solve", _solve_as_numpy1(np.linalg.solve))
+    if singular:
+        with pytest.raises(lft.EvaluationError) as err:
+            g.evaluate(points)
+        assert err.value.index == n - 1
+    else:
+        assert np.array_equal(g.evaluate(points), want)
+        g.check_wellposed()
+
+
 # ---------------------------------------------------------------------------
 # algebra closure (evaluation commutes with the operations)
 # ---------------------------------------------------------------------------
