@@ -38,8 +38,8 @@ def main() -> int:
     abscissa = -np.inf
     sweep = [{"l6": float(l6)} for l6 in np.linspace(args.lo, args.hi, args.points)]
     a_sweep, _, _, _ = sample_model(lm, sweep)  # one batched evaluation
-    for a in a_sweep:
-        for lam, f, z in modes(a):
+    for md in modes(a_sweep):
+        for lam, f, z in md:
             rows.append(f"{lam.real:.15g},{lam.imag:.15g},{f:.15g},{z:.15g}")
             abscissa = max(abscissa, lam.real)
     pathlib.Path(args.output).write_text("\n".join(rows) + "\n")

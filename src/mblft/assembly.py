@@ -860,9 +860,21 @@ def sample_model(lm: LinearLftModel, point, strict: bool = False):
 
 
 def modes(a: np.ndarray) -> list:
-    """(eigenvalue, frequency [Hz], damping ratio) sorted by |Im|."""
+    """(eigenvalue, frequency [Hz], damping ratio) sorted by |Im|.
+
+    A stack of matrices gives one such list per matrix, from one call of
+    ``np.linalg.eigvals`` (whose values equal those of one call each).
+    """
+    a = np.asarray(a, dtype=float)
+    eigs = np.linalg.eigvals(a)
+    if a.ndim == 3:
+        return [_modes_of(lams) for lams in eigs]
+    return _modes_of(eigs)
+
+
+def _modes_of(lams: np.ndarray) -> list:
     out = []
-    for lam in np.linalg.eigvals(np.asarray(a, dtype=float)):
+    for lam in lams:
         mag = abs(lam)
         zeta = 1.0 if mag == 0.0 else float(-lam.real / mag)
         out.append((complex(lam), mag / (2.0 * np.pi), zeta))

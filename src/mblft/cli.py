@@ -377,8 +377,7 @@ def cmd_sample(args) -> int:
     for start in range(0, len(points), lft.EVAL_BLOCK):
         block = [{**nominal, **pt} for pt in points[start : start + lft.EVAL_BLOCK]]
         num, err = _evaluate_prefix(mats, block, mode)
-        for j, full in enumerate(block[: len(num["A"])]):
-            md = modes(num["A"][j])
+        for j, (full, md) in enumerate(zip(block, modes(num["A"]))):
             payload = {
                 "point": {k: full[k] for k in sorted(full)},
                 "state_names": export["state_names"],

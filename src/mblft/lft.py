@@ -581,7 +581,7 @@ class LftMatrix:
         deltas = (x - plan.center) / plan.spread
         deltas[:, plan.fixed] = 0.0
         sol, cond = _solve_with_cond(plan.dm, plan.rhs, deltas)
-        ill = cond > _COND_LIMIT
+        ill = ~(cond <= _COND_LIMIT)  # a NaN (from a NaN value) fails too
         fail = int(np.argmax(ill)) if ill.any() else stop
         if mode == "warn":
             for i in np.flatnonzero(outside[:fail].any(axis=1)):
@@ -648,7 +648,7 @@ class LftMatrix:
         _, cond = _solve_with_cond(
             plan.dm, plan.rhs, _nominal_deltas(self.delta)[None, :]
         )
-        if cond[0] > _COND_LIMIT:
+        if not cond[0] <= _COND_LIMIT:
             raise WellPosednessError(
                 "LFT is ill-posed at the nominal parameter point "
                 f"(balanced cond {cond[0]:.2e})"

@@ -301,6 +301,15 @@ def test_modes_frequency_and_damping():
         assert z > 0  # damped
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 64])
+def test_modes_of_a_stack_equal_modes_of_each_matrix(n):
+    rng = np.random.default_rng(n)
+    stack = rng.standard_normal((n, 6, 6))
+    stack[: n // 2, :3, 3:] = np.eye(3)  # some with a repeated structure
+    stack[: n // 2, 3:, :] = 0.0
+    assert modes(stack) == [modes(a) for a in stack]
+
+
 # ---------------------------------------------------------------------------
 # structural validation
 # ---------------------------------------------------------------------------

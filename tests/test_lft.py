@@ -79,6 +79,13 @@ def test_out_of_bounds_strict_raises():
     )
 
 
+def test_nan_value_fails_the_gate():
+    g = _random_lft(np.random.default_rng(0), 2, 2, _params(1))
+    with pytest.raises(lft.EvaluationError, match="ill-posed") as err:
+        g.evaluate([{"p0": 1.0}, {"p0": math.nan}])
+    assert err.value.index == 1
+
+
 def test_missing_parameter_raises():
     p = lft.Param("k", 2.0, 1.0, 3.0, "uncertain")
     with pytest.raises(lft.EvaluationError):

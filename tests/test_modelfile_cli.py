@@ -320,6 +320,19 @@ def test_cli_strict_bounds_keeps_the_points_before_the_failure(tmp_path, capsys)
         assert (outdir / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()
 
 
+def test_cli_sample_nan_value_keeps_the_points_before_it(tmp_path, capsys):
+    export = tmp_path / "arm.json"
+    args = ["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(export)]
+    assert cli.main(args) == 0
+    ptfile = tmp_path / "pts.json"
+    ptfile.write_text('[{"t_t1": 0.5}, {"t_t1": NaN}, {"t_t1": 0.6}]')
+    outdir = tmp_path / "out"
+    sample = ["sample", str(export), "--point-file", str(ptfile), "-o", str(outdir)]
+    assert cli.main(sample) == cli.EXIT_NUMERICAL
+    assert "ill-posed" in capsys.readouterr().err
+    assert [p.name for p in outdir.iterdir()] == ["point_0000.json"]
+
+
 @pytest.mark.parametrize("value", ["abc", None, [1.0], 10 ** 400])
 def test_cli_sample_rejects_a_value_that_is_not_a_number(tmp_path, capsys, value):
     export = tmp_path / "arm.json"
