@@ -34,7 +34,7 @@ import numpy as np
 from mblft import lft
 from mblft import spatial as sp
 from mblft.bodies import DynamicsRole, RigidBody, direct_dynamics_at_port
-from mblft.joints import RevoluteJoint, RigidConnection, revolute_dcm_lft
+from mblft.joints import RevoluteJoint, revolute_dcm_lft
 
 __all__ = [
     "AssemblyError",
@@ -247,12 +247,6 @@ class MultibodyModel:
             total = total + lft.as_expr(b.mass)
         return total
 
-    @property
-    def joints(self) -> tuple:
-        return tuple(
-            c for c in self._tree_order() if isinstance(c, RevoluteJoint)
-        )
-
     def _tree_order(self) -> tuple:
         """Connections in depth-first order from the root."""
         root_name = GROUND if self.root.kind == GROUND else self.root_body.name
@@ -286,6 +280,17 @@ class _BodyGeo:
     abar: lft.LftMatrix  # 3 x 1 frame acceleration in body frame
     pos: lft.LftMatrix  # 3 x 1 reference-port position in R
     theta_nom: np.ndarray  # numeric equilibrium Euler angles
+    d: lft.LftMatrix | None  # 6 x 6 direct dynamics at the reference port
+    loads: list  # (fbar, tau_lft(-p)) of each external force on the body
+
+
+@dataclass
+class _ConnGeo:
+    """LFTs of one connection, shared by steps 1-3."""
+
+    p2: lft.LftMatrix  # p2_lft(P_a/b): child-frame 6-vectors -> parent frame
+    tau_c: lft.LftMatrix  # tau_lft(cpos): joint point -> child reference port
+    tau_q: lft.LftMatrix  # tau_lft(-qpos): parent reference port -> joint point
 
 
 @dataclass
@@ -297,15 +302,31 @@ class GeometryContext:
     k: int  # unmasked root DOF count
     mask: tuple
     geo: dict  # body name (or GROUND) -> _BodyGeo
+    conn: dict  # child body name -> _ConnGeo of its inbound connection
     gamma0: np.ndarray  # root Euler-rate map at equilibrium
 
 
-def _reduce(m: lft.LftMatrix) -> lft.LftMatrix:
-    return lft.reduce_lft(m)
+def _body_terms(body, dcm: lft.LftMatrix, forces: list) -> tuple:
+    """A body's direct dynamics at its reference port, and the force in body
+    axes and the transport from the reference port to the force's port of
+    each external force on it (None and [] for the ground)."""
+    if body is None:
+        return None, []
+    loads = [
+        (
+            dcm.T @ sp.as_lft(list(np.asarray(f.force, dtype=object).reshape(3))),
+            sp.tau_lft(-body.port_position_lft(f.port)),
+        )
+        for f in forces
+        if f.body == body.name
+    ]
+    return direct_dynamics_at_port(body, "ref").matrix, loads
 
 
 def step1_geometry(model: MultibodyModel) -> GeometryContext:
-    """Root-to-leaf pass: equilibrium orientations, Jacobians, accelerations."""
+    """Root-to-leaf pass: equilibrium orientations, Jacobians, accelerations,
+    and the per-body and per-connection LFTs that steps 2 and 3 share."""
+    forces = _resolved_forces(model)
     order = model._tree_order()
     joints = [c for c in order if isinstance(c, RevoluteJoint)]
     joint_index = {c.name: i for i, c in enumerate(joints)}
@@ -322,7 +343,9 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
     a_r = np.asarray(model.acceleration, dtype=float).reshape(3, 1)
 
     geo: dict[str, _BodyGeo] = {}
+    conn: dict[str, _ConnGeo] = {}
     root_name = GROUND if model.root.kind == GROUND else model.root_body.name
+    root_body = None if root_name == GROUND else model.root_body
     jhat0 = np.zeros((6, nq))
     for col, dof in enumerate(mask):
         jhat0[dof, col] = 1.0
@@ -334,14 +357,18 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
     for col, dof in enumerate(mask):
         if dof >= 3:
             phi0[:, col] = gamma0[:, dof - 3]
+    dcm_root = lft.constant(dcm0)
+    d_root, loads_root = _body_terms(root_body, dcm_root, forces)
     geo[root_name] = _BodyGeo(
-        body=None if root_name == GROUND else model.root_body,
-        dcm=lft.constant(dcm0),
+        body=root_body,
+        dcm=dcm_root,
         jhat=lft.constant(jhat0),
         phi=lft.constant(phi0),
         abar=lft.constant(dcm0.T @ a_r),
         pos=lft.constant(np.asarray(model.root.position, float).reshape(3, 1)),
         theta_nom=euler0,
+        d=d_root,
+        loads=loads_root,
     )
 
     for c in order:
@@ -359,9 +386,10 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
             p_ab = revolute_dcm_lft(c)
         else:
             p_ab = lft.constant(c.fixed_dcm)
-        p_ab = _reduce(p_ab)
-        at_port = sp.tau_lft(-qpos) @ parent.jhat
-        j_joint = sp.p2_lft(p_ab).T @ at_port
+        p_ab = lft.reduce_lft(p_ab)
+        cg = _ConnGeo(sp.p2_lft(p_ab), sp.tau_lft(cpos), sp.tau_lft(-qpos))
+        conn[cb] = cg
+        j_joint = cg.p2.T @ (cg.tau_q @ parent.jhat)
         phi = p_ab.T @ parent.phi
         if isinstance(c, RevoluteJoint):
             e_nu = np.zeros((1, nq))
@@ -370,14 +398,17 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
                 c.r6.reshape(6, 1)
             ) @ lft.constant(e_nu)
             phi = phi + lft.constant(c.axis.reshape(3, 1)) @ lft.constant(e_nu)
-        jhat = _reduce(sp.tau_lft(cpos) @ j_joint)
-        phi = _reduce(phi)
-        dcm = _reduce(parent.dcm @ p_ab)
-        abar = _reduce(p_ab.T @ parent.abar)
+        jhat = lft.reduce_lft(cg.tau_c @ j_joint)
+        phi = lft.reduce_lft(phi)
+        dcm = lft.reduce_lft(parent.dcm @ p_ab)
+        abar = lft.reduce_lft(p_ab.T @ parent.abar)
         jp = parent.pos + parent.dcm @ qpos
-        pos = _reduce(jp - dcm @ cpos)
+        pos = lft.reduce_lft(jp - dcm @ cpos)
         theta_nom = sp.euler_from_dcm(dcm.nominal).angles
-        geo[cb] = _BodyGeo(body, dcm, jhat, phi, abar, pos, theta_nom)
+        geo[cb] = _BodyGeo(
+            body, dcm, jhat, phi, abar, pos, theta_nom,
+            *_body_terms(body, dcm, forces),
+        )
 
     return GeometryContext(
         model=model,
@@ -387,6 +418,7 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
         k=k,
         mask=mask,
         geo=geo,
+        conn=conn,
         gamma0=gamma0,
     )
 
@@ -405,10 +437,6 @@ class EquilibriumSolution:
     joint_load: dict  # joint name -> 6x1 LftMatrix S_c (child frame, at joint)
     torque: dict  # joint name -> 1x1 LftMatrix equilibrium C_m
     root_reaction: lft.LftMatrix  # 6x1: ground reaction or free-root residual
-
-    @property
-    def model(self) -> MultibodyModel:
-        return self.geometry.model
 
     def torque_nominal(self, joint: str) -> float:
         return float(self.torque[joint].nominal[0, 0])
@@ -455,7 +483,6 @@ def _resolved_forces(model: MultibodyModel) -> list:
 
 def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSolution:
     """Leaf-to-root pass: equilibrium interface wrenches and joint torques."""
-    forces = _resolved_forces(model)
     inbound: dict[str, lft.LftMatrix] = {}
     joint_load: dict[str, lft.LftMatrix] = {}
     torque: dict[str, lft.LftMatrix] = {}
@@ -468,37 +495,21 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
         if name == GROUND:
             ibar = lft.zeros(6, 1)
         else:
-            d = direct_dynamics_at_port(rec.body, "ref").matrix
-            ibar = d @ lft.vstack([rec.abar, lft.zeros(3, 1)])
-            for f in forces:
-                if f.body != name:
-                    continue
-                fcol = sp.as_lft(list(np.asarray(f.force, dtype=object).reshape(3)))
-                fbar = rec.dcm.T @ fcol
-                p = rec.body.port_position_lft(f.port)
-                ibar = ibar - sp.tau_lft(-p).T @ lft.vstack(
-                    [fbar, lft.zeros(3, 1)]
-                )
+            ibar = rec.d @ lft.vstack([rec.abar, lft.zeros(3, 1)])
+            for fbar, tau_p in rec.loads:
+                ibar = ibar - tau_p.T @ lft.vstack([fbar, lft.zeros(3, 1)])
         for c in children.get(name, []):
-            cb, cp = c.child_port
+            cb = c.child_port[0]
             child_in = visit(cb)
-            cpos = model.body(cb).port_position_lft(cp)
-            s_c = _reduce(sp.tau_lft(cpos).T @ child_in)
+            cg = ctx.conn[cb]
+            s_c = lft.reduce_lft(cg.tau_c.T @ child_in)
             if isinstance(c, RevoluteJoint):
                 joint_load[c.name] = s_c
-                torque[c.name] = _reduce(
+                torque[c.name] = lft.reduce_lft(
                     lft.constant(c.r6.reshape(1, 6)) @ s_c
                 )
-                p_ab = revolute_dcm_lft(c)
-            else:
-                p_ab = lft.constant(c.fixed_dcm)
-            qpos = (
-                lft.zeros(3, 1)
-                if name == GROUND
-                else model.body(name).port_position_lft(c.parent_port[1])
-            )
-            ibar = ibar + sp.tau_lft(-qpos).T @ (sp.p2_lft(p_ab) @ s_c)
-        ibar = _reduce(ibar)
+            ibar = ibar + cg.tau_q.T @ (cg.p2 @ s_c)
+        ibar = lft.reduce_lft(ibar)
         if name != GROUND:
             inbound[name] = ibar
         return ibar
@@ -625,7 +636,6 @@ def step3_linearize(
         raise AssemblyError("model has no degrees of freedom")
     input_names, input_cols = _input_layout(model)
     nu_in = len(input_names)
-    forces = _resolved_forces(model)
     children: dict[str, list] = {}
     for c in ctx.order:
         children.setdefault(c.parent_port[0], []).append(c)
@@ -641,18 +651,12 @@ def step3_linearize(
                 lft.zeros(6, nu_in),
             )
         else:
-            d = direct_dynamics_at_port(rec.body, "ref").matrix
-            m_part = d @ rec.jhat
-            k_part = d @ lft.vstack([sp.skew_lft(rec.abar) @ rec.phi, z6])
+            m_part = rec.d @ rec.jhat
+            k_part = rec.d @ lft.vstack([sp.skew_lft(rec.abar) @ rec.phi, z6])
             c_part = lft.zeros(6, nq)
             b_part = lft.zeros(6, nu_in)
-            for f in forces:
-                if f.body != name:
-                    continue
-                fcol = sp.as_lft(list(np.asarray(f.force, dtype=object).reshape(3)))
-                fbar = rec.dcm.T @ fcol
-                p = rec.body.port_position_lft(f.port)
-                k_part = k_part - sp.tau_lft(-p).T @ lft.vstack(
+            for fbar, tau_p in rec.loads:
+                k_part = k_part - tau_p.T @ lft.vstack(
                     [sp.skew_lft(fbar) @ rec.phi, z6]
                 )
             for spec_key, col in input_cols.items():
@@ -670,20 +674,14 @@ def step3_linearize(
                 c_part = c_part + lft.constant(model.root_damping) @ rec.jhat
             bun = _Bundle(m_part, c_part, k_part, b_part)
         for c in children.get(name, []):
-            cb, cp = c.child_port
+            cb = c.child_port[0]
             child_bun = visit(cb)
-            cpos = model.body(cb).port_position_lft(cp)
-            tau_cp_t = sp.tau_lft(cpos).T
-            s_bun = child_bun.map(lambda x: _reduce(tau_cp_t @ x))
-            qpos = (
-                lft.zeros(3, 1)
-                if name == GROUND
-                else model.body(name).port_position_lft(c.parent_port[1])
-            )
-            tau_q_t = sp.tau_lft(-qpos).T
+            cg = ctx.conn[cb]
+            tau_cp_t = cg.tau_c.T
+            s_bun = child_bun.map(lambda x: lft.reduce_lft(tau_cp_t @ x))
+            tau_q_t = cg.tau_q.T
+            p2 = cg.p2
             if isinstance(c, RevoluteJoint):
-                p_ab = revolute_dcm_lft(c)
-                p2 = sp.p2_lft(p_ab)
                 s_bar = eq.joint_load[c.name]
                 jidx = ctx.joint_index[c.name]
                 e_chi = np.zeros((1, nq))
@@ -721,14 +719,13 @@ def step3_linearize(
                     e_u = np.zeros((1, nu_in))
                     e_u[0, input_cols[("torque", c.name)]] = 1.0
                     row_b = row_b - lft.constant(e_u)
-                joint_rows[c.name] = _Bundle(
-                    _reduce(row_m), _reduce(row_c), _reduce(row_k), _reduce(row_b)
+                joint_rows[c.name] = _Bundle(row_m, row_c, row_k, row_b).map(
+                    lft.reduce_lft
                 )
             else:
-                p2 = sp.p2_lft(lft.constant(c.fixed_dcm))
                 add = s_bun.map(lambda x: tau_q_t @ (p2 @ x))
             bun = bun + add
-        return bun.map(_reduce)
+        return bun.map(lft.reduce_lft)
 
     root_name = GROUND if model.root.kind == GROUND else model.root_body.name
     root_bun = visit(root_name)
@@ -749,10 +746,10 @@ def step3_linearize(
             rows_c.append(jb.c)
             rows_k.append(jb.k)
             rows_b.append(jb.b)
-    m_sys = _reduce(lft.vstack(rows_m))
-    c_sys = _reduce(lft.vstack(rows_c))
-    k_sys = _reduce(lft.vstack(rows_k))
-    b_sys = _reduce(lft.vstack(rows_b))
+    m_sys = lft.reduce_lft(lft.vstack(rows_m))
+    c_sys = lft.reduce_lft(lft.vstack(rows_c))
+    k_sys = lft.reduce_lft(lft.vstack(rows_k))
+    b_sys = lft.reduce_lft(lft.vstack(rows_b))
     if np.linalg.cond(m_sys.nominal) > 1e13:
         raise AssemblyError("singular generalized mass matrix")
     minv = m_sys.inv()
@@ -779,8 +776,8 @@ def step3_linearize(
     a = a.sorted_by_kind()
     b = b.sorted_by_kind()
     if reduce:
-        a = _reduce(a)
-        b = _reduce(b)
+        a = lft.reduce_lft(a)
+        b = lft.reduce_lft(b)
     a.check_wellposed()
     b.check_wellposed()
 

@@ -1,5 +1,8 @@
-"""Rigid bodies: direct dynamics at a port, equilibrium wrench, stiffness,
-and the linearized forward/inverse dynamics blocks.
+"""Rigid bodies: mass properties, ports and the direct dynamics at a port.
+
+The equilibrium wrenches and the linearized dynamics of a body are
+formulated in ``mblft.assembly`` (steps 2 and 3), which builds each
+body's direct dynamics at its reference port once.
 
 Conventions
 -----------
@@ -13,7 +16,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,20 +28,10 @@ __all__ = [
     "DynamicsRole",
     "RigidBody",
     "DirectDynamics",
-    "StiffnessMatrix",
-    "LinearBlock",
     "BodyError",
     "direct_dynamics_cog",
     "direct_dynamics_at_port",
-    "newton_euler_at_port",
-    "equilibrium_wrench",
-    "acceleration_terms",
-    "stiffness_matrix",
-    "linearized_forward_block",
-    "linearized_inverse_block",
 ]
-
-Scalar = "float | lft.Param | lft.Expr"
 
 ALL_DOF = (0, 1, 2, 3, 4, 5)
 
@@ -145,7 +138,6 @@ class RigidBody:
                     f"body {self.name!r}: mass must be positive over the "
                     f"parameter box (got {m} at {pt})"
                 )
-        nominal_pt = _scalar_grid(exprs)[0]
         j = self.inertia_nominal
         if np.max(np.abs(j - j.T)) > 1e-12:
             raise BodyError(f"body {self.name!r}: inertia must be symmetric")
@@ -164,7 +156,6 @@ class RigidBody:
                 "be used in the inverse dynamics role or with rotational "
                 "DOF masked out"
             )
-        del nominal_pt
 
     # -- accessors ---------------------------------------------------------
     @property
@@ -193,9 +184,6 @@ class RigidBody:
 
     def port_position_lft(self, port: str) -> lft.LftMatrix:
         return sp.as_lft(list(self.port_position(port)))
-
-    def cog_offset_lft(self) -> lft.LftMatrix:
-        return sp.as_lft(list(self.cog_offset))
 
     def cog_offset_value(self, point) -> np.ndarray:
         return np.array(
@@ -231,44 +219,6 @@ class DirectDynamics:
             )
 
 
-@dataclass(frozen=True)
-class StiffnessMatrix:
-    """Acceleration-induced stiffness: K = [0_{6x3}, D * d(a6)/d(theta)]."""
-
-    matrix: lft.LftMatrix
-    point: str
-    body: str
-
-    def __post_init__(self):
-        if np.max(np.abs(self.matrix.nominal[:, :3])) != 0.0:
-            raise BodyError("stiffness columns 1-3 must be exactly zero")
-
-
-@dataclass(frozen=True)
-class LinearBlock:
-    """A linear(ized) element block with Param-valued coefficient matrices."""
-
-    a: lft.LftMatrix
-    b: lft.LftMatrix
-    c: lft.LftMatrix
-    d: lft.LftMatrix
-    state_names: tuple
-    input_names: tuple
-    output_names: tuple
-
-    @property
-    def nstates(self) -> int:
-        return len(self.state_names)
-
-    def evaluate(self, point):
-        return (
-            self.a.evaluate(point),
-            self.b.evaluate(point),
-            self.c.evaluate(point),
-            self.d.evaluate(point),
-        )
-
-
 # ---------------------------------------------------------------------------
 # Direct dynamics
 # ---------------------------------------------------------------------------
@@ -292,6 +242,7 @@ def direct_dynamics_at_port(body: RigidBody, port: str = "ref") -> DirectDynamic
 
 
 def _d_at_port_numeric(body: RigidBody, port: str, point) -> np.ndarray:
+    """Numeric D at a port and parameter point (used by the oracle)."""
     o = body.port_position_value(port, point) - body.cog_offset_value(point)
     tau = sp.tau_matrix(o)
     m = body.mass_value(point)
@@ -299,139 +250,3 @@ def _d_at_port_numeric(body: RigidBody, port: str, point) -> np.ndarray:
     d_cog[:3, :3] = m * np.eye(3)
     d_cog[3:, 3:] = body.inertia_value(point)
     return tau.T @ d_cog @ tau
-
-
-def nonlinear_terms(body: RigidBody, port: str, omega, point) -> np.ndarray:
-    """Velocity-dependent wrench NL(P, omega) at the port, body frame."""
-    w = np.asarray(omega, dtype=float).reshape(3)
-    o = body.port_position_value(port, point) - body.cog_offset_value(point)
-    m = body.mass_value(point)
-    j = body.inertia_value(point)
-    so = sp.skew(o)
-    lin = m * np.cross(w, so @ w)
-    ang = np.cross(w, (j - m * so @ so) @ w)
-    return np.concatenate([lin, ang])
-
-
-def newton_euler_at_port(
-    body: RigidBody, port: str, xpp, omega, a6_body, point=None
-) -> np.ndarray:
-    """Nonlinear Newton-Euler wrench at a port (numeric, body frame)."""
-    if point is None:
-        point = {p.name: p.nominal for p in direct_dynamics_at_port(body, port).matrix.delta}
-        for e in [body.mass] + list(body.cog_offset) + [
-            body.inertia_cog[i, j] for i in range(3) for j in range(3)
-        ] + [v for _, pos in body.ports for v in pos]:
-            for p in lft.as_expr(e).params():
-                point.setdefault(p.name, p.nominal)
-    d = _d_at_port_numeric(body, port, point)
-    xpp = np.asarray(xpp, dtype=float).reshape(6)
-    a6 = np.asarray(a6_body, dtype=float).reshape(6)
-    return d @ (xpp + a6) + nonlinear_terms(body, port, omega, point)
-
-
-# ---------------------------------------------------------------------------
-# Equilibrium and linearized blocks
-# ---------------------------------------------------------------------------
-
-
-def acceleration_terms(a_ref, theta_eq) -> tuple[lft.LftMatrix, lft.LftMatrix]:
-    """Equilibrium a6 (6x1) in R_b and its derivative w.r.t. Euler angles.
-
-    ``a_ref`` is the frame acceleration in the working reference frame R;
-    ``theta_eq`` holds three angles, each a float or a HalfTanParam.
-    Uses d(P^T a)/d(theta) = skew(P^T a) Gamma(theta).
-    """
-    p = sp.dcm_lft(theta_eq)
-    a_col = lft.constant(np.asarray(a_ref, dtype=float).reshape(3, 1))
-    a_body = p.T @ a_col
-    a6 = lft.vstack([a_body, lft.zeros(3, 1)])
-    da_lin = sp.skew_lft(a_body) @ sp.gamma_lft(theta_eq)
-    da6 = lft.vstack([da_lin, lft.zeros(3, 3)])
-    return a6, da6
-
-
-def equilibrium_wrench(body: RigidBody, port: str, a6_body) -> lft.LftMatrix:
-    """Static wrench W = D_P a6 at a port, Param-valued (6x1 column)."""
-    d = direct_dynamics_at_port(body, port).matrix
-    return d @ sp.as_lft(np.asarray(a6_body, dtype=object).reshape(6)) \
-        if not isinstance(a6_body, lft.LftMatrix) else d @ a6_body
-
-
-def stiffness_matrix(body: RigidBody, port: str, da6) -> StiffnessMatrix:
-    """K_P = [0_{6x3}, D_P * d(a6)/d(theta)] (6x6, Param-valued)."""
-    d = direct_dynamics_at_port(body, port).matrix
-    da6 = da6 if isinstance(da6, lft.LftMatrix) else lft.constant(
-        np.asarray(da6, dtype=float).reshape(6, 3)
-    )
-    mat = lft.hstack([lft.zeros(6, 3), d @ da6])
-    return StiffnessMatrix(matrix=mat, point=port, body=body.name)
-
-
-def _gamma6_inv(theta_eq) -> lft.LftMatrix:
-    return lft.blockdiag([lft.eye(3), sp.gamma_lft(theta_eq).inv()])
-
-
-def linearized_forward_block(
-    body: RigidBody, port: str, a_ref, theta_eq
-) -> LinearBlock:
-    """Forward dynamics block: wrench sum in, motion out (2*|mask| states).
-
-    States: masked components of (delta dual velocity, delta pose), both in
-    R_b; the pose position measures displacement from the equilibrium
-    location so the kinematics are exactly diag(I3, Gamma)^-1.
-    """
-    if body.dynamics_role is not DynamicsRole.FORWARD:
-        raise BodyError(f"body {body.name!r} is not a forward-dynamics body")
-    mask = list(body.dof_mask)
-    nd = len(mask)
-    _, da6 = acceleration_terms(a_ref, theta_eq)
-    dmat = direct_dynamics_at_port(body, port).matrix
-    kmat = stiffness_matrix(body, port, da6).matrix
-    dm = dmat.submatrix(mask, mask)
-    km = kmat.submatrix(mask, mask)
-    if np.linalg.cond(dm.nominal) > 1e12:
-        raise BodyError(
-            f"body {body.name!r}: direct dynamics singular on unmasked DOF"
-        )
-    dinv = dm.inv()
-    gain = dinv @ km
-    e = _gamma6_inv(theta_eq).submatrix(mask, mask)
-    z = lft.zeros(nd, nd)
-    a = lft.block([[z, -gain], [e, z]])
-    b = lft.vstack([dinv, lft.zeros(nd, nd)])
-    c = lft.block([[z, -gain], [lft.eye(nd), z], [z, lft.eye(nd)]])
-    d = lft.vstack([dinv, lft.zeros(2 * nd, nd)])
-    axes = ("vx", "vy", "vz", "wx", "wy", "wz")
-    pos = ("x", "y", "z", "t1", "t2", "t3")
-    states = tuple(f"{body.name}.{axes[i]}" for i in mask) + tuple(
-        f"{body.name}.{pos[i]}" for i in mask
-    )
-    inputs = tuple(f"{body.name}.dW[{i}]" for i in mask)
-    outputs = (
-        tuple(f"{body.name}.ddx[{i}]" for i in mask)
-        + tuple(f"{body.name}.dx'[{i}]" for i in mask)
-        + tuple(f"{body.name}.dx[{i}]" for i in mask)
-    )
-    return LinearBlock(a, b, c, d, states, inputs, outputs)
-
-
-def linearized_inverse_block(
-    body: RigidBody, port: str, a_ref, theta_eq
-) -> LinearBlock:
-    """Inverse dynamics block: motion (18) in, wrench (6) out, stateless.
-
-    delta W = D_P delta x'' + K_P delta x; the velocity rows do not appear
-    because the equilibrium angular velocity is zero.
-    """
-    _, da6 = acceleration_terms(a_ref, theta_eq)
-    dmat = direct_dynamics_at_port(body, port).matrix
-    kmat = stiffness_matrix(body, port, da6).matrix
-    gain = lft.hstack([dmat, lft.zeros(6, 6), kmat])
-    states: tuple = ()
-    inputs = tuple(f"{body.name}.dm[{i}]" for i in range(18))
-    outputs = tuple(f"{body.name}.dW[{i}]" for i in range(6))
-    return LinearBlock(
-        lft.zeros(0, 0), lft.zeros(0, 18), lft.zeros(6, 0), gain,
-        states, inputs, outputs,
-    )

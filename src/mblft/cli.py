@@ -60,7 +60,7 @@ from .bodies import BodyError
 from .joints import JointError
 from .modelfile import ModelFileError, load_model
 from .oracle import FdConfig, NonlinearEvaluator, fd_linearize
-from .spatial import FrameError, GimbalLockError
+from .spatial import GimbalLockError
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -75,7 +75,6 @@ _NUMERICAL_ERRORS = (
     BodyError,
     JointError,
     GimbalLockError,
-    FrameError,
     lft.WellPosednessError,
     lft.EvaluationError,
     lft.LftError,

@@ -1,5 +1,9 @@
 """Interconnection elements: rigid connections and revolute joints.
 
+This module holds the connection data and the joint DCM (numeric and
+LFT); their equilibrium relations and linearization are formulated in
+``mblft.assembly`` (steps 1-3), which builds each joint's DCM once.
+
 A connection links a *parent* body B (frame R_b) to a *child* body A
 (frame R_a) at a common point P. ``P_a/b`` is the DCM from R_a to R_b
 ([v]_Rb = P_a/b [v]_Ra). For a revolute joint,
@@ -25,19 +29,13 @@ import numpy as np
 
 from mblft import lft
 from mblft import spatial as sp
-from mblft.bodies import LinearBlock
 
 __all__ = [
     "JointError",
     "RigidConnection",
     "RevoluteJoint",
-    "rigid_connection_equilibrium",
-    "rigid_connection_block",
     "revolute_dcm",
     "revolute_dcm_lft",
-    "revolute_equilibrium",
-    "revolute_block",
-    "revolute_motion_transform_nonlinear",
 ]
 
 DEFAULT_SHAFT_INERTIA = 1e-10
@@ -93,65 +91,12 @@ class RevoluteJoint:
             raise JointError(f"joint {self.name!r}: friction must be >= 0")
 
     @property
-    def angle_nominal(self) -> float:
-        if isinstance(self.angle_eq, lft.HalfTanParam):
-            return self.angle_eq.angle_nominal
-        return float(self.angle_eq)
-
-    @property
     def r6(self) -> np.ndarray:
         return np.concatenate([np.zeros(3), self.axis])
 
     @property
     def axis_in_parent(self) -> np.ndarray:
         return self.zero_dcm @ self.axis
-
-
-# ---------------------------------------------------------------------------
-# Rigid connection
-# ---------------------------------------------------------------------------
-
-
-def rigid_connection_equilibrium(conn: RigidConnection, theta_b) -> np.ndarray:
-    """Child Euler angles from parent Euler angles across a rigid connection."""
-    p_bi = sp.dcm_from_euler(sp.EulerState(theta_b)).matrix
-    return sp.euler_from_dcm(p_bi @ conn.fixed_dcm).angles
-
-
-def _dtheta_dtheta(p_ab: np.ndarray, theta_b, theta_a) -> np.ndarray:
-    g_a = sp.euler_rate_map(sp.EulerState(theta_a))
-    g_b = sp.euler_rate_map(sp.EulerState(theta_b))
-    return np.linalg.solve(g_a, p_ab.T @ g_b)
-
-
-def rigid_connection_block(conn: RigidConnection, theta_b) -> LinearBlock:
-    """Stateless two-directional block: motion down the tree, wrench up.
-
-    Inputs: delta m^B_P (18, parent frame). Outputs: delta m^A_P (18, child
-    frame) followed by the wrench map placed as a separate channel pair:
-    input delta W_A/J (6, child frame) -> output delta W_J/B (6, parent).
-    """
-    p_ab = conn.fixed_dcm
-    theta_a = rigid_connection_equilibrium(conn, theta_b)
-    dth = _dtheta_dtheta(p_ab, theta_b, theta_a)
-    motion = np.zeros((18, 18))
-    motion[0:6, 0:6] = sp.p2(p_ab.T)
-    motion[6:12, 6:12] = sp.p2(p_ab.T)
-    motion[12:15, 12:15] = p_ab.T
-    motion[15:18, 15:18] = dth
-    d = np.zeros((24, 24))
-    d[:18, :18] = motion
-    d[18:, 18:] = sp.p2(p_ab)
-    inputs = tuple(f"{conn.name}.dmB[{i}]" for i in range(18)) + tuple(
-        f"{conn.name}.dW_AJ[{i}]" for i in range(6)
-    )
-    outputs = tuple(f"{conn.name}.dmA[{i}]" for i in range(18)) + tuple(
-        f"{conn.name}.dW_JB[{i}]" for i in range(6)
-    )
-    return LinearBlock(
-        lft.zeros(0, 0), lft.zeros(0, 24), lft.zeros(24, 0), lft.constant(d),
-        (), inputs, outputs,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -168,154 +113,3 @@ def revolute_dcm_lft(joint: RevoluteJoint) -> lft.LftMatrix:
     """P_a/b at the equilibrium angle, Param-valued when the angle is one."""
     rot = sp.rotation_about_axis_lft(joint.axis, joint.angle_eq)
     return lft.constant(joint.zero_dcm) @ rot
-
-
-def revolute_equilibrium(joint: RevoluteJoint, theta_b, w_aj):
-    """Equilibrium relations of a loaded revolute joint.
-
-    Returns (theta_a, C_m, W_J/B): child Euler angles (numeric, at the
-    nominal joint angle), the driving torque balancing the child-side load
-    (Param-valued), and the wrench transmitted to the parent (Param-valued).
-    """
-    p_nom = revolute_dcm(joint, joint.angle_nominal)
-    theta_a = sp.euler_from_dcm(
-        sp.dcm_from_euler(sp.EulerState(theta_b)).matrix @ p_nom
-    ).angles
-    w_aj = sp.as_lft(w_aj) if not isinstance(w_aj, lft.LftMatrix) else w_aj
-    if w_aj.shape != (6, 1):
-        raise JointError("W_A/J must be a 6x1 column")
-    c_m = -(lft.constant(joint.r6.reshape(1, 6)) @ w_aj)
-    w_jb = sp.p2_lft(revolute_dcm_lft(joint)) @ w_aj
-    return theta_a, c_m, w_jb
-
-
-def revolute_block(joint: RevoluteJoint, theta_b, w_aj, x_p) -> LinearBlock:
-    """Two-state joint block (states delta theta, delta thetadot).
-
-    Inputs: delta C_m (1), delta m^B_P (18, parent frame), delta W_A/J
-    (6, child frame). Outputs: delta m^A_P (18, child frame), delta W_J/B
-    (6, parent frame), delta theta, delta thetadot.
-
-    ``x_p`` is the equilibrium position of the joint point in the parent
-    frame ([x_P(1:3)]_Rb, possibly Param-valued); it feeds the pose-row
-    stiffness of the motion transform. The Euler-angle rows use constant
-    gains evaluated at the nominal equilibrium (they are the only
-    non-rational gains and never enter the assembled dynamics).
-    """
-    jj = joint.shaft_inertia
-    r = joint.axis
-    p_lft = revolute_dcm_lft(joint)
-    p2 = sp.p2_lft(p_lft)
-    w_aj = sp.as_lft(w_aj) if not isinstance(w_aj, lft.LftMatrix) else w_aj
-    x_p = sp.as_lft(x_p) if not isinstance(x_p, lft.LftMatrix) else x_p
-    if x_p.shape != (3, 1):
-        raise JointError("x_P must be a 3x1 column")
-    # constant angle-row gains at the nominal equilibrium
-    theta_b = np.asarray(theta_b, dtype=float).reshape(3)
-    p_nom = revolute_dcm(joint, joint.angle_nominal)
-    theta_a = sp.euler_from_dcm(
-        sp.dcm_from_euler(sp.EulerState(theta_b)).matrix @ p_nom
-    ).angles
-    dth_dthb = _dtheta_dtheta(p_nom, theta_b, theta_a)
-    g_a = sp.euler_rate_map(sp.EulerState(theta_a))
-    dth_djoint = np.linalg.solve(g_a, r).reshape(3, 1)
-
-    # dynamics: thetaddot = (dC_m + r6^T dW_AJ)/J^J - r^T domegadot^B
-    #                       - (K_J/J^J) dthetadot
-    a = lft.constant(np.array([[0.0, 1.0], [0.0, -joint.friction / jj]]))
-    b_cm = np.array([[0.0], [1.0 / jj]])
-    b_mb = np.zeros((2, 18))
-    b_mb[1, 3:6] = -r
-    b_waj = np.zeros((2, 6))
-    b_waj[1, :] = joint.r6 / jj
-    b = lft.constant(np.hstack([b_cm, b_mb, b_waj]))
-
-    # motion transform: accel/vel rows gain r6 * (dthetaddot, dthetadot)
-    r6c = lft.constant(joint.r6.reshape(6, 1))
-    dp_dtheta_t = lft.constant(-sp.skew(r)) @ p_lft.T  # d(P^T)/dtheta
-    pose_stiff = dp_dtheta_t @ x_p  # 3x1
-    z = lft.zeros
-    # output delta m^A rows as [accel; vel; pose(pos, angles)]
-    m_state = lft.vstack(
-        [
-            r6c @ lft.constant(np.array([[0.0, -joint.friction / jj]])),
-            r6c @ lft.constant(np.array([[0.0, 1.0]])),
-            pose_stiff @ lft.constant(np.array([[1.0, 0.0]])),
-            lft.constant(dth_djoint) @ lft.constant(np.array([[1.0, 0.0]])),
-        ]
-    )
-    mb_gain = lft.block(
-        [
-            [p2.T, z(6, 6), z(6, 6)],
-            [z(6, 6), p2.T, z(6, 6)],
-            [z(3, 6), z(3, 6), lft.hstack([p_lft.T, z(3, 3)])],
-            [z(3, 6), z(3, 6), lft.hstack([z(3, 3), lft.constant(dth_dthb)])],
-        ]
-    )
-    # feedthrough of dthetaddot into the accel rows
-    acc_ff = lft.vstack([r6c, z(12, 1)])
-    m_cm = acc_ff @ lft.constant(np.array([[1.0 / jj]]))
-    tmp = np.zeros((1, 18))
-    tmp[0, 3:6] = -r
-    extra_mb = lft.constant(tmp)
-    m_mb = mb_gain + acc_ff @ extra_mb
-    m_waj = acc_ff @ lft.constant(joint.r6.reshape(1, 6) / jj)
-
-    # wrench back-transfer with equilibrium-load stiffness
-    dp2_dtheta = sp.p2_lft(lft.constant(joint.zero_dcm)
-                           @ sp.rotation_about_axis_lft(joint.axis, joint.angle_eq)
-                           @ lft.constant(sp.skew(r)))
-    w_stiff = dp2_dtheta @ w_aj  # 6x1, times dtheta
-    w_state = lft.hstack([w_stiff, z(6, 1)])
-
-    c = lft.vstack(
-        [
-            m_state,
-            w_state,
-            lft.constant(np.array([[1.0, 0.0]])),
-            lft.constant(np.array([[0.0, 1.0]])),
-        ]
-    )
-    d = lft.block(
-        [
-            [m_cm, m_mb, m_waj],
-            [z(6, 1), z(6, 18), p2],
-            [z(2, 1), z(2, 18), z(2, 6)],
-        ]
-    )
-    states = (f"{joint.name}.theta", f"{joint.name}.thetadot")
-    inputs = (
-        (f"{joint.name}.dCm",)
-        + tuple(f"{joint.name}.dmB[{i}]" for i in range(18))
-        + tuple(f"{joint.name}.dW_AJ[{i}]" for i in range(6))
-    )
-    outputs = (
-        tuple(f"{joint.name}.dmA[{i}]" for i in range(18))
-        + tuple(f"{joint.name}.dW_JB[{i}]" for i in range(6))
-        + (f"{joint.name}.dtheta", f"{joint.name}.dthetadot")
-    )
-    return LinearBlock(a, b, c, d, states, inputs, outputs)
-
-
-def revolute_motion_transform_nonlinear(
-    joint: RevoluteJoint, m_b, theta: float, thetadot: float, thetaddot: float
-):
-    """Nonlinear child-side motion at the joint point (numeric).
-
-    ``m_b`` is the 18-component parent motion at P in R_b; the result is
-    in R_a. Pose position is the same physical point re-expressed; pose
-    angles use the Euler composition.
-    """
-    m_b = np.asarray(m_b, dtype=float).reshape(18)
-    p = revolute_dcm(joint, theta)
-    r = joint.axis
-    omega_b_a = p.T @ m_b[9:12]
-    out = np.zeros(18)
-    out[0:3] = p.T @ m_b[0:3]
-    out[3:6] = p.T @ m_b[3:6] + thetaddot * r + thetadot * np.cross(omega_b_a, r)
-    out[6:9] = p.T @ m_b[6:9]
-    out[9:12] = omega_b_a + thetadot * r
-    out[12:15] = p.T @ m_b[12:15]
-    p_bi = sp.dcm_from_euler(sp.EulerState(m_b[15:18])).matrix
-    out[15:18] = sp.euler_from_dcm(p_bi @ p).angles
-    return out

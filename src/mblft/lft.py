@@ -34,8 +34,6 @@ __all__ = [
     "as_expr",
     "lift_scalar",
     "lift_matrix",
-    "sin_expr",
-    "cos_expr",
     "constant",
     "eye",
     "zeros",
@@ -118,37 +116,6 @@ class Param:
             return 0.0
         return (value - self.center) / self.spread
 
-    # arithmetic builds rational expression trees
-    def __add__(self, other):
-        return Ref(self) + other
-
-    def __radd__(self, other):
-        return other + Ref(self)
-
-    def __sub__(self, other):
-        return Ref(self) - other
-
-    def __rsub__(self, other):
-        return as_expr(other) - Ref(self)
-
-    def __mul__(self, other):
-        return Ref(self) * other
-
-    def __rmul__(self, other):
-        return as_expr(other) * Ref(self)
-
-    def __truediv__(self, other):
-        return Ref(self) / other
-
-    def __rtruediv__(self, other):
-        return as_expr(other) / Ref(self)
-
-    def __neg__(self):
-        return -Ref(self)
-
-    def __pow__(self, n):
-        return Ref(self) ** n
-
 
 @dataclass(frozen=True)
 class HalfTanParam:
@@ -199,23 +166,12 @@ class HalfTanParam:
         div = 2.0 if self.variant == "half" else 4.0
         return div * float(np.arctan(t_value))
 
-    def t_of(self, angle: float) -> float:
-        div = 2.0 if self.variant == "half" else 4.0
-        return float(np.tan(angle / div))
-
-    @property
-    def angle_nominal(self) -> float:
-        return self.angle_of(self.param.nominal)
-
 
 class Expr:
     """Rational expression over parameters: {+, -, *, /, integer powers}."""
 
     def __add__(self, other):
         return BinOp("+", self, as_expr(other))
-
-    def __radd__(self, other):
-        return BinOp("+", as_expr(other), self)
 
     def __sub__(self, other):
         return BinOp("-", self, as_expr(other))
@@ -231,9 +187,6 @@ class Expr:
 
     def __truediv__(self, other):
         return BinOp("/", self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return BinOp("/", as_expr(other), self)
 
     def __neg__(self):
         return BinOp("-", Const(0.0), self)
@@ -332,22 +285,6 @@ def as_expr(x: Scalar) -> Expr:
     if isinstance(x, (int, float, np.floating, np.integer)):
         return Const(float(x))
     raise TypeError(f"cannot interpret {x!r} as a rational expression")
-
-
-def sin_expr(t: HalfTanParam) -> Expr:
-    """sin(theta) as a rational expression of the tangent parameter."""
-    u = Ref(t.param)
-    if t.variant == "half":
-        return (2.0 * u) / (1.0 + u**2)
-    return (4.0 * u * (1.0 - u**2)) / (1.0 + u**2) ** 2
-
-
-def cos_expr(t: HalfTanParam) -> Expr:
-    """cos(theta) as a rational expression of the tangent parameter."""
-    u = Ref(t.param)
-    if t.variant == "half":
-        return (1.0 - u**2) / (1.0 + u**2)
-    return ((1.0 + u**2) ** 2 - 8.0 * u**2) / (1.0 + u**2) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -704,31 +641,13 @@ class LftMatrix:
         m[r + d1 :, c + d1 :] = o.d
         return LftMatrix(m, r, c, self.delta + o.delta)
 
-    def __radd__(self, other):
-        return self._coerce(other) + self
-
     def __sub__(self, other):
         return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
 
     def __neg__(self) -> "LftMatrix":
         m = self.m.copy()
         m[: self.rows, :] = -m[: self.rows, :]
         return LftMatrix(m, self.rows, self.cols, self.delta)
-
-    def scale(self, k: float) -> "LftMatrix":
-        m = self.m.copy()
-        m[: self.rows, :] = k * m[: self.rows, :]
-        return LftMatrix(m, self.rows, self.cols, self.delta)
-
-    def __mul__(self, k):
-        if isinstance(k, (int, float, np.floating)):
-            return self.scale(float(k))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other) -> "LftMatrix":
         o = self._coerce(other)
@@ -746,9 +665,6 @@ class LftMatrix:
         m[r + d1 :, :c] = o.c
         m[r + d1 :, c + d1 :] = o.d
         return LftMatrix(m, r, c, self.delta + o.delta)
-
-    def __rmatmul__(self, other):
-        return self._coerce(other) @ self
 
     @property
     def T(self) -> "LftMatrix":

@@ -15,13 +15,15 @@ angles, masked) followed by the joint angles. Inputs are the model's
 declared torque/wrench inputs in absolute terms (at trim, a torque input
 equals the equilibrium torque).
 
-This module deliberately shares only the numeric spatial primitives with
-the assembly path; the linearization here is purely finite-difference.
+This module deliberately shares no assembly step and no LFT algebra with
+the assembly path: only the model classes, their numeric accessors and
+input/force layout, the numeric spatial primitives and the numeric direct
+dynamics at a port; the linearization here is purely finite-difference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +37,8 @@ from mblft.assembly import (
     _resolved_forces,
     freeze_model,
 )
-from mblft.bodies import RigidBody, nonlinear_terms, _d_at_port_numeric
-from mblft.joints import RevoluteJoint, RigidConnection
+from mblft.bodies import _d_at_port_numeric
+from mblft.joints import RevoluteJoint
 
 __all__ = ["FdConfig", "NonlinearEvaluator", "nonlinear_accel", "fd_linearize"]
 

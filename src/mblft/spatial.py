@@ -1,4 +1,5 @@
-"""Frames, spatial 6-vectors, kinematic transport and Euler kinematics.
+"""Frames, Euler kinematics, the 6-D rigid transport, and the LFT
+counterparts that the assembly builds its models from.
 
 All attitude math uses the intrinsic x-y-z (roll-pitch-yaw) Euler
 sequence: P = Rx(t1) @ Ry(t2) @ Rz(t3), where P maps body coordinates to
@@ -7,20 +8,14 @@ reference coordinates ([v]_ref = P [v]_body).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Role",
-    "SpatialVector",
-    "MotionVector",
-    "KinematicTransport",
     "Dcm",
     "EulerState",
     "GimbalLockError",
-    "FrameError",
     "skew",
     "rot_x",
     "rot_y",
@@ -29,16 +24,8 @@ __all__ = [
     "dcm_from_euler",
     "euler_from_dcm",
     "euler_rate_map",
-    "dcm_derivatives",
     "tau_matrix",
     "p2",
-    "p18",
-    "transport_velocity",
-    "transport_wrench",
-    "transport_motion_nonlinear",
-    "transport_motion_linearized",
-    "change_frame",
-    "accel_projection_and_derivative",
 ]
 
 GIMBAL_TOL = 1e-8
@@ -49,72 +36,11 @@ class GimbalLockError(ValueError):
         super().__init__(msg)
 
 
-class FrameError(ValueError):
-    pass
-
-
-class Role(Enum):
-    POSE = "pose"
-    VELOCITY = "velocity"
-    ACCELERATION = "acceleration"
-    WRENCH = "wrench"
-
-
 def _vec3(v) -> np.ndarray:
     arr = np.asarray(v, dtype=float).reshape(-1)
     if arr.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {arr.shape}")
     return arr
-
-
-@dataclass(frozen=True)
-class SpatialVector:
-    """Linear/angular 6-vector: pose, dual velocity/acceleration or wrench."""
-
-    linear: np.ndarray
-    angular: np.ndarray
-    role: Role
-
-    def __post_init__(self):
-        object.__setattr__(self, "linear", _vec3(self.linear))
-        object.__setattr__(self, "angular", _vec3(self.angular))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.concatenate([self.linear, self.angular])
-
-    @classmethod
-    def from_array(cls, arr, role: Role) -> "SpatialVector":
-        arr = np.asarray(arr, dtype=float).reshape(6)
-        return cls(arr[:3], arr[3:], role)
-
-
-@dataclass(frozen=True)
-class MotionVector:
-    """18-vector stacking dual acceleration, dual velocity and pose."""
-
-    acc: SpatialVector
-    vel: SpatialVector
-    pose: SpatialVector
-
-    def __post_init__(self):
-        expected = (Role.ACCELERATION, Role.VELOCITY, Role.POSE)
-        got = (self.acc.role, self.vel.role, self.pose.role)
-        if got != expected:
-            raise FrameError(f"motion vector roles {got} != {expected}")
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.concatenate([self.acc.array, self.vel.array, self.pose.array])
-
-    @classmethod
-    def from_array(cls, arr) -> "MotionVector":
-        arr = np.asarray(arr, dtype=float).reshape(18)
-        return cls(
-            SpatialVector.from_array(arr[0:6], Role.ACCELERATION),
-            SpatialVector.from_array(arr[6:12], Role.VELOCITY),
-            SpatialVector.from_array(arr[12:18], Role.POSE),
-        )
 
 
 def skew(u) -> np.ndarray:
@@ -123,31 +49,12 @@ def skew(u) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
-@dataclass(frozen=True)
-class KinematicTransport:
-    """Rigid transport operator between two points P and C of one body.
-
-    ``offset`` is the vector P -> C, expressed in the working frame.
-    """
-
-    offset: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "offset", _vec3(self.offset))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        m = np.eye(6)
-        m[:3, 3:] = skew(self.offset)
-        return m
-
-    @property
-    def inverse(self) -> "KinematicTransport":
-        return KinematicTransport(-self.offset)
-
-
 def tau_matrix(offset_pc) -> np.ndarray:
-    return KinematicTransport(offset_pc).matrix
+    """Rigid transport [[I, skew(PC)], [0, I]] between points P and C of one
+    body, from the vector P -> C in the working frame."""
+    m = np.eye(6)
+    m[:3, 3:] = skew(offset_pc)
+    return m
 
 
 @dataclass(frozen=True)
@@ -155,8 +62,6 @@ class Dcm:
     """Direction cosine matrix: [v]_to = matrix @ [v]_from."""
 
     matrix: np.ndarray
-    from_frame: str = "body"
-    to_frame: str = "ref"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -167,17 +72,6 @@ class Dcm:
         if np.linalg.det(m) < 0:
             raise ValueError("DCM must be proper (det = +1)")
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def T(self) -> "Dcm":
-        return Dcm(self.matrix.T, self.to_frame, self.from_frame)
-
-    def __matmul__(self, other: "Dcm") -> "Dcm":
-        if other.to_frame != self.from_frame:
-            raise FrameError(
-                f"cannot chain DCMs: {other.to_frame!r} != {self.from_frame!r}"
-            )
-        return Dcm(self.matrix @ other.matrix, other.from_frame, self.to_frame)
 
 
 @dataclass(frozen=True)
@@ -217,9 +111,9 @@ def rotation_about_axis(axis, theta: float) -> np.ndarray:
     return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
 
 
-def dcm_from_euler(e: EulerState, from_frame="body", to_frame="ref") -> Dcm:
+def dcm_from_euler(e: EulerState) -> Dcm:
     t1, t2, t3 = e.angles
-    return Dcm(rot_x(t1) @ rot_y(t2) @ rot_z(t3), from_frame, to_frame)
+    return Dcm(rot_x(t1) @ rot_y(t2) @ rot_z(t3))
 
 
 def euler_from_dcm(d: Dcm | np.ndarray) -> EulerState:
@@ -247,20 +141,6 @@ def euler_rate_map(e: EulerState) -> np.ndarray:
     )
 
 
-def dcm_derivatives(e: EulerState) -> list[np.ndarray]:
-    """Analytic dP/d(theta_k) for the x-y-z sequence."""
-    t1, t2, t3 = e.angles
-    r1, r2, r3 = rot_x(t1), rot_y(t2), rot_z(t3)
-    e1 = np.array([1.0, 0.0, 0.0])
-    e2 = np.array([0.0, 1.0, 0.0])
-    e3 = np.array([0.0, 0.0, 1.0])
-    return [
-        skew(e1) @ r1 @ r2 @ r3,
-        r1 @ skew(e2) @ r2 @ r3,
-        r1 @ r2 @ skew(e3) @ r3,
-    ]
-
-
 def p2(d: Dcm | np.ndarray) -> np.ndarray:
     m = d.matrix if isinstance(d, Dcm) else np.asarray(d, dtype=float)
     out = np.zeros((6, 6))
@@ -269,108 +149,11 @@ def p2(d: Dcm | np.ndarray) -> np.ndarray:
     return out
 
 
-def p18(d: Dcm | np.ndarray) -> np.ndarray:
-    m = d.matrix if isinstance(d, Dcm) else np.asarray(d, dtype=float)
-    out = np.zeros((18, 18))
-    out[:6, :6] = p2(m)
-    out[6:12, 6:12] = p2(m)
-    out[12:15, 12:15] = m
-    out[15:, 15:] = np.eye(3)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Transport
-# ---------------------------------------------------------------------------
-
-
-def transport_velocity(
-    xprime_c: SpatialVector, tau: KinematicTransport
-) -> SpatialVector:
-    """Dual velocity at P from dual velocity at C (tau holds P -> C)."""
-    if xprime_c.role not in (Role.VELOCITY, Role.ACCELERATION):
-        raise FrameError(f"expected a velocity/acceleration, got {xprime_c.role}")
-    return SpatialVector.from_array(tau.matrix @ xprime_c.array, xprime_c.role)
-
-
-def transport_wrench(w_p: SpatialVector, tau: KinematicTransport) -> SpatialVector:
-    """Wrench at C from wrench at P (tau holds P -> C)."""
-    if w_p.role is not Role.WRENCH:
-        raise FrameError(f"expected a wrench, got {w_p.role}")
-    return SpatialVector.from_array(tau.matrix.T @ w_p.array, Role.WRENCH)
-
-
-def transport_motion_nonlinear(
-    m_c: MotionVector, tau: KinematicTransport, omega
-) -> MotionVector:
-    """Full motion-vector transport, including the centripetal term."""
-    omega = _vec3(omega)
-    pc = tau.offset
-    acc = tau.matrix @ m_c.acc.array
-    acc[:3] += np.cross(omega, np.cross(pc, omega))
-    vel = tau.matrix @ m_c.vel.array
-    pose = m_c.pose.array.copy()
-    pose[:3] += -pc  # CP = -PC
-    return MotionVector(
-        SpatialVector.from_array(acc, Role.ACCELERATION),
-        SpatialVector.from_array(vel, Role.VELOCITY),
-        SpatialVector.from_array(pose, Role.POSE),
-    )
-
-
-def transport_motion_linearized(
-    dm_c: MotionVector, tau: KinematicTransport
-) -> MotionVector:
-    """First-order motion transport diag(tau, tau, I6) at equilibrium."""
-    t = tau.matrix
-    return MotionVector(
-        SpatialVector.from_array(t @ dm_c.acc.array, Role.ACCELERATION),
-        SpatialVector.from_array(t @ dm_c.vel.array, Role.VELOCITY),
-        dm_c.pose,
-    )
-
-
-def change_frame(x, d: Dcm):
-    """Re-project a spatial/motion vector or 6x6 dynamics matrix.
-
-    The DCM maps from-frame coordinates to to-frame coordinates.
-    """
-    if isinstance(x, SpatialVector):
-        if x.role is Role.POSE:
-            raise FrameError("pose vectors mix position and Euler angles; "
-                             "re-project through p18 on a full motion vector")
-        return SpatialVector.from_array(p2(d) @ x.array, x.role)
-    if isinstance(x, MotionVector):
-        return MotionVector.from_array(p18(d) @ x.array)
-    arr = np.asarray(x, dtype=float)
-    if arr.shape == (6, 6):
-        return p2(d) @ arr @ p2(d).T
-    raise TypeError(f"cannot change frame of {type(x)!r}")
-
-
-def accel_projection_and_derivative(
-    a_inertial, e: EulerState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Body-frame acceleration 6-vector and its Euler-angle derivative.
-
-    Returns ([P^T a; 0], d/d(theta) of the same), both analytic.
-    """
-    a = _vec3(a_inertial)
-    p = dcm_from_euler(e).matrix
-    a6 = np.concatenate([p.T @ a, np.zeros(3)])
-    da6 = np.zeros((6, 3))
-    for k, dp in enumerate(dcm_derivatives(e)):
-        da6[:3, k] = dp.T @ a
-    return a6, da6
-
-
 # ---------------------------------------------------------------------------
 # Param-valued (LFT) counterparts
 # ---------------------------------------------------------------------------
 
 from mblft import lft as _lft  # noqa: E402  (keeps numeric section import-free)
-
-AngleSpec = "float | _lft.HalfTanParam"
 
 
 def as_lft(x) -> "_lft.LftMatrix":
@@ -410,46 +193,6 @@ def tau_lft(offset_pc) -> "_lft.LftMatrix":
 def p2_lft(dcm) -> "_lft.LftMatrix":
     d = as_lft(dcm)
     return _lft.blockdiag([d, d])
-
-
-def p18_lft(dcm) -> "_lft.LftMatrix":
-    d = as_lft(dcm)
-    return _lft.blockdiag([d, d, d, d, d, _lft.eye(3)])
-
-
-def _elementary_rotation_lft(axis_index: int, spec) -> "_lft.LftMatrix":
-    axis = np.zeros(3)
-    axis[axis_index] = 1.0
-    if isinstance(spec, _lft.HalfTanParam):
-        return _lft.rotation_about_axis(axis, spec)
-    return _lft.constant(rotation_about_axis(axis, float(spec)))
-
-
-def dcm_lft(angle_specs) -> "_lft.LftMatrix":
-    """DCM for the x-y-z sequence with fixed or HalfTanParam angles."""
-    rx = _elementary_rotation_lft(0, angle_specs[0])
-    ry = _elementary_rotation_lft(1, angle_specs[1])
-    rz = _elementary_rotation_lft(2, angle_specs[2])
-    return rx @ ry @ rz
-
-
-def _sin_cos(spec):
-    if isinstance(spec, _lft.HalfTanParam):
-        return _lft.sin_expr(spec), _lft.cos_expr(spec)
-    return float(np.sin(spec)), float(np.cos(spec))
-
-
-def gamma_lft(angle_specs) -> "_lft.LftMatrix":
-    """Euler-rate map for the x-y-z sequence, possibly Param-valued."""
-    s2, c2 = _sin_cos(angle_specs[1])
-    s3, c3 = _sin_cos(angle_specs[2])
-    return _lft.lift_matrix(
-        [
-            [_lft.as_expr(c2) * _lft.as_expr(c3), s3, 0.0],
-            [_lft.as_expr(c2) * _lft.as_expr(s3) * -1.0, c3, 0.0],
-            [s2, 0.0, 1.0],
-        ]
-    )
 
 
 def rotation_about_axis_lft(axis, angle_spec) -> "_lft.LftMatrix":

@@ -92,6 +92,32 @@ def test_pendulum_torque_gain():
     np.testing.assert_allclose(b[1, 0], 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("name", ["two_link_arm.yaml", "balloon_planar.yaml"])
+def test_assemble_builds_shared_lfts_once(name, monkeypatch):
+    """One ``assemble`` builds each revolute joint's DCM and each body's
+    direct dynamics once: steps 2 and 3 read them from step 1's context."""
+    from mblft import assembly
+
+    model = load_model(MODELS / name)
+    built: dict[str, list] = {"dcm": [], "dyn": []}
+    dcm_lft, dyn = assembly.revolute_dcm_lft, assembly.direct_dynamics_at_port
+
+    def counted_dcm(joint):
+        built["dcm"].append(joint.name)
+        return dcm_lft(joint)
+
+    def counted_dyn(body, port="ref"):
+        built["dyn"].append(body.name)
+        return dyn(body, port)
+
+    monkeypatch.setattr(assembly, "revolute_dcm_lft", counted_dcm)
+    monkeypatch.setattr(assembly, "direct_dynamics_at_port", counted_dyn)
+    assemble(model)
+    joints = [c.name for c in model.connections if isinstance(c, RevoluteJoint)]
+    assert sorted(built["dcm"]) == sorted(joints)
+    assert sorted(built["dyn"]) == sorted(b.name for b in model.bodies)
+
+
 # ---------------------------------------------------------------------------
 # the arm model: equilibrium values with hand-computed oracles
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Rigid-body direct dynamics, static wrenches, and linearized blocks."""
+"""Rigid bodies: mass-property checks, direct dynamics at a port, and the
+body terms of the assembly (static wrench, gravity stiffness, forward
+dynamics) and of the oracle (Newton-Euler wrench)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,20 +8,23 @@ from hypothesis import strategies as st
 
 from mblft import lft
 from mblft import spatial as sp
+from mblft.assembly import (
+    MultibodyModel,
+    RootSpec,
+    assemble,
+    sample_model,
+    step1_geometry,
+    step2_wrenches,
+)
 from mblft.bodies import (
     BodyError,
     DynamicsRole,
     RigidBody,
-    acceleration_terms,
     direct_dynamics_at_port,
     direct_dynamics_cog,
-    equilibrium_wrench,
-    linearized_forward_block,
-    linearized_inverse_block,
-    newton_euler_at_port,
-    nonlinear_terms,
-    stiffness_matrix,
 )
+from mblft.joints import RevoluteJoint
+from mblft.oracle import NonlinearEvaluator
 
 FIN = st.floats(-2.0, 2.0)
 
@@ -33,6 +38,39 @@ def _body(mass=2.0, cog=(0.1, -0.2, 0.5), role=DynamicsRole.INVERSE):
         cog_offset=cog,
         ports=(("p", (1.0, 0.0, 0.0)),),
         dynamics_role=role,
+    )
+
+
+def _child():
+    return RigidBody(
+        name="c",
+        mass=1.5,
+        inertia_cog=np.diag([0.2, 0.3, 0.1]),
+        cog_offset=(0.3, -0.1, -0.8),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+
+
+def _free(*bodies, euler=(0.0, 0.0, 0.0), angle=0.4, **kw):
+    """A free-root model of a forward body, with a second (inverse-role)
+    body, if given, hinged at the first one's port ``p``."""
+    conns = tuple(
+        RevoluteJoint(
+            name="j",
+            parent_port=(bodies[0].name, "p"),
+            child_port=(child.name, "ref"),
+            axis=(0.6, 0.8, 0.0),
+            angle_eq=angle,
+        )
+        for child in bodies[1:]
+    )
+    kw.setdefault("acceleration", (0.0, 0.0, 0.0))
+    return MultibodyModel(
+        name="free",
+        bodies=bodies,
+        connections=conns,
+        root=RootSpec("free", euler=euler),
+        **kw,
     )
 
 
@@ -90,43 +128,49 @@ def test_d_at_port_symmetric_and_congruent(cx, cy, cz):
 
 
 def test_newton_euler_matches_first_principles():
-    """Wrench at a port from explicit CoG dynamics and moment transport."""
+    """The oracle's wrench at the reference port of a moving free body equals
+    explicit CoG dynamics and moment transport, velocity terms included."""
     rng = np.random.default_rng(5)
-    b = _body()
-    xpp = rng.standard_normal(6)
-    omega = rng.standard_normal(3)
-    a6 = np.zeros(6)
-    w = newton_euler_at_port(b, "p", xpp, omega, a6, {})
+    b = _body(role=DynamicsRole.FORWARD)
+    a_ref = np.array([0.0, 0.0, 9.81])
+    euler = np.array([0.3, -0.2, 0.6])
+    model = _free(b, euler=tuple(euler), acceleration=tuple(a_ref))
+    ev = NonlinearEvaluator(model, {})
+    v, omega = rng.standard_normal(3), rng.standard_normal(3)
+    nudot = rng.standard_normal(6)
+    w = ev.residual(np.concatenate([v, omega, np.zeros(6)]), np.zeros(0), nudot)
 
     m = b.mass_value({})
     j = b.inertia_value({})
-    # acceleration of the CoG: a_cog = a_port + alpha x r + w x (w x r),
-    # with r the vector port -> CoG expressed in body axes
-    r = b.cog_offset_value({}) - b.port_position_value("p", {})
-    a_port, alpha = xpp[:3], xpp[3:]
+    # acceleration of the reference port a = vdot + omega x v; that of the
+    # CoG adds alpha x r + w x (w x r), with r = reference port -> CoG
+    r = b.cog_offset_value({})
+    alpha = nudot[3:]
+    a_port = nudot[:3] + np.cross(omega, v)
     a_cog = a_port + np.cross(alpha, r) + np.cross(omega, np.cross(omega, r))
-    f = m * a_cog
+    p = sp.dcm_from_euler(sp.EulerState(euler)).matrix
+    f = m * (a_cog + p.T @ a_ref)
     t_cog = j @ alpha + np.cross(omega, j @ omega)
     t_port = t_cog + np.cross(r, f)
     np.testing.assert_allclose(w[:3], f, atol=1e-10)
     np.testing.assert_allclose(w[3:], t_port, atol=1e-10)
 
 
-def test_nonlinear_terms_equal_full_minus_linear_part():
-    rng = np.random.default_rng(6)
-    b = _body()
-    omega = rng.standard_normal(3)
-    d = direct_dynamics_at_port(b, "p").matrix.evaluate({})
-    full = newton_euler_at_port(b, "p", np.zeros(6), omega, np.zeros(6), {})
-    nl = nonlinear_terms(b, "p", omega, {})
-    np.testing.assert_allclose(full, d @ np.zeros(6) + nl, atol=1e-10)
-
-
 def test_equilibrium_wrench_is_d_times_a6():
-    b = _body()
-    a6 = np.array([0.0, 0.0, 9.81, 0.0, 0.0, 0.0])
-    w = equilibrium_wrench(b, "p", a6).evaluate({})
-    d = direct_dynamics_at_port(b, "p").matrix.evaluate({})
+    """Step 2's static wrench of a leaf body is D_ref [P^T a; 0]."""
+    child = _child()
+    model = _free(
+        _body(role=DynamicsRole.FORWARD),
+        child,
+        euler=(0.35, -0.2, 0.6),
+        acceleration=(0.0, 0.0, 9.81),
+        accelerating_trim=True,
+    )
+    ctx = step1_geometry(model)
+    w = step2_wrenches(model, ctx).inbound["c"].evaluate({})
+    p = ctx.geo["c"].dcm.evaluate({})
+    a6 = np.concatenate([p.T @ np.array([0.0, 0.0, 9.81]), np.zeros(3)])
+    d = direct_dynamics_at_port(child, "ref").matrix.evaluate({})
     np.testing.assert_allclose(w.ravel(), d @ a6, atol=1e-12)
 
 
@@ -136,60 +180,53 @@ def test_equilibrium_wrench_is_d_times_a6():
 
 
 def test_acceleration_terms_derivative_against_fd():
-    a_ref = np.array([0.0, 0.0, 9.81])
-    theta = np.array([0.35, -0.2, 0.6])
-    a6, da6 = acceleration_terms(a_ref, theta)
-    a6 = a6.evaluate({}).ravel()
-    da6 = da6.evaluate({})
-    p = sp.dcm_from_euler(sp.EulerState(theta)).matrix
-    np.testing.assert_allclose(a6[:3], p.T @ a_ref, atol=1e-12)
-    np.testing.assert_allclose(a6[3:], 0.0, atol=1e-14)
+    """Step 1's frame acceleration abar = P^T a of a body and its pose
+    derivative skew(abar) phi, over the root Euler angles and the joint
+    angle, against central differences of abar."""
+    root, child = _body(role=DynamicsRole.FORWARD), _child()
+    a_ref = (0.0, 0.0, 9.81)
+    euler = np.array([0.35, -0.2, 0.6])
+
+    def child_geo(euler, angle):
+        model = _free(
+            root, child, euler=tuple(euler), angle=angle, acceleration=a_ref
+        )
+        return step1_geometry(model).geo["c"]
+
+    def abar(euler, angle):
+        return child_geo(euler, angle).abar.evaluate({}).ravel()
+
+    rec = child_geo(euler, 0.4)
+    a0 = rec.abar.evaluate({}).ravel()
+    p = rec.dcm.evaluate({})
+    np.testing.assert_allclose(a0, p.T @ np.array(a_ref), atol=1e-12)
+    # pose columns: root position (no effect), root Euler angles, joint angle
+    da = sp.skew(a0) @ rec.phi.evaluate({})
+    assert da.shape == (3, 7)
+    np.testing.assert_allclose(da[:, :3], 0.0, atol=1e-14)
     h = 1e-7
-    for j in range(3):
-        dth = np.zeros(3)
-        dth[j] = h
-        ap = sp.dcm_from_euler(sp.EulerState(theta + dth)).matrix.T @ a_ref
-        am = sp.dcm_from_euler(sp.EulerState(theta - dth)).matrix.T @ a_ref
-        np.testing.assert_allclose(da6[:3, j], (ap - am) / (2 * h), atol=1e-5)
-
-
-def test_stiffness_matrix_layout():
-    b = _body()
-    a_ref = np.array([0.0, 0.0, 9.81])
-    theta = np.array([0.1, 0.2, -0.3])
-    _, da6 = acceleration_terms(a_ref, theta)
-    k = stiffness_matrix(b, "p", da6).matrix.evaluate({})
-    assert k.shape == (6, 6)
-    np.testing.assert_allclose(k[:, :3], 0.0, atol=1e-14)
+    for col in range(3, 7):
+        de, dq = np.zeros(3), 0.0
+        if col < 6:
+            de[col - 3] = h
+        else:
+            dq = h
+        fd = (abar(euler + de, 0.4 + dq) - abar(euler - de, 0.4 - dq)) / (2 * h)
+        np.testing.assert_allclose(da[:, col], fd, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
-# linearized blocks
+# forward dynamics of a free body
 # ---------------------------------------------------------------------------
 
 
 def test_forward_block_b_matrix_is_d_inverse():
+    """A wrench input at the reference port of a free body drives its
+    velocities through D^-1; the velocity-velocity block of A vanishes."""
     b = _body(role=DynamicsRole.FORWARD)
-    blk = linearized_forward_block(b, "p", np.array([0, 0, 9.81]), np.zeros(3))
-    a, bb, _, _ = (
-        blk.a.evaluate({}),
-        blk.b.evaluate({}),
-        blk.c.evaluate({}),
-        blk.d.evaluate({}),
-    )
-    d = direct_dynamics_at_port(b, "p").matrix.evaluate({})
+    lm = assemble(_free(b, inputs=(("wrench", "b", "ref"),)))
+    a, bb, _, _ = sample_model(lm, {})
+    d = direct_dynamics_at_port(b, "ref").matrix.evaluate({})
     np.testing.assert_allclose(bb[:6, :], np.linalg.inv(d), atol=1e-9)
     np.testing.assert_allclose(bb[6:, :], 0.0, atol=1e-14)
-    # A = [[0, -D^-1 K], [E, 0]] ; the velocity-velocity block vanishes
     np.testing.assert_allclose(a[:6, :6], 0.0, atol=1e-12)
-
-
-def test_inverse_block_is_stateless_gain():
-    b = _body()
-    blk = linearized_inverse_block(b, "p", np.array([0, 0, 9.81]), np.zeros(3))
-    assert blk.a.shape[0] == 0 or blk.a.shape == (0, 0)
-    g = blk.d.evaluate({})
-    assert g.shape == (6, 18)
-    d = direct_dynamics_at_port(b, "p").matrix.evaluate({})
-    np.testing.assert_allclose(g[:, :6], d, atol=1e-12)
-    np.testing.assert_allclose(g[:, 6:12], 0.0, atol=1e-14)

@@ -1,5 +1,6 @@
-"""Revolute joints and rigid connections: equilibrium relations, torque
-balance, and the linearized motion/wrench transforms."""
+"""Revolute joints and rigid connections: the joint DCM, and the joint
+terms of the assembly (equilibrium orientation, torque balance, wrench
+transfer, geometric stiffness) and of the oracle (child angular velocity)."""
 import math
 
 import numpy as np
@@ -9,33 +10,64 @@ from hypothesis import strategies as st
 
 from mblft import lft
 from mblft import spatial as sp
+from mblft.assembly import (
+    ExternalForce,
+    MultibodyModel,
+    RootSpec,
+    assemble,
+    sample_model,
+    step1_geometry,
+    step2_wrenches,
+)
+from mblft.bodies import DynamicsRole, RigidBody
 from mblft.joints import (
     JointError,
     RevoluteJoint,
     RigidConnection,
-    revolute_block,
     revolute_dcm,
     revolute_dcm_lft,
-    revolute_equilibrium,
-    revolute_motion_transform_nonlinear,
-    rigid_connection_equilibrium,
 )
+from mblft.oracle import FdConfig, NonlinearEvaluator, fd_linearize
 
 AXES = [
     np.array([1.0, 0.0, 0.0]),
     np.array([0.0, 0.0, 1.0]),
     np.array([0.6, 0.8, 0.0]),
 ]
+A_REF = np.array([0.0, 0.0, 9.81])
 
 
-def _joint(axis, angle=0.4, **kw):
+def _joint(axis, angle=0.4, name="j", parent=("ground", "ref"), child="b"):
     return RevoluteJoint(
-        name="j",
-        parent_port=("a", "p"),
-        child_port=("b", "ref"),
+        name=name,
+        parent_port=parent,
+        child_port=(child, "ref"),
         axis=axis,
         angle_eq=angle,
-        **kw,
+    )
+
+
+def _link(name="b"):
+    return RigidBody(
+        name=name,
+        mass=1.5,
+        inertia_cog=np.diag([0.2, 0.3, 0.1]),
+        cog_offset=(0.3, -0.1, -0.8),
+        ports=(("tip", (0.2, 0.4, -1.0)),),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+
+
+def _grounded(*connections, euler=(0.0, 0.0, 0.0), forces=()):
+    """A grounded chain of inverse-role links under gravity, one per
+    connection, named after the connections' child bodies."""
+    return MultibodyModel(
+        name="chain",
+        bodies=tuple(_link(c.child_port[0]) for c in connections),
+        connections=connections,
+        acceleration=tuple(A_REF),
+        root=RootSpec(euler=euler),
+        external_forces=forces,
     )
 
 
@@ -67,103 +99,119 @@ def test_revolute_dcm_lft_matches_numeric_with_varying_angle():
 
 
 # ---------------------------------------------------------------------------
-# equilibrium torque balance
+# equilibrium: orientation, torque balance, wrench transfer
 # ---------------------------------------------------------------------------
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_torque_balances_axial_load_component(seed):
-    """C_m + r6^T W_A/J = 0 for any load, any axis."""
+    """C_m + r^T M = 0, with M the moment about the joint point of every
+    load on the child (its weight and an external force), for any load and
+    any axis."""
     rng = np.random.default_rng(seed)
     axis = rng.standard_normal(3)
     axis /= np.linalg.norm(axis)
-    j = _joint(axis, angle=float(rng.uniform(-1.0, 1.0)))
-    w_aj = rng.standard_normal((6, 1))
-    _, c_m, _ = revolute_equilibrium(j, np.zeros(3), w_aj)
-    residual = float(c_m.evaluate({})[0, 0]) + float(
-        j.r6 @ w_aj.ravel()
+    angle = float(rng.uniform(-1.0, 1.0))
+    force = rng.standard_normal(3)
+    model = _grounded(
+        _joint(axis, angle), forces=(ExternalForce("b", "tip", tuple(force)),)
     )
-    assert abs(residual) <= 1e-12
+    eq = step2_wrenches(model, step1_geometry(model))
+    body = model.body("b")
+    p = revolute_dcm(model.connections[0], angle)
+    weight = -body.mass_value({}) * (p.T @ A_REF)
+    moment = np.cross(body.cog_offset_value({}), weight) + np.cross(
+        body.port_position_value("tip", {}), p.T @ force
+    )
+    assert abs(eq.torque_nominal("j") + float(axis @ moment)) <= 1e-12
 
 
 def test_transmitted_wrench_is_frame_change_only():
-    """W_J/B = P2(theta) W_A/J: same physical wrench, parent components."""
+    """W_J/B = P2(theta) W_A/J: the ground reaction of a grounded joint is
+    the joint load in parent components."""
     rng = np.random.default_rng(9)
-    j = _joint(AXES[0], angle=0.9)
-    w_aj = rng.standard_normal((6, 1))
-    _, _, w_jb = revolute_equilibrium(j, np.zeros(3), w_aj)
-    p2 = sp.p2(revolute_dcm(j, 0.9))
+    force = rng.standard_normal(3)
+    model = _grounded(
+        _joint(AXES[0], 0.9), forces=(ExternalForce("b", "tip", tuple(force)),)
+    )
+    eq = step2_wrenches(model, step1_geometry(model))
+    p2 = sp.p2(revolute_dcm(model.connections[0], 0.9))
     np.testing.assert_allclose(
-        w_jb.evaluate({}).ravel(), p2 @ w_aj.ravel(), atol=1e-12
+        eq.root_reaction.evaluate({}).ravel(),
+        p2 @ eq.joint_load["j"].evaluate({}).ravel(),
+        atol=1e-12,
     )
 
 
 def test_child_euler_composition():
-    j = _joint(AXES[0], angle=math.radians(40))
     theta_b = np.array([0.2, -0.1, 0.3])
-    theta_a, _, _ = revolute_equilibrium(j, theta_b, np.zeros((6, 1)))
+    j = _joint(AXES[0], angle=math.radians(40))
+    ctx = step1_geometry(_grounded(j, euler=tuple(theta_b)))
     p_ai = sp.dcm_from_euler(sp.EulerState(theta_b)).matrix @ revolute_dcm(
         j, math.radians(40)
     )
     np.testing.assert_allclose(
-        sp.dcm_from_euler(sp.EulerState(theta_a)).matrix, p_ai, atol=1e-12
+        sp.dcm_from_euler(sp.EulerState(ctx.geo["b"].theta_nom)).matrix,
+        p_ai,
+        atol=1e-12,
     )
 
 
 def test_rigid_connection_equilibrium_composes_dcms():
     fixed = sp.rotation_about_axis(AXES[2], 0.8)
     conn = RigidConnection(
-        name="c", parent_port=("a", "p"), child_port=("b", "ref"), fixed_dcm=fixed
+        name="c", parent_port=("ground", "ref"), child_port=("b", "ref"),
+        fixed_dcm=fixed,
     )
     theta_b = np.array([0.3, 0.2, -0.4])
-    theta_a = rigid_connection_equilibrium(conn, theta_b)
+    ctx = step1_geometry(_grounded(conn, euler=tuple(theta_b)))
     np.testing.assert_allclose(
-        sp.dcm_from_euler(sp.EulerState(theta_a)).matrix,
+        sp.dcm_from_euler(sp.EulerState(ctx.geo["b"].theta_nom)).matrix,
         sp.dcm_from_euler(sp.EulerState(theta_b)).matrix @ fixed,
         atol=1e-12,
     )
 
 
 # ---------------------------------------------------------------------------
-# linearized joint block vs the nonlinear motion transform
+# motion and stiffness across a joint
 # ---------------------------------------------------------------------------
 
 
-def test_motion_transform_velocity_rows_match_fd_of_pose():
-    """omega_A = P^T omega_B + thetadot r, checked against the block."""
-    j = _joint(AXES[0], angle=0.6)
-    m_b = np.zeros(18)
-    m_b[9:12] = np.array([0.1, -0.3, 0.2])  # parent angular velocity
-    out = revolute_motion_transform_nonlinear(j, m_b, 0.6, 0.5, 0.0)
-    p = revolute_dcm(j, 0.6)
-    np.testing.assert_allclose(
-        out[9:12], p.T @ m_b[9:12] + 0.5 * j.axis, atol=1e-12
+def _two_joint_chain(forces=()):
+    return _grounded(
+        _joint(AXES[0], 0.3, name="j1", child="b1"),
+        _joint(AXES[2], 0.5, name="j2", parent=("b1", "tip"), child="b2"),
+        forces=forces,
     )
 
 
-def test_block_angle_rows_passthrough():
-    """The joint block exposes delta theta / delta thetadot as states."""
-    j = _joint(AXES[0], angle=0.3, friction=2.0, shaft_inertia=1e-6)
-    blk = revolute_block(j, np.zeros(3), np.zeros((6, 1)), np.zeros((3, 1)))
-    a = blk.a.evaluate({})
-    assert a.shape == (2, 2)
-    # d(theta)/dt = thetadot; damping row: -K_J / J^J
-    np.testing.assert_allclose(a[0], [0.0, 1.0], atol=1e-14)
-    np.testing.assert_allclose(a[1, 1], -2.0 / 1e-6, rtol=1e-12)
+def test_motion_transform_velocity_rows_match_fd_of_pose():
+    """The oracle's child angular velocity omega_A = P^T omega_B +
+    thetadot r equals the rate of the child's DCM, vee(P^T dP/dt)."""
+    ev = NonlinearEvaluator(_two_joint_chain(), {})
+    theta = np.array([0.2, -0.4])
+    thetadot = np.array([0.7, -1.3])
+    omega = ev._sweep(np.concatenate([thetadot, theta]), np.zeros(2))["b2"].w
+    h = 1e-6
+
+    def dcm(t):
+        x = np.concatenate([np.zeros(2), theta + t * thetadot])
+        return ev._sweep(x, np.zeros(2))["b2"].dcm
+
+    w_x = dcm(0.0).T @ (dcm(h) - dcm(-h)) / (2 * h)
+    np.testing.assert_allclose(
+        omega, [w_x[2, 1], w_x[0, 2], w_x[1, 0]], atol=1e-8
+    )
 
 
 def test_block_wrench_stiffness_matches_fd():
-    """d(P2(theta) W)/dtheta from the block equals a finite difference."""
+    """The assembled A, which carries the geometric stiffness
+    d(P2(theta) W_A/J)/dtheta of the outer joint, equals a central
+    difference of the oracle."""
     rng = np.random.default_rng(11)
-    w_aj = rng.standard_normal((6, 1))
-    j = _joint(AXES[2], angle=0.5)
-    h = 1e-7
-    fd = (
-        sp.p2(revolute_dcm(j, 0.5 + h)) - sp.p2(revolute_dcm(j, 0.5 - h))
-    ) @ w_aj.ravel() / (2 * h)
-    blk = revolute_block(j, np.zeros(3), w_aj, np.zeros((3, 1)))
-    # output rows 18:24 are delta W_J/B; the column multiplying delta theta
-    # (first state) carries the geometric stiffness
-    c = blk.c.evaluate({})
-    np.testing.assert_allclose(c[18:24, 0], fd, atol=1e-6)
+    force = rng.standard_normal(3)
+    model = _two_joint_chain((ExternalForce("b2", "tip", tuple(force)),))
+    a = sample_model(assemble(model), {})[0]
+    a_fd, _ = fd_linearize(NonlinearEvaluator(model, {}), FdConfig())
+    np.testing.assert_allclose(a, a_fd, rtol=1e-6, atol=1e-6 * np.abs(a_fd).max())

@@ -111,38 +111,6 @@ def _half(name, nominal, lo, hi):
     return lft.HalfTanParam.from_angle(name, nominal, lo, hi)
 
 
-def test_dcm_lft_matches_numeric():
-    t2 = _half("b", 0.3, -1.0, 1.0)
-    for th1 in (0.0, 0.7):
-        for th2 in np.linspace(-1.0, 1.0, 7):
-            g = sp.dcm_lft([th1, t2, -0.2])
-            num = sp.dcm_from_euler(
-                sp.EulerState(np.array([th1, th2, -0.2]))
-            ).matrix
-            np.testing.assert_allclose(
-                g.evaluate({t2.param.name: math.tan(th2 / 2)}), num, atol=1e-12
-            )
-
-
-def test_gamma_lft_matches_numeric():
-    t1 = _half("a", 0.2, -1.0, 1.0)
-    t3 = _half("c", -0.4, -1.0, 1.0)
-    g = sp.gamma_lft([t1, 0.25, t3])
-    for th1 in np.linspace(-0.9, 0.9, 5):
-        for th3 in np.linspace(-0.9, 0.9, 5):
-            num = sp.euler_rate_map(sp.EulerState(np.array([th1, 0.25, th3])))
-            np.testing.assert_allclose(
-                g.evaluate(
-                    {
-                        t1.param.name: math.tan(th1 / 2),
-                        t3.param.name: math.tan(th3 / 2),
-                    }
-                ),
-                num,
-                atol=1e-12,
-            )
-
-
 def test_rotation_about_axis_lft_matches_rodrigues():
     axis = np.array([2.0, -1.0, 0.5])
     axis /= np.linalg.norm(axis)
