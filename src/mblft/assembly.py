@@ -247,6 +247,12 @@ class MultibodyModel:
             total = total + lft.as_expr(b.mass)
         return total
 
+    @property
+    def joints(self) -> tuple:
+        return tuple(
+            c for c in self._tree_order() if isinstance(c, RevoluteJoint)
+        )
+
     def _tree_order(self) -> tuple:
         """Connections in depth-first order from the root."""
         root_name = GROUND if self.root.kind == GROUND else self.root_body.name
@@ -437,6 +443,10 @@ class EquilibriumSolution:
     joint_load: dict  # joint name -> 6x1 LftMatrix S_c (child frame, at joint)
     torque: dict  # joint name -> 1x1 LftMatrix equilibrium C_m
     root_reaction: lft.LftMatrix  # 6x1: ground reaction or free-root residual
+
+    @property
+    def model(self) -> MultibodyModel:
+        return self.geometry.model
 
     def torque_nominal(self, joint: str) -> float:
         return float(self.torque[joint].nominal[0, 0])

@@ -64,9 +64,13 @@ def _scalar_grid(exprs) -> list[dict[str, float]]:
 
 
 def _as_scalar_matrix(entries, shape) -> np.ndarray:
-    arr = np.asarray(entries, dtype=object)
+    arr = np.array(entries, dtype=object)
     if arr.shape != shape:
         raise BodyError(f"expected shape {shape}, got {arr.shape}")
+    # a raw Param has no arithmetic; as an Expr it joins object-array sums
+    for idx, v in np.ndenumerate(arr):
+        if isinstance(v, lft.Param):
+            arr[idx] = lft.Ref(v)
     return arr
 
 
@@ -184,6 +188,9 @@ class RigidBody:
 
     def port_position_lft(self, port: str) -> lft.LftMatrix:
         return sp.as_lft(list(self.port_position(port)))
+
+    def cog_offset_lft(self) -> lft.LftMatrix:
+        return sp.as_lft(list(self.cog_offset))
 
     def cog_offset_value(self, point) -> np.ndarray:
         return np.array(

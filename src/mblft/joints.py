@@ -91,6 +91,12 @@ class RevoluteJoint:
             raise JointError(f"joint {self.name!r}: friction must be >= 0")
 
     @property
+    def angle_nominal(self) -> float:
+        if isinstance(self.angle_eq, lft.HalfTanParam):
+            return self.angle_eq.angle_nominal
+        return float(self.angle_eq)
+
+    @property
     def r6(self) -> np.ndarray:
         return np.concatenate([np.zeros(3), self.axis])
 

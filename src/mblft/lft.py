@@ -166,12 +166,23 @@ class HalfTanParam:
         div = 2.0 if self.variant == "half" else 4.0
         return div * float(np.arctan(t_value))
 
+    def t_of(self, angle: float) -> float:
+        div = 2.0 if self.variant == "half" else 4.0
+        return float(np.tan(angle / div))
+
+    @property
+    def angle_nominal(self) -> float:
+        return self.angle_of(self.param.nominal)
+
 
 class Expr:
     """Rational expression over parameters: {+, -, *, /, integer powers}."""
 
     def __add__(self, other):
         return BinOp("+", self, as_expr(other))
+
+    def __radd__(self, other):
+        return BinOp("+", as_expr(other), self)
 
     def __sub__(self, other):
         return BinOp("-", self, as_expr(other))
@@ -187,6 +198,9 @@ class Expr:
 
     def __truediv__(self, other):
         return BinOp("/", self, as_expr(other))
+
+    def __rtruediv__(self, other):
+        return BinOp("/", as_expr(other), self)
 
     def __neg__(self):
         return BinOp("-", Const(0.0), self)
@@ -641,13 +655,31 @@ class LftMatrix:
         m[r + d1 :, c + d1 :] = o.d
         return LftMatrix(m, r, c, self.delta + o.delta)
 
+    def __radd__(self, other):
+        return self._coerce(other) + self
+
     def __sub__(self, other):
         return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
 
     def __neg__(self) -> "LftMatrix":
         m = self.m.copy()
         m[: self.rows, :] = -m[: self.rows, :]
         return LftMatrix(m, self.rows, self.cols, self.delta)
+
+    def scale(self, k: float) -> "LftMatrix":
+        m = self.m.copy()
+        m[: self.rows, :] = k * m[: self.rows, :]
+        return LftMatrix(m, self.rows, self.cols, self.delta)
+
+    def __mul__(self, k):
+        if isinstance(k, (int, float, np.floating)):
+            return self.scale(float(k))
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def __matmul__(self, other) -> "LftMatrix":
         o = self._coerce(other)
@@ -665,6 +697,9 @@ class LftMatrix:
         m[r + d1 :, :c] = o.c
         m[r + d1 :, c + d1 :] = o.d
         return LftMatrix(m, r, c, self.delta + o.delta)
+
+    def __rmatmul__(self, other):
+        return self._coerce(other) @ self
 
     @property
     def T(self) -> "LftMatrix":

@@ -20,6 +20,7 @@ from mblft.bodies import (
     BodyError,
     DynamicsRole,
     RigidBody,
+    _d_at_port_numeric,
     direct_dynamics_at_port,
     direct_dynamics_cog,
 )
@@ -125,6 +126,25 @@ def test_d_at_port_symmetric_and_congruent(cx, cy, cz):
     np.testing.assert_allclose(d_port, tau.T @ d_cog @ tau, atol=1e-12)
     # positive semidefinite
     assert np.min(np.linalg.eigvalsh(d_port)) > -1e-12
+
+
+def test_raw_param_entries_give_the_numeric_d_at_port():
+    m = lft.Param("m", 2.0, 1.5, 2.5, "uncertain")
+    ln = lft.Param("l", 0.5, 0.4, 0.6, "uncertain")
+    b = RigidBody(
+        name="b",
+        mass=m,
+        inertia_cog=np.diag([0.4, 0.3, 0.25]),
+        cog_offset=(0.0, 0.1, ln),
+        ports=(("p", (ln, 0.0, -0.2)),),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+    for port in ("ref", "p"):
+        d = direct_dynamics_at_port(b, port).matrix
+        for pt in ({"m": 1.5, "l": 0.4}, {"m": 2.0, "l": 0.5}, {"m": 2.5, "l": 0.6}):
+            np.testing.assert_allclose(
+                d.evaluate(pt), _d_at_port_numeric(b, port, pt), atol=1e-12
+            )
 
 
 def test_newton_euler_matches_first_principles():

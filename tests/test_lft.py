@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mblft import lft
+from mblft import spatial as sp
 
 
 def _params(n=2):
@@ -447,6 +448,32 @@ def test_rotation_about_arbitrary_axis_keeps_two_occurrences():
         np.testing.assert_allclose(
             g.evaluate({t.param.name: math.tan(theta / 2)}), expected, atol=1e-12
         )
+
+
+def test_reflected_and_scalar_operators():
+    p = lft.Param("p", 2.0, 1.0, 3.0, "uncertain")
+    u = lft.Ref(p)
+    e = (1.0 + u) - 2.0 * u + 1.0 / u - (3.0 - u) / 2.0
+    assert e.value({"p": 2.0}) == pytest.approx(3.0 - 4.0 + 0.5 - 0.5)
+    m = lft.from_param(p)
+    for got, want in ((2.0 * m, 4.0), (m * 2.0, 4.0), (1.0 + m, 3.0),
+                      (1.0 - m, -1.0), ([[3.0]] @ m, 6.0)):
+        np.testing.assert_allclose(got.evaluate({"p": 2.0}), [[want]])
+    t = lft.HalfTanParam.from_angle("th", 0.3, -1.0, 1.0, variant="quarter")
+    assert t.angle_nominal == pytest.approx(0.3)
+    assert t.t_of(0.3) == pytest.approx(t.param.nominal)
+
+
+@pytest.mark.parametrize("variant", ["half", "quarter"])
+def test_fixed_range_angle_gives_the_constant_rotation(variant):
+    axis = np.array([1.0, 2.0, -0.5])
+    axis /= np.linalg.norm(axis)
+    t = lft.HalfTanParam.from_angle("a", 0.3, 0.3, 0.3, variant=variant)
+    g = lft.rotation_about_axis(axis, t)
+    assert g.ndelta == 0
+    np.testing.assert_allclose(
+        g.evaluate({}), sp.rotation_about_axis(axis, 0.3), atol=1e-12
+    )
 
 
 # ---------------------------------------------------------------------------

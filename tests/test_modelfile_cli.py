@@ -151,6 +151,23 @@ def test_degree_angles_converted(tmp_path):
     assert abs(model.connections[0].angle_eq - np.pi / 2) < 1e-12
 
 
+def test_fixed_range_angle_parameter_matches_a_literal_angle(tmp_path):
+    fixed = MINIMAL.replace(
+        "name: tiny",
+        "name: tiny\nparameters:\n"
+        "  th: {kind: varying, angle: true, nominal: 10.0, lower: 10.0, "
+        "upper: 10.0, unit: deg}",
+    ).replace("angle: {value: 0.0, unit: rad}", "angle: th")
+    literal = MINIMAL.replace(
+        "angle: {value: 0.0, unit: rad}", "angle: {value: 10.0, unit: deg}"
+    )
+    got = assembly.assemble(load_model(_write(tmp_path, fixed, "fixed.yaml")))
+    want = assembly.assemble(load_model(_write(tmp_path, literal)))
+    for g, w in zip((got.a, got.b, got.c, got.d), (want.a, want.b, want.c, want.d)):
+        assert g.ndelta == 0
+        np.testing.assert_allclose(g.nominal, w.nominal, atol=1e-12)
+
+
 def test_expression_with_unknown_parameter_rejected(tmp_path):
     bad = MINIMAL.replace('value: 1.0, unit: kg', 'value: "2 * m_typo", unit: kg')
     with pytest.raises(ModelFileError) as e:
