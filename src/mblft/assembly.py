@@ -167,6 +167,10 @@ class MultibodyModel:
         names = [b.name for b in self.bodies]
         if len(set(names)) != len(names):
             raise AssemblyError("duplicate body names")
+        conn_names = [c.name for c in self.connections]
+        dup = sorted({n for n in conn_names if conn_names.count(n) > 1})
+        if dup:
+            raise AssemblyError(f"duplicate connection name(s) {dup}")
         root_name = GROUND if self.root.kind == GROUND else self.root_body.name
         child_of = {}
         for c in self.connections:
@@ -207,6 +211,13 @@ class MultibodyModel:
                 self.body(spec[1]).port_position(spec[2])
             else:
                 raise AssemblyError(f"unknown input spec {spec!r}")
+        for f in self.external_forces:
+            if f.body not in names:
+                raise AssemblyError(f"external force on unknown body {f.body!r}")
+            if f.port != "ref" and f.port not in dict(self.body(f.body).ports):
+                raise AssemblyError(
+                    f"external force on unknown port {f.port!r} of body {f.body!r}"
+                )
 
     # -- parameters ------------------------------------------------------
     def parameters(self) -> dict:

@@ -359,10 +359,14 @@ def _parse_connections(section, params) -> tuple:
     if not isinstance(section, list) or not section:
         raise ModelFileError("connections: expected a non-empty list")
     conns = []
+    seen = set()
     for entry in section:
         _need_mapping("connections[?]", entry)
         name = entry.get("name", "?")
         ctx = f"connections.{name}"
+        if str(name) in seen:
+            raise _err(ctx, entry, f"duplicate connection name {str(name)!r}")
+        seen.add(str(name))
         ctype = entry.get("type")
         if ctype == "rigid":
             entry = _take(ctx, entry, required=("type", "name", "parent", "child"),
@@ -440,7 +444,7 @@ def _parse_connections(section, params) -> tuple:
     return tuple(conns)
 
 
-def _parse_boundary(section, params):
+def _parse_boundary(section, params, bodies):
     ctx = "boundary"
     section = _take(ctx, section, required=("acceleration",),
                     optional=("forces", "root_damping"))
@@ -449,11 +453,17 @@ def _parse_boundary(section, params):
     _check_unit(f"{ctx}.acceleration", anode, "acceleration")
     accel = _vector3(f"{ctx}.acceleration.value", anode["value"], params)
 
+    ports = {b.name: {"ref", *dict(b.ports)} for b in bodies}
     forces = []
     for i, fnode in enumerate(section.get("forces") or []):
         fctx = f"{ctx}.forces[{i}]"
         fnode = _take(fctx, fnode, required=("body", "port"),
                       optional=("value", "unit", "balance_weight"))
+        body, port = str(fnode["body"]), str(fnode["port"])
+        if body not in ports:
+            raise _err(fctx, fnode, f"unknown body {body!r}")
+        if port not in ports[body]:
+            raise _err(fctx, fnode, f"body {body!r} has no port {port!r}")
         balance = fnode.get("balance_weight", False)
         if not isinstance(balance, bool):
             raise _err(fctx, fnode, "'balance_weight' must be a boolean")
@@ -467,10 +477,7 @@ def _parse_boundary(section, params):
             _check_unit(fctx, fnode, "force")
             force = _vector3(f"{fctx}.value", fnode["value"], params)
         forces.append(
-            ExternalForce(
-                body=str(fnode["body"]), port=str(fnode["port"]),
-                force=force, balance_weight=balance,
-            )
+            ExternalForce(body=body, port=port, force=force, balance_weight=balance)
         )
 
     damping = None
@@ -555,7 +562,7 @@ def parse_model(doc) -> MultibodyModel:
     params = _parse_parameters(doc.get("parameters"))
     bodies = _parse_bodies(doc["bodies"], params)
     conns = _parse_connections(doc["connections"], params)
-    accel, forces, damping = _parse_boundary(doc["boundary"], params)
+    accel, forces, damping = _parse_boundary(doc["boundary"], params, bodies)
     root, trim = _parse_root(doc.get("root"))
     inputs, outputs = _parse_io(doc.get("io"))
     try:

@@ -3,7 +3,8 @@
 Implements the full nonlinear equations of motion of the tree (including
 all velocity-dependent terms) by a plain numeric recursive sweep, plus a
 central finite-difference linearization used as ground truth for the
-analytically linearized LFT model.
+analytically linearized LFT model.  The sweep runs on stacks of states, so
+that one finite-difference linearization is one residual evaluation.
 
 The evaluator state matches the assembled model's convention exactly:
 
@@ -43,14 +44,31 @@ from mblft.joints import RevoluteJoint
 __all__ = ["FdConfig", "NonlinearEvaluator", "nonlinear_accel", "fd_linearize"]
 
 
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
 def _cross(a, b):
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
+    """Cross product of (..., 3) arrays, broadcast over the leading axes."""
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(
+        _NEXT, -1
     )
+
+
+def _mv(m, v):
+    """m @ v for a (3,3) or (K,3,3) m and a (K,3) v."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _mtv(m, v):
+    """m.T @ v for a (3,3) or (K,3,3) m and a (K,3) v."""
+    return (v[..., None, :] @ m)[..., 0, :]
+
+
+def _rows(a, width: int) -> np.ndarray:
+    """A (K, width) view of a stack, or a (1, width) view of one row."""
+    a = np.asarray(a, dtype=float)
+    return a.reshape(len(a) if a.ndim > 1 else 1, width)
 
 
 @dataclass(frozen=True)
@@ -70,17 +88,26 @@ class FdConfig:
 
 @dataclass
 class _BodyState:
+    """Kinematics of one body over a stack of K states."""
+
     body: object
-    dcm: np.ndarray  # body -> R
-    pos: np.ndarray  # ref-port position in R
-    v: np.ndarray
+    dcm: np.ndarray  # (K,3,3) body -> R
+    pos: np.ndarray  # (K,3) ref-port position in R
+    v: np.ndarray  # (K,3)
     w: np.ndarray
     a: np.ndarray  # linear dual-acceleration part (body frame)
     wd: np.ndarray
+    p_ab: np.ndarray = None  # DCM of the inbound connection, (3,3) or (K,3,3)
 
 
 class NonlinearEvaluator:
-    """Nonlinear equations of motion at a fixed numeric parameter point."""
+    """Nonlinear equations of motion at a fixed numeric parameter point.
+
+    ``residual``, ``accel``, ``f`` and ``energy`` evaluate a stack of K
+    states at once: ``x`` is a (K, 2nq) array, and ``u`` and ``nudot`` are
+    (K, .) arrays or one row shared by every state.  A 1-D ``x`` is the
+    K = 1 case and gives a 1-D result.
+    """
 
     def __init__(self, model: MultibodyModel, point=None):
         full = {name: p.nominal for name, p in model.parameters().items()}
@@ -94,6 +121,7 @@ class NonlinearEvaluator:
         self.free = self.model.root.kind == "free"
         self.mask = self.model.root_body.dof_mask if self.free else ()
         self.k = len(self.mask)
+        self._dofs = np.array(self.mask, dtype=np.intp)  # index into a 6-vector
         self.nq = self.k + len(self.joints)
         self.input_names, self.input_cols = _input_layout(self.model)
         self.nu_in = len(self.input_names)
@@ -140,56 +168,56 @@ class NonlinearEvaluator:
             c.name: (sp.skew(c.axis), sp.skew(c.axis) @ sp.skew(c.axis))
             for c in self.joints
         }
-        self._port_cache = {}
-        for fb, fp, _ in getattr(self, "forces", []):
-            self._port_cache[(fb, fp)] = self.model.body(fb).port_position_value(
-                fp, {}
+        # per body: external forces (vector in R, port position) and wrench
+        # inputs (column, port position)
+        self._body_forces = {b.name: [] for b in self.model.bodies}
+        for fb, fp, fvec in self.forces:
+            self._body_forces[fb].append(
+                (fvec, self.model.body(fb).port_position_value(fp, {}))
             )
-        for key in self.input_cols:
+        self._body_wrenches = {b.name: [] for b in self.model.bodies}
+        for key, col in self.input_cols.items():
             if key[0] == "wrench":
-                self._port_cache[(key[1], key[2])] = self.model.body(
-                    key[1]
-                ).port_position_value(key[2], {})
+                self._body_wrenches[key[1]].append(
+                    (col, self.model.body(key[1]).port_position_value(key[2], {}))
+                )
 
     # -- state unpacking -------------------------------------------------
     def _unpack(self, x):
-        x = np.asarray(x, dtype=float).reshape(2 * self.nq)
-        nu, chi = x[: self.nq], x[self.nq :]
-        v6 = np.zeros(6)
-        p6 = np.zeros(6)
-        for col, dof in enumerate(self.mask):
-            v6[dof] = nu[col]
-            p6[dof] = chi[col]
-        theta = chi[self.k :]
-        thetadot = nu[self.k :]
-        return v6, p6, theta, thetadot
-
-    def _joint_angle(self, c: RevoluteJoint, theta) -> float:
-        return float(c.angle_eq) + theta[self.joint_index[c.name]]
+        """(K, 2nq) states -> root v6, p6 (K,6) and joint theta, thetadot."""
+        x = _rows(x, 2 * self.nq)
+        nu, chi = x[:, : self.nq], x[:, self.nq :]
+        v6 = np.zeros((len(x), 6))
+        p6 = np.zeros((len(x), 6))
+        v6[:, self._dofs] = nu[:, : self.k]
+        p6[:, self._dofs] = chi[:, : self.k]
+        return v6, p6, chi[:, self.k :], nu[:, self.k :]
 
     # -- forward kinematics sweep ----------------------------------------
     def _sweep(self, x, nudot) -> dict:
         v6, p6, theta, thetadot = self._unpack(x)
-        thetaddot = np.asarray(nudot, dtype=float)[self.k :]
+        kk = len(v6)
+        nudot = np.broadcast_to(_rows(nudot, self.nq), (kk, self.nq))
+        thetaddot = nudot[:, self.k :]
         states: dict[str, _BodyState] = {}
         if self.free:
-            euler = self.root_euler + p6[3:]
+            euler = self.root_euler + p6[:, 3:]
             p0 = sp.dcm_from_euler(sp.EulerState(euler)).matrix
-            v, w = v6[:3], v6[3:]
-            vd6 = np.zeros(6)
-            for col, dof in enumerate(self.mask):
-                vd6[dof] = np.asarray(nudot)[col]
-            a_lin = vd6[:3] + np.cross(w, v)
-            wd = vd6[3:]
-            pos = self.root_pos + p0 @ p6[:3]
+            v, w = v6[:, :3], v6[:, 3:]
+            vd6 = np.zeros((kk, 6))
+            vd6[:, self._dofs] = nudot[:, : self.k]
+            a_lin = vd6[:, :3] + _cross(w, v)
+            wd = vd6[:, 3:]
+            pos = self.root_pos + _mv(p0, p6[:, :3])
             states[self.root_name] = _BodyState(
                 self.model.root_body, p0, pos, v, w, a_lin, wd
             )
         else:
             p0 = sp.dcm_from_euler(sp.EulerState(self.root_euler)).matrix
+            zero = np.zeros((kk, 3))
             states[GROUND] = _BodyState(
-                None, p0, self.root_pos, np.zeros(3), np.zeros(3),
-                np.zeros(3), np.zeros(3),
+                None, np.broadcast_to(p0, (kk, 3, 3)),
+                np.broadcast_to(self.root_pos, (kk, 3)), zero, zero, zero, zero,
             )
         for c in self.order:
             pb, _ = c.parent_port
@@ -199,152 +227,149 @@ class NonlinearEvaluator:
             v_q = par.v + _cross(par.w, q)
             a_q = par.a + _cross(par.wd, q) + _cross(par.w, _cross(par.w, q))
             if isinstance(c, RevoluteJoint):
-                th = self._joint_angle(c, theta)
-                thd = thetadot[self.joint_index[c.name]]
-                thdd = thetaddot[self.joint_index[c.name]]
+                j = self.joint_index[c.name]
+                th = float(c.angle_eq) + theta[:, j, None, None]
+                thd = thetadot[:, j, None]
+                thdd = thetaddot[:, j, None]
                 kmat, k2mat = self._joint_rot[c.name]
                 p_ab = c.zero_dcm @ (
                     np.eye(3) + np.sin(th) * kmat + (1.0 - np.cos(th)) * k2mat
                 )
                 r = c.axis
-                w_par_a = p_ab.T @ par.w
+                w_par_a = _mtv(p_ab, par.w)
                 w_a = w_par_a + thd * r
-                wd_a = p_ab.T @ par.wd + thdd * r + thd * _cross(w_par_a, r)
+                wd_a = _mtv(p_ab, par.wd) + thdd * r + thd * _cross(w_par_a, r)
             else:
                 p_ab = c.fixed_dcm
-                w_a = p_ab.T @ par.w
-                wd_a = p_ab.T @ par.wd
-            v_j = p_ab.T @ v_q
-            a_j = p_ab.T @ a_q
+                w_a = _mtv(p_ab, par.w)
+                wd_a = _mtv(p_ab, par.wd)
+            v_j = _mtv(p_ab, v_q)
+            a_j = _mtv(p_ab, a_q)
             # joint point -> child reference port (offset -cpos in child frame)
             v_ref = v_j - _cross(w_a, cpos)
             a_ref = a_j - _cross(wd_a, cpos) + _cross(w_a, _cross(w_a, -cpos))
             dcm = par.dcm @ p_ab
-            pos = par.pos + par.dcm @ q - dcm @ cpos
+            pos = par.pos + _mv(par.dcm, q) - _mv(dcm, cpos)
             states[cb] = _BodyState(
-                self.model.body(cb), dcm, pos, v_ref, w_a, a_ref, wd_a
+                self.model.body(cb), dcm, pos, v_ref, w_a, a_ref, wd_a, p_ab
             )
         return states
 
     # -- residual ----------------------------------------------------------
     def residual(self, x, u, nudot) -> np.ndarray:
-        """Residual of the equations of motion for a candidate nudot."""
-        u = np.asarray(u, dtype=float).reshape(self.nu_in)
+        """Residual of the equations of motion for candidate nudot rows.
+
+        One recursive Newton-Euler pass (Featherstone, 2008) over the whole
+        stack: kinematics root to leaves, wrenches leaves to root.
+        """
+        single = np.ndim(x) == 1
         states = self._sweep(x, nudot)
+        v6, _, _, thetadot = self._unpack(x)
+        kk = len(v6)
+        u = np.broadcast_to(_rows(u, self.nu_in), (kk, self.nu_in))
+        nudot = np.broadcast_to(_rows(nudot, self.nq), (kk, self.nq))
         a_r = np.asarray(self.model.acceleration, dtype=float)
-        res = np.zeros(self.nq)
+        res = np.zeros((kk, self.nq))
         joint_s: dict[str, np.ndarray] = {}
-        _, _, theta, thetadot = self._unpack(x)
+        damped = self.free and self.model.root_damping is not None
 
         def visit(name: str) -> np.ndarray:
-            st = states.get(name)
+            st = states[name]
             if name == GROUND:
-                inb = np.zeros(6)
+                inb = np.zeros((kk, 6))
             else:
-                m, jmat, cog, d = self._body_data[name]
-                a6 = np.concatenate([st.dcm.T @ a_r, np.zeros(3)])
-                x2 = np.concatenate([st.a, st.wd])
+                m, _, cog, d = self._body_data[name]
                 w = st.w
+                x2 = np.concatenate([st.a, st.wd], axis=1)
+                x2[:, :3] += a_r @ st.dcm
                 nl = np.concatenate(
-                    [
-                        m * _cross(w, _cross(-cog, w)),
-                        _cross(w, d[3:, 3:] @ w),
-                    ]
+                    [m * _cross(w, _cross(-cog, w)), _cross(w, w @ d[3:, 3:].T)],
+                    axis=1,
                 )
-                inb = d @ (x2 + a6) + nl
-                for fb, fp, fvec in self.forces:
-                    if fb != name:
-                        continue
-                    f_body = st.dcm.T @ fvec
-                    p = self._port_cache[(fb, fp)]
-                    inb -= np.concatenate([f_body, _cross(p, f_body)])
-                for key, col in self.input_cols.items():
-                    if key[0] == "wrench" and key[1] == name:
-                        wvec = u[col : col + 6]
-                        p = self._port_cache[(key[1], key[2])]
-                        inb -= np.concatenate(
-                            [wvec[:3], _cross(p, wvec[:3]) + wvec[3:]]
-                        )
-                if (
-                    self.free
-                    and name == self.root_name
-                    and self.model.root_damping is not None
-                ):
-                    inb += self.model.root_damping @ np.concatenate([st.v, st.w])
+                inb = x2 @ d.T + nl
+                for fvec, p in self._body_forces[name]:
+                    f_body = fvec @ st.dcm
+                    inb -= np.concatenate([f_body, _cross(p, f_body)], axis=1)
+                for col, p in self._body_wrenches[name]:
+                    wvec = u[:, col : col + 6]
+                    inb -= np.concatenate(
+                        [wvec[:, :3], _cross(p, wvec[:, :3]) + wvec[:, 3:]], axis=1
+                    )
+                if damped and name == self.root_name:
+                    twist = np.concatenate([st.v, st.w], axis=1)
+                    inb += twist @ self.model.root_damping.T
             for c in self.children.get(name, []):
                 cb, _ = c.child_port
                 child_in = visit(cb)
                 q, cpos = self._conn_data[c.name]
-                s_f = child_in[:3]
-                s_m = child_in[3:] - _cross(cpos, s_f)
+                s_f = child_in[:, :3]
+                s_m = child_in[:, 3:] - _cross(cpos, s_f)
                 if isinstance(c, RevoluteJoint):
-                    joint_s[c.name] = np.concatenate([s_f, s_m])
-                    th = self._joint_angle(c, theta)
-                    kmat, k2mat = self._joint_rot[c.name]
-                    p_ab = c.zero_dcm @ (
-                        np.eye(3) + np.sin(th) * kmat + (1.0 - np.cos(th)) * k2mat
-                    )
-                else:
-                    p_ab = c.fixed_dcm
-                f_b = p_ab @ s_f
-                m_b = p_ab @ s_m
-                inb += np.concatenate([f_b, m_b + _cross(q, f_b)])
+                    joint_s[c.name] = s_m
+                p_ab = states[cb].p_ab
+                f_b = _mv(p_ab, s_f)
+                m_b = _mv(p_ab, s_m)
+                inb += np.concatenate([f_b, m_b + _cross(q, f_b)], axis=1)
             return inb
 
         root_in = visit(self.root_name)
-        thetaddot = np.asarray(nudot, dtype=float)[self.k :]
+        thetaddot = nudot[:, self.k :]
         if self.free:
-            for row, dof in enumerate(self.mask):
-                res[row] = root_in[dof]
+            res[:, : self.k] = root_in[:, self._dofs]
         for c in self.joints:
             i = self.joint_index[c.name]
             parent = states[c.parent_port[0]]
-            r_b = c.axis_in_parent
-            s = joint_s[c.name]
-            lhs = c.shaft_inertia * (thetaddot[i] + r_b @ parent.wd)
-            res[self.k + i] = (
-                lhs
-                + c.friction * thetadot[i]
-                + c.r6 @ s
-                - (
-                    u[self.input_cols[("torque", c.name)]]
-                    if ("torque", c.name) in self.input_cols
-                    else 0.0
-                )
+            lhs = c.shaft_inertia * (thetaddot[:, i] + parent.wd @ c.axis_in_parent)
+            res[:, self.k + i] = (
+                lhs + c.friction * thetadot[:, i] + joint_s[c.name] @ c.axis
             )
-        return res
+            col = self.input_cols.get(("torque", c.name))
+            if col is not None:
+                res[:, self.k + i] -= u[:, col]
+        return res[0] if single else res
 
     def accel(self, x, u) -> np.ndarray:
-        """Solve the coupled equations for nudot at a given state/input."""
-        r0 = self.residual(x, u, np.zeros(self.nq))
-        m = np.zeros((self.nq, self.nq))
-        for i in range(self.nq):
-            e = np.zeros(self.nq)
-            e[i] = 1.0
-            m[:, i] = self.residual(x, u, e) - r0
-        if np.linalg.cond(m) > 1e13:
+        """Solve the coupled equations for nudot at each state/input row.
+
+        The mass matrix comes from unit accelerations (Walker & Orin's
+        method 1): one residual call on the K*(nq+1) rows r0, r(e_1), ...
+        """
+        single = np.ndim(x) == 1
+        x = _rows(x, 2 * self.nq)
+        kk = len(x)
+        u = np.broadcast_to(_rows(u, self.nu_in), (kk, self.nu_in))
+        nq = self.nq
+        unit = np.vstack([np.zeros(nq), np.eye(nq)])
+        r = self.residual(
+            np.repeat(x, nq + 1, axis=0),
+            np.repeat(u, nq + 1, axis=0),
+            np.tile(unit, (kk, 1)),
+        ).reshape(kk, nq + 1, nq)
+        r0 = r[:, 0]
+        m = np.swapaxes(r[:, 1:] - r0[:, None], 1, 2)
+        if np.any(np.linalg.cond(m) > 1e13):
             raise TrimError("singular mass matrix in the nonlinear evaluator")
-        return np.linalg.solve(m, -r0)
+        nudot = np.linalg.solve(m, -r0[..., None])[..., 0]
+        return nudot[0] if single else nudot
 
     def f(self, x, u) -> np.ndarray:
-        """Full state derivative [nudot; chidot]."""
-        x = np.asarray(x, dtype=float).reshape(2 * self.nq)
+        """Full state derivative [nudot; chidot] of each state/input row."""
+        single = np.ndim(x) == 1
+        x = _rows(x, 2 * self.nq)
         nudot = self.accel(x, u)
-        v6, p6, theta, thetadot = self._unpack(x)
-        chidot = np.zeros(self.nq)
+        _, p6, _, thetadot = self._unpack(x)
+        chidot = np.zeros_like(nudot)
         if self.free:
-            euler = self.root_euler + p6[3:]
+            euler = self.root_euler + p6[:, 3:]
             gamma = sp.euler_rate_map(sp.EulerState(euler))
-            full = np.block(
-                [
-                    [np.eye(3), np.zeros((3, 3))],
-                    [np.zeros((3, 3)), np.linalg.inv(gamma)],
-                ]
-            )
-            g = full[np.ix_(list(self.mask), list(self.mask))]
-            chidot[: self.k] = g @ x[: self.k]
-        chidot[self.k :] = thetadot
-        return np.concatenate([nudot, chidot])
+            full = np.zeros((len(x), 6, 6))
+            full[:, :3, :3] = np.eye(3)
+            full[:, 3:, 3:] = np.linalg.inv(gamma)
+            g = full[:, self._dofs][:, :, self._dofs]
+            chidot[:, : self.k] = _mv(g, x[:, : self.k])
+        chidot[:, self.k :] = thetadot
+        out = np.concatenate([nudot, chidot], axis=1)
+        return out[0] if single else out
 
     # -- trim ---------------------------------------------------------------
     def trim_inputs(self) -> np.ndarray:
@@ -358,28 +383,27 @@ class NonlinearEvaluator:
                 u[col] = r0[self.k + i]
         return u
 
-    def energy(self, x) -> float:
-        """Total mechanical energy (kinetic + static potential)."""
+    def energy(self, x):
+        """Total mechanical energy (kinetic + static potential) of each row."""
         states = self._sweep(x, np.zeros(self.nq))
         a_r = np.asarray(self.model.acceleration, dtype=float)
         e = 0.0
         for name, st in states.items():
             if st.body is None:
                 continue
-            body = st.body
-            cog = body.cog_offset_value({})
-            v_cog = st.v + np.cross(st.w, cog)
-            m = body.mass_value({})
-            j = body.inertia_value({})
-            e += 0.5 * (m * v_cog @ v_cog + st.w @ j @ st.w)
-            pos_cog = st.pos + st.dcm @ cog
-            e += m * a_r @ pos_cog
+            m, j, cog, _ = self._body_data[name]
+            v_cog = st.v + _cross(st.w, cog)
+            e = e + 0.5 * (
+                m * np.sum(v_cog * v_cog, axis=1) + np.sum(st.w * (st.w @ j.T), axis=1)
+            )
+            pos_cog = st.pos + _mv(st.dcm, cog)
+            e = e + m * (pos_cog @ a_r)
         for fb, fp, fvec in self.forces:
             st = states[fb]
-            p = st.pos + st.dcm @ st.body.port_position_value(fp, {})
-            e -= fvec @ p
+            p = st.pos + _mv(st.dcm, st.body.port_position_value(fp, {}))
+            e = e - p @ fvec
         # joint shaft kinetic energy (J^J ~ 1e-10) is negligible by design
-        return float(e)
+        return float(e[0]) if np.ndim(x) == 1 else e
 
 
 def nonlinear_accel(ev: NonlinearEvaluator, x, u) -> np.ndarray:
@@ -387,26 +411,27 @@ def nonlinear_accel(ev: NonlinearEvaluator, x, u) -> np.ndarray:
 
 
 def fd_linearize(ev: NonlinearEvaluator, cfg: FdConfig | None = None):
-    """Central-difference (A, B) at the equilibrium, LFT state convention."""
+    """Central-difference (A, B) at the equilibrium, LFT state convention.
+
+    Every evaluation is one row of a single stack: the base point, then
+    x0 +/- h e_i for each state, then u0 +/- h e_i for each input.
+    """
     cfg = cfg or FdConfig()
-    n2 = 2 * ev.nq
+    n2, nu = 2 * ev.nq, ev.nu_in
     x0 = np.zeros(n2)
     u0 = ev.trim_inputs()
-    r = ev.f(x0, u0)
+    hx = cfg.scale * np.maximum(1.0, np.abs(x0))
+    hu = cfg.scale * np.maximum(1.0, np.abs(u0))
+    dx, du = np.diag(hx), np.diag(hu)
+    xs = np.vstack([x0, x0 + dx, x0 - dx, np.tile(x0, (2 * nu, 1))])
+    us = np.vstack([np.tile(u0, (1 + 2 * n2, 1)), u0 + du, u0 - du])
+    fs = ev.f(xs, us)
+    r = fs[0]
     if np.max(np.abs(r)) > cfg.trim_tol:
         raise TrimError(
             f"trim residual {np.max(np.abs(r)):.3e} exceeds {cfg.trim_tol:.1e}"
         )
-    a = np.zeros((n2, n2))
-    for i in range(n2):
-        h = cfg.scale * max(1.0, abs(x0[i]))
-        dx = np.zeros(n2)
-        dx[i] = h
-        a[:, i] = (ev.f(x0 + dx, u0) - ev.f(x0 - dx, u0)) / (2.0 * h)
-    b = np.zeros((n2, ev.nu_in))
-    for i in range(ev.nu_in):
-        h = cfg.scale * max(1.0, abs(u0[i]))
-        du = np.zeros(ev.nu_in)
-        du[i] = h
-        b[:, i] = (ev.f(x0, u0 + du) - ev.f(x0, u0 - du)) / (2.0 * h)
+    fx, fu = fs[1 : 1 + 2 * n2], fs[1 + 2 * n2 :]
+    a = ((fx[:n2] - fx[n2:]) / (2.0 * hx)[:, None]).T
+    b = ((fu[:nu] - fu[nu:]) / (2.0 * hu)[:, None]).T
     return a, b

@@ -59,47 +59,63 @@ def tau_matrix(offset_pc) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dcm:
-    """Direction cosine matrix: [v]_to = matrix @ [v]_from."""
+    """Direction cosine matrix: [v]_to = matrix @ [v]_from.
+
+    ``matrix`` may be a (..., 3, 3) stack; every matrix in it is checked.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (3, 3):
+        if m.shape[-2:] != (3, 3):
             raise ValueError("DCM must be 3x3")
-        if np.max(np.abs(m.T @ m - np.eye(3))) > 1e-10:
+        if np.max(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3))) > 1e-10:
             raise ValueError("DCM is not orthonormal")
-        if np.linalg.det(m) < 0:
+        if np.any(np.linalg.det(m) < 0):
             raise ValueError("DCM must be proper (det = +1)")
         object.__setattr__(self, "matrix", m)
 
 
 @dataclass(frozen=True)
 class EulerState:
-    """Intrinsic x-y-z Euler angles (rad)."""
+    """Intrinsic x-y-z Euler angles (rad), a 3-vector or a (..., 3) stack."""
 
     angles: np.ndarray
     sequence: str = "xyz"
 
     def __post_init__(self):
-        object.__setattr__(self, "angles", _vec3(self.angles))
+        a = np.asarray(self.angles, dtype=float)
+        if a.ndim > 1 and a.shape[-1] != 3:
+            raise ValueError(f"expected a stack of 3-vectors, got shape {a.shape}")
+        object.__setattr__(self, "angles", a if a.ndim > 1 else _vec3(a))
         if self.sequence != "xyz":
             raise ValueError("only the intrinsic x-y-z sequence is supported")
 
 
-def rot_x(t: float) -> np.ndarray:
+def _elementary_rotation(t, axis: int) -> np.ndarray:
+    """Rotation by t (scalar or array) about coordinate axis 0, 1 or 2."""
     c, s = np.cos(t), np.sin(t)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    i, j = ((1, 2), (2, 0), (0, 1))[axis]
+    m = np.zeros(np.shape(t) + (3, 3))
+    m[..., axis, axis] = 1.0
+    m[..., i, i] = c
+    m[..., j, j] = c
+    m[..., i, j] = -s
+    m[..., j, i] = s
+    return m
 
 
-def rot_y(t: float) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+def rot_x(t) -> np.ndarray:
+    return _elementary_rotation(t, 0)
 
 
-def rot_z(t: float) -> np.ndarray:
-    c, s = np.cos(t), np.sin(t)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+def rot_y(t) -> np.ndarray:
+    return _elementary_rotation(t, 1)
+
+
+def rot_z(t) -> np.ndarray:
+    return _elementary_rotation(t, 2)
 
 
 def rotation_about_axis(axis, theta: float) -> np.ndarray:
@@ -112,8 +128,8 @@ def rotation_about_axis(axis, theta: float) -> np.ndarray:
 
 
 def dcm_from_euler(e: EulerState) -> Dcm:
-    t1, t2, t3 = e.angles
-    return Dcm(rot_x(t1) @ rot_y(t2) @ rot_z(t3))
+    t = e.angles
+    return Dcm(rot_x(t[..., 0]) @ rot_y(t[..., 1]) @ rot_z(t[..., 2]))
 
 
 def euler_from_dcm(d: Dcm | np.ndarray) -> EulerState:
@@ -130,15 +146,24 @@ def euler_from_dcm(d: Dcm | np.ndarray) -> EulerState:
 
 
 def euler_rate_map(e: EulerState) -> np.ndarray:
-    """Gamma(theta): body angular velocity = Gamma @ d(theta)/dt."""
-    _, t2, t3 = e.angles
-    if abs(np.cos(t2)) < GIMBAL_TOL:
-        raise GimbalLockError()
+    """Gamma(theta): body angular velocity = Gamma @ d(theta)/dt.
+
+    A stack of Euler states gives a (..., 3, 3) stack; any one at gimbal
+    lock raises.
+    """
+    t2, t3 = e.angles[..., 1], e.angles[..., 2]
     c2, s2 = np.cos(t2), np.sin(t2)
+    if np.any(np.abs(c2) < GIMBAL_TOL):
+        raise GimbalLockError()
     c3, s3 = np.cos(t3), np.sin(t3)
-    return np.array(
-        [[c2 * c3, s3, 0.0], [-c2 * s3, c3, 0.0], [s2, 0.0, 1.0]]
-    )
+    g = np.zeros(np.shape(t2) + (3, 3))
+    g[..., 0, 0] = c2 * c3
+    g[..., 0, 1] = s3
+    g[..., 1, 0] = -c2 * s3
+    g[..., 1, 1] = c3
+    g[..., 2, 0] = s2
+    g[..., 2, 2] = 1.0
+    return g
 
 
 def p2(d: Dcm | np.ndarray) -> np.ndarray:

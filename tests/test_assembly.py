@@ -292,6 +292,23 @@ def test_cli_exports_independent_of_blas_threads(tmp_path):
     assert one == two
 
 
+_VALIDATE = """
+import sys
+from mblft import cli
+sys.exit(cli.main(["validate", sys.argv[1], "--points", "3", "--seed", "1"]))
+"""
+
+
+@pytest.mark.parametrize("name", ["two_link_arm.yaml", "balloon_planar.yaml"])
+def test_validate_independent_of_blas_threads(name):
+    """``validate`` stdout, oracle digits included, is byte-identical at 1
+    and 2 BLAS threads."""
+    one = _run_at_threads("1", _VALIDATE, str(MODELS / name))
+    two = _run_at_threads("2", _VALIDATE, str(MODELS / name))
+    assert "PASS" in one
+    assert one == two
+
+
 # ---------------------------------------------------------------------------
 # reduction flag
 # ---------------------------------------------------------------------------
@@ -373,6 +390,46 @@ def test_disconnected_body_rejected():
             bodies=m.bodies + (orphan,),
             connections=m.connections,
             acceleration=m.acceleration,
+        )
+
+
+def test_duplicate_connection_names_rejected():
+    m = _pendulum()
+    bob2 = RigidBody(
+        name="bob2",
+        mass=1.0,
+        inertia_cog=np.zeros((3, 3)),
+        cog_offset=(0, 0, -1.0),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+    again = RevoluteJoint(
+        name="pivot",
+        parent_port=("bob", "ref"),
+        child_port=("bob2", "ref"),
+        axis=(1.0, 0.0, 0.0),
+    )
+    with pytest.raises(AssemblyError, match="duplicate connection name.*'pivot'"):
+        MultibodyModel(
+            name="bad",
+            bodies=m.bodies + (bob2,),
+            connections=m.connections + (again,),
+            acceleration=m.acceleration,
+        )
+
+
+@pytest.mark.parametrize(
+    "body, port, match",
+    [("bobb", "ref", "unknown body 'bobb'"), ("bob", "tip", "unknown port 'tip'")],
+)
+def test_force_on_unknown_body_or_port_rejected(body, port, match):
+    m = _pendulum()
+    with pytest.raises(AssemblyError, match=match):
+        MultibodyModel(
+            name="bad",
+            bodies=m.bodies,
+            connections=m.connections,
+            acceleration=m.acceleration,
+            external_forces=(ExternalForce(body, port, (0.0, 1.0, 0.0)),),
         )
 
 

@@ -192,12 +192,12 @@ def test_motion_transform_velocity_rows_match_fd_of_pose():
     ev = NonlinearEvaluator(_two_joint_chain(), {})
     theta = np.array([0.2, -0.4])
     thetadot = np.array([0.7, -1.3])
-    omega = ev._sweep(np.concatenate([thetadot, theta]), np.zeros(2))["b2"].w
+    omega = ev._sweep(np.concatenate([thetadot, theta]), np.zeros(2))["b2"].w[0]
     h = 1e-6
 
     def dcm(t):
         x = np.concatenate([np.zeros(2), theta + t * thetadot])
-        return ev._sweep(x, np.zeros(2))["b2"].dcm
+        return ev._sweep(x, np.zeros(2))["b2"].dcm[0]
 
     w_x = dcm(0.0).T @ (dcm(h) - dcm(-h)) / (2 * h)
     np.testing.assert_allclose(

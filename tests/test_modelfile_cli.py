@@ -451,6 +451,46 @@ def test_cli_schema_error_exit_code(tmp_path, capsys):
     assert "masss" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["linearize", "validate"])
+def test_force_on_unknown_body_rejected_by_every_command(tmp_path, capsys, command):
+    text = (MODELS / "pendulum.yaml").read_text().replace(
+        "  acceleration: {value: [0.0, 0.0, 9.81], unit: m/s^2}\n",
+        "  acceleration: {value: [0.0, 0.0, 9.81], unit: m/s^2}\n"
+        "  forces:\n"
+        "    - {body: bobb, port: ref, value: [0.0, 1.0, 0.0], unit: N}\n",
+    )
+    assert "bobb" in text
+    bad = _write(tmp_path, text)
+    argv = [command, str(bad)] + (["-o", str(tmp_path / "out.json")]
+                                  if command == "linearize" else [])
+    assert cli.main(argv) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "boundary.forces[0] (line" in err and "unknown body 'bobb'" in err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_force_on_unknown_port_rejected(tmp_path):
+    text = (MODELS / "pendulum.yaml").read_text().replace(
+        "  acceleration: {value: [0.0, 0.0, 9.81], unit: m/s^2}\n",
+        "  acceleration: {value: [0.0, 0.0, 9.81], unit: m/s^2}\n"
+        "  forces:\n"
+        "    - {body: bob, port: tip, value: [0.0, 1.0, 0.0], unit: N}\n",
+    )
+    with pytest.raises(ModelFileError, match=r"forces\[0\] \(line \d+\): body 'bob' has no port 'tip'"):
+        load_model(_write(tmp_path, text))
+
+
+def test_duplicate_connection_name_rejected(tmp_path, capsys):
+    text = (MODELS / "two_link_arm.yaml").read_text()
+    assert text.count("name: elbow") == 1
+    bad = _write(tmp_path, text.replace("name: elbow", "name: shoulder"))
+    rc = cli.main(["linearize", str(bad), "-o", str(tmp_path / "out.json")])
+    assert rc == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "connections.shoulder (line" in err
+    assert "duplicate connection name 'shoulder'" in err
+
+
 def test_cli_missing_file_exit_code(capsys):
     assert cli.main(["equilibrium", "no_such_file.yaml"]) == cli.EXIT_SCHEMA
 

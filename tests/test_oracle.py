@@ -1,15 +1,17 @@
 """Independent nonlinear evaluator and finite-difference linearization."""
 import math
 import pathlib
+import time
 
 import numpy as np
 import pytest
 
-from mblft.assembly import MultibodyModel, TrimError
+from mblft.assembly import ExternalForce, MultibodyModel, RootSpec, TrimError
 from mblft.bodies import DynamicsRole, RigidBody
-from mblft.joints import RevoluteJoint
+from mblft.joints import RevoluteJoint, RigidConnection
 from mblft.modelfile import load_model
 from mblft.oracle import FdConfig, NonlinearEvaluator, fd_linearize, nonlinear_accel
+from mblft.spatial import GimbalLockError, rot_z
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 G = 9.81
@@ -179,3 +181,232 @@ def test_fd_matches_lft_on_random_arm_point():
     a, b, _, _ = sample_model(lm, pt)
     assert np.linalg.norm(a - a_fd) / np.linalg.norm(a_fd) <= 1e-6
     assert np.linalg.norm(b - b_fd) / np.linalg.norm(b_fd) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+# ---------------------------------------------------------------------------
+
+
+def _wrench_model():
+    """A free root (all six DOF, balanced by a lift force) carrying a hinged
+    arm with an oblique axis, and a tool fixed to the arm's tip through a
+    rotated rigid connection; inputs are the joint torque and a wrench at the
+    tool's grip.  Every CoG lies on the vertical through the lift port, so
+    the model is trimmed."""
+    hull = RigidBody(
+        name="hull",
+        mass=4.0,
+        inertia_cog=np.diag([0.5, 0.6, 0.4]),
+        cog_offset=(0.0, 0.0, 0.0),
+        ports=(("lift", (0.0, 0.0, 0.5)), ("hinge", (0.0, 0.0, -1.0))),
+    )
+    arm = RigidBody(
+        name="arm",
+        mass=1.5,
+        inertia_cog=np.diag([0.2, 0.3, 0.1]),
+        cog_offset=(0.0, 0.0, -0.5),
+        ports=(("tip", (0.0, 0.0, -1.0)),),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+    tool = RigidBody(
+        name="tool",
+        mass=0.7,
+        inertia_cog=np.diag([0.05, 0.04, 0.03]),
+        cog_offset=(0.0, 0.0, -0.2),
+        ports=(("grip", (0.1, 0.0, -0.3)),),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+    return MultibodyModel(
+        name="wrench",
+        bodies=(hull, arm, tool),
+        connections=(
+            RevoluteJoint(
+                name="hinge",
+                parent_port=("hull", "hinge"),
+                child_port=("arm", "ref"),
+                axis=(0.6, 0.8, 0.0),
+                friction=0.3,
+            ),
+            RigidConnection(
+                name="mount",
+                parent_port=("arm", "tip"),
+                child_port=("tool", "ref"),
+                fixed_dcm=rot_z(0.7),
+            ),
+        ),
+        acceleration=(0.0, 0.0, G),
+        root=RootSpec("free"),
+        external_forces=(ExternalForce("hull", "lift", balance_weight=True),),
+        root_damping=np.diag([0.0, 0.0, 0.0, 2.0, 0.0, 0.0]),
+        inputs=(("torque", "hinge"), ("wrench", "tool", "grip")),
+    )
+
+
+def _evaluator(name):
+    if name == "wrench":
+        return NonlinearEvaluator(_wrench_model(), {})
+    return NonlinearEvaluator(load_model(MODELS / name), {})
+
+
+STACK_MODELS = ["pendulum.yaml", "two_link_arm.yaml", "balloon_planar.yaml", "wrench"]
+
+
+def _random_stack(ev, k, seed):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.uniform(-0.5, 0.5, (k, 2 * ev.nq)),
+        rng.standard_normal((k, ev.nu_in)),
+        rng.standard_normal((k, ev.nq)),
+    )
+
+
+def _close(got, want, rtol=1e-14):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", STACK_MODELS)
+def test_stack_equals_rows_alone(name):
+    ev = _evaluator(name)
+    x, u, nudot = _random_stack(ev, 6, seed=7)
+    _close(ev.residual(x, u, nudot),
+           np.array([ev.residual(*row) for row in zip(x, u, nudot)]))
+    _close(ev.f(x, u), np.array([ev.f(*row) for row in zip(x, u)]))
+    _close(ev.energy(x), np.array([ev.energy(row) for row in x]))
+
+
+@pytest.mark.parametrize("name", STACK_MODELS)
+def test_permuting_the_stack_permutes_the_outputs(name):
+    ev = _evaluator(name)
+    x, u, nudot = _random_stack(ev, 6, seed=8)
+    perm = np.random.default_rng(9).permutation(6)
+    _close(ev.residual(x[perm], u[perm], nudot[perm]), ev.residual(x, u, nudot)[perm])
+    _close(ev.f(x[perm], u[perm]), ev.f(x, u)[perm])
+
+
+@pytest.mark.parametrize("name", STACK_MODELS)
+def test_one_row_in_gives_one_row_out(name):
+    ev = _evaluator(name)
+    x, u, nudot = (a[0] for a in _random_stack(ev, 1, seed=10))
+    assert ev.residual(x, u, nudot).shape == (ev.nq,)
+    assert ev.accel(x, u).shape == (ev.nq,)
+    assert ev.f(x, u).shape == (2 * ev.nq,)
+    assert isinstance(ev.energy(x), float)
+    _close(ev.f(x, u), ev.f(x[None], u[None])[0])
+
+
+@pytest.mark.parametrize("name", STACK_MODELS)
+def test_fd_linearize_matches_columnwise_central_differences(name):
+    ev = _evaluator(name)
+    cfg = FdConfig()
+    x0, u0 = np.zeros(2 * ev.nq), ev.trim_inputs()
+
+    def column(f, z0, i):
+        h = cfg.scale * max(1.0, abs(z0[i]))
+        dz = np.zeros(len(z0))
+        dz[i] = h
+        return (f(z0 + dz) - f(z0 - dz)) / (2.0 * h)
+
+    a_ref = np.column_stack(
+        [column(lambda x: ev.f(x, u0), x0, i) for i in range(len(x0))]
+    )
+    b_ref = np.column_stack(
+        [column(lambda u: ev.f(x0, u), u0, i) for i in range(len(u0))]
+    )
+    a, b = fd_linearize(ev, cfg)
+    assert np.linalg.norm(a - a_ref) <= 1e-8 * np.linalg.norm(a_ref)
+    assert np.linalg.norm(b - b_ref) <= 1e-8 * np.linalg.norm(b_ref)
+
+
+def _point_mass_arm():
+    """Two hinges about x carrying one point mass: the mass matrix is singular
+    when the arm is stretched (theta2 = 0) and regular when it is bent."""
+    link1 = RigidBody(
+        name="link1",
+        mass=0.0,
+        inertia_cog=np.zeros((3, 3)),
+        cog_offset=(0.0, 0.0, 0.0),
+        ports=(("tip", (0.0, 1.0, 0.0)),),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+    link2 = RigidBody(
+        name="link2",
+        mass=1.0,
+        inertia_cog=np.zeros((3, 3)),
+        cog_offset=(0.0, 1.0, 0.0),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+    joints = tuple(
+        RevoluteJoint(
+            name=name, parent_port=parent, child_port=(child, "ref"),
+            axis=(1.0, 0.0, 0.0), shaft_inertia=1e-15,
+        )
+        for name, parent, child in (
+            ("j1", ("ground", "ref"), "link1"), ("j2", ("link1", "tip"), "link2")
+        )
+    )
+    return MultibodyModel(
+        name="point_mass_arm", bodies=(link1, link2), connections=joints,
+        acceleration=(0.0, 0.0, G),
+    )
+
+
+def test_one_singular_row_fails_the_stack():
+    ev = NonlinearEvaluator(_point_mass_arm(), {})
+    # rows [thetadot1, thetadot2, theta1, theta2]
+    bent = np.array([[0.1, 0.0, 0.2, 0.5], [0.0, 0.3, -0.4, -1.0], [0.0, 0.0, 1.0, 2.0]])
+    u = np.zeros((3, 2))
+    assert np.all(np.isfinite(ev.accel(bent, u)))
+    stretched = np.array([0.0, 0.0, 0.3, 0.0])
+    with pytest.raises(TrimError):
+        ev.accel(np.insert(bent, 1, stretched, axis=0), np.zeros((4, 2)))
+    with pytest.raises(TrimError):
+        ev.f(np.insert(bent, 3, stretched, axis=0), np.zeros((4, 2)))
+
+
+def test_one_row_at_gimbal_lock_fails_the_stack():
+    ev = _evaluator("wrench")
+    x, u, _ = _random_stack(ev, 4, seed=11)
+    ev.f(x, u)
+    # chi = [position (3), Euler angles (3), joint angle]; the pitch is chi[4]
+    x[2, ev.nq + 4] = np.pi / 2
+    with pytest.raises(GimbalLockError):
+        ev.f(x, u)
+
+
+# ---------------------------------------------------------------------------
+# whole-box accuracy
+# ---------------------------------------------------------------------------
+
+
+def test_balloon_lft_matches_oracle_over_its_box():
+    """The balloon's assembled A and B equal the oracle's finite-difference
+    linearization to 1e-6 at the nominal point, 8 interior points and 8
+    vertices of its 7-parameter box, within 2 s."""
+    from mblft.assembly import assemble, sample_model
+
+    t0 = time.perf_counter()
+    model = load_model(MODELS / "balloon_planar.yaml")
+    lm = assemble(model)
+    rng = np.random.default_rng(2026)
+    box = lm.parameters
+    corners = rng.choice(2 ** len(box), size=8, replace=False)
+    points = [{}]
+    points += [{n: float(rng.uniform(p.lower, p.upper)) for n, p in box.items()}
+               for _ in range(8)]
+    points += [
+        {n: float(p.upper if (c >> i) & 1 else p.lower)
+         for i, (n, p) in enumerate(box.items())}
+        for c in corners
+    ]
+    worst = 0.0
+    for pt in points:
+        a, b, _, _ = sample_model(lm, pt)
+        a_fd, b_fd = fd_linearize(NonlinearEvaluator(model, pt), FdConfig())
+        worst = max(worst, np.linalg.norm(a - a_fd) / np.linalg.norm(a_fd),
+                    np.linalg.norm(b - b_fd) / np.linalg.norm(b_fd))
+    elapsed = time.perf_counter() - t0
+    assert len(box) == 7 and len(points) == 17
+    assert worst <= 1e-6
+    assert elapsed <= 2.0, f"{elapsed:.2f} s"
