@@ -29,6 +29,8 @@ __all__ = [
     "RigidBody",
     "DirectDynamics",
     "BodyError",
+    "check_mass_properties",
+    "check_port_position",
     "direct_dynamics_cog",
     "direct_dynamics_at_port",
 ]
@@ -74,6 +76,55 @@ def _as_scalar_matrix(entries, shape) -> np.ndarray:
     return arr
 
 
+def check_mass_properties(body, point, mass: float, inertia=None) -> None:
+    """Raise BodyError unless a body's numeric mass properties at ``point``
+    obey the rules: mass > 0, or >= 0 in the inverse role; and, when
+    ``inertia`` is given, a symmetric positive semidefinite inertia that is
+    not zero on a forward body with all six DOF (a point mass)."""
+    # Inverse-dynamics bodies never require an invertible mass matrix, so a
+    # vanishing mass at a box corner (e.g. a releasable ballast) is
+    # acceptable there; forward bodies must stay strictly positive.
+    if body.dynamics_role is DynamicsRole.INVERSE:
+        mass_ok, rule = mass >= 0.0, "non-negative"
+    else:
+        mass_ok, rule = mass > 0.0, "positive"
+    if not mass_ok:
+        raise BodyError(
+            f"body {body.name!r}: mass must be {rule} (got {mass} at {point})"
+        )
+    if inertia is None:
+        return
+    if np.max(np.abs(inertia - inertia.T)) > 1e-12:
+        raise BodyError(
+            f"body {body.name!r}: inertia must be symmetric (at {point})"
+        )
+    eigs = np.linalg.eigvalsh(0.5 * (inertia + inertia.T))
+    if np.min(eigs) < -1e-12:
+        raise BodyError(
+            f"body {body.name!r}: inertia must be positive semidefinite "
+            f"(at {point})"
+        )
+    if (
+        body.dynamics_role is DynamicsRole.FORWARD
+        and np.max(np.abs(inertia)) == 0.0
+        and body.dof_mask == ALL_DOF
+    ):
+        raise BodyError(
+            f"body {body.name!r}: a point mass (zero inertia) can only "
+            "be used in the inverse dynamics role or with rotational "
+            f"DOF masked out (at {point})"
+        )
+
+
+def check_port_position(body, port: str, position, point) -> None:
+    """Raise BodyError unless a port position at ``point`` is finite."""
+    if not np.all(np.isfinite(position)):
+        raise BodyError(
+            f"body {body.name!r}: port {port!r} position must be a "
+            f"finite 3-vector (at {point})"
+        )
+
+
 @dataclass(frozen=True)
 class RigidBody:
     """Rigid body with possibly Param-valued mass properties.
@@ -105,14 +156,10 @@ class RigidBody:
         if len(set(names)) != len(names):
             raise BodyError(f"body {self.name!r}: duplicate port names")
         for n, p in ports:
-            for v in p:
-                e = lft.as_expr(v)
-                val = e.value({q.name: q.nominal for q in e.params()})
-                if not np.isfinite(val):
-                    raise BodyError(
-                        f"body {self.name!r}: port {n!r} position must be a "
-                        "finite 3-vector"
-                    )
+            nominal = {q.name: q.nominal for v in p for q in lft.as_expr(v).params()}
+            check_port_position(
+                self, n, [lft.as_expr(v).value(nominal) for v in p], nominal
+            )
         object.__setattr__(self, "ports", ports)
         mask = tuple(sorted(set(int(i) for i in self.dof_mask)))
         if not mask or any(i < 0 or i > 5 for i in mask):
@@ -126,40 +173,15 @@ class RigidBody:
 
     # -- validation --------------------------------------------------------
     def _check_mass_properties(self):
+        """The mass rule over the nominal point and every box corner of the
+        mass and inertia parameters; the inertia rules at the nominal point."""
         exprs = [self.mass] + [self.inertia_cog[i, j] for i in range(3) for j in range(3)]
-        # Inverse-dynamics bodies never require an invertible mass matrix, so
-        # a vanishing mass at a box corner (e.g. a releasable ballast) is
-        # acceptable there; forward bodies must stay strictly positive.
-        mass_ok = (
-            (lambda m: m >= 0.0)
-            if self.dynamics_role is DynamicsRole.INVERSE
-            else (lambda m: m > 0.0)
+        grid = _scalar_grid(exprs)
+        check_mass_properties(
+            self, grid[0], self.mass_value(grid[0]), self.inertia_value(grid[0])
         )
-        for pt in _scalar_grid(exprs):
-            m = lft.as_expr(self.mass).value(pt)
-            if not mass_ok(m):
-                raise BodyError(
-                    f"body {self.name!r}: mass must be positive over the "
-                    f"parameter box (got {m} at {pt})"
-                )
-        j = self.inertia_nominal
-        if np.max(np.abs(j - j.T)) > 1e-12:
-            raise BodyError(f"body {self.name!r}: inertia must be symmetric")
-        eigs = np.linalg.eigvalsh(0.5 * (j + j.T))
-        if np.min(eigs) < -1e-12:
-            raise BodyError(
-                f"body {self.name!r}: inertia must be positive semidefinite"
-            )
-        if (
-            self.dynamics_role is DynamicsRole.FORWARD
-            and np.max(np.abs(j)) == 0.0
-            and self.dof_mask == ALL_DOF
-        ):
-            raise BodyError(
-                f"body {self.name!r}: a point mass (zero inertia) can only "
-                "be used in the inverse dynamics role or with rotational "
-                "DOF masked out"
-            )
+        for pt in grid[1:]:
+            check_mass_properties(self, pt, self.mass_value(pt))
 
     # -- accessors ---------------------------------------------------------
     @property
@@ -249,11 +271,16 @@ def direct_dynamics_at_port(body: RigidBody, port: str = "ref") -> DirectDynamic
 
 
 def _d_at_port_numeric(body: RigidBody, port: str, point) -> np.ndarray:
-    """Numeric D at a port and parameter point (used by the oracle)."""
+    """Numeric D at a port and parameter point."""
     o = body.port_position_value(port, point) - body.cog_offset_value(point)
-    tau = sp.tau_matrix(o)
-    m = body.mass_value(point)
+    return _d_numeric(o, body.mass_value(point), body.inertia_value(point))
+
+
+def _d_numeric(offset, mass: float, inertia) -> np.ndarray:
+    """Numeric D of a mass and CoG inertia at the port ``offset`` from the
+    CoG."""
+    tau = sp.tau_matrix(offset)
     d_cog = np.zeros((6, 6))
-    d_cog[:3, :3] = m * np.eye(3)
-    d_cog[3:, 3:] = body.inertia_value(point)
+    d_cog[:3, :3] = mass * np.eye(3)
+    d_cog[3:, 3:] = inertia
     return tau.T @ d_cog @ tau

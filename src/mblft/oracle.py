@@ -16,10 +16,17 @@ angles, masked) followed by the joint angles. Inputs are the model's
 declared torque/wrench inputs in absolute terms (at trim, a torque input
 equals the equilibrium torque).
 
+The evaluator reads the model as given: it evaluates every
+parameter-dependent constant (masses, inertias, CoG offsets, port
+positions, force vectors including the balance weight, and joint angles)
+once at the parameter point, and holds them to the numeric body rules
+that ``mblft.bodies`` applies when a body is built.
+
 This module deliberately shares no assembly step and no LFT algebra with
 the assembly path: only the model classes, their numeric accessors and
-input/force layout, the numeric spatial primitives and the numeric direct
-dynamics at a port; the linearization here is purely finite-difference.
+input/force layout, the numeric body rules, the numeric spatial primitives
+and the numeric direct dynamics; the linearization here is purely
+finite-difference.
 """
 
 from __future__ import annotations
@@ -36,9 +43,12 @@ from mblft.assembly import (
     TrimError,
     _input_layout,
     _resolved_forces,
-    freeze_model,
 )
-from mblft.bodies import _d_at_port_numeric
+from mblft.bodies import (
+    _d_numeric,
+    check_mass_properties,
+    check_port_position,
+)
 from mblft.joints import RevoluteJoint
 
 __all__ = ["FdConfig", "NonlinearEvaluator", "nonlinear_accel", "fd_linearize"]
@@ -90,7 +100,6 @@ class FdConfig:
 class _BodyState:
     """Kinematics of one body over a stack of K states."""
 
-    body: object
     dcm: np.ndarray  # (K,3,3) body -> R
     pos: np.ndarray  # (K,3) ref-port position in R
     v: np.ndarray  # (K,3)
@@ -114,73 +123,75 @@ class NonlinearEvaluator:
         if point:
             full.update(point)
         self.point = full
-        self.model = freeze_model(model, full)
-        self.order = self.model._tree_order()
+        self.model = model
+        self.order = model._tree_order()
         self.joints = [c for c in self.order if isinstance(c, RevoluteJoint)]
         self.joint_index = {c.name: i for i, c in enumerate(self.joints)}
-        self.free = self.model.root.kind == "free"
-        self.mask = self.model.root_body.dof_mask if self.free else ()
+        self.free = model.root.kind == "free"
+        self.mask = model.root_body.dof_mask if self.free else ()
         self.k = len(self.mask)
         self._dofs = np.array(self.mask, dtype=np.intp)  # index into a 6-vector
         self.nq = self.k + len(self.joints)
-        self.input_names, self.input_cols = _input_layout(self.model)
+        self.input_names, self.input_cols = _input_layout(model)
         self.nu_in = len(self.input_names)
-        self.forces = [
-            (
-                f.body,
-                f.port,
-                np.array(
-                    [lft.as_expr(v).value({}) for v in np.asarray(f.force, dtype=object).reshape(3)]
-                ),
-            )
-            for f in _resolved_forces(self.model)
-        ]
-        self.root_name = (
-            self.model.root_body.name if self.free else GROUND
+        self.root_name = model.root_body.name if self.free else GROUND
+        self.root_euler = np.asarray(model.root.euler, dtype=float)
+        self.root_pos = np.asarray(model.root.position, dtype=float)
+        # a grounded root's attitude never moves
+        self._ground_dcm = (
+            None if self.free
+            else sp.dcm_from_euler(sp.EulerState(self.root_euler)).matrix
         )
-        self.root_euler = np.asarray(self.model.root.euler, dtype=float)
-        self.root_pos = np.asarray(self.model.root.position, dtype=float)
         self.children: dict[str, list] = {}
         for c in self.order:
             self.children.setdefault(c.parent_port[0], []).append(c)
-        # numeric caches (the model is frozen, so these are constants)
+        # Every parameter-dependent constant, evaluated once at the point and
+        # held to the same numeric body rules a model built at the point obeys.
         self._body_data = {}
-        for b in self.model.bodies:
-            self._body_data[b.name] = (
-                b.mass_value({}),
-                b.inertia_value({}),
-                b.cog_offset_value({}),
-                _d_at_port_numeric(b, "ref", {}),
-            )
+        ports = {}
+        for b in model.bodies:
+            mass, inertia = b.mass_value(full), b.inertia_value(full)
+            check_mass_properties(b, full, mass, inertia)
+            ports[b.name] = {"ref": np.zeros(3)}
+            for n, _ in b.ports:
+                ports[b.name][n] = b.port_position_value(n, full)
+                check_port_position(b, n, ports[b.name][n], full)
+            cog = b.cog_offset_value(full)
+            d = _d_numeric(ports[b.name]["ref"] - cog, mass, inertia)
+            self._body_data[b.name] = (mass, inertia, cog, d)
         self._conn_data = {}
         for c in self.order:
-            pb, pp = c.parent_port
-            q = (
-                np.zeros(3)
-                if pb == GROUND
-                else self.model.body(pb).port_position_value(pp, {})
+            (pb, pp), (cb, cp) = c.parent_port, c.child_port
+            q = np.zeros(3) if pb == GROUND else ports[pb][pp]
+            self._conn_data[c.name] = (q, ports[cb][cp])
+        self._joint_rot = {}
+        for c in self.joints:
+            angle = c.angle_eq
+            if isinstance(angle, lft.HalfTanParam):
+                angle = angle.angle_of(full[angle.param.name])
+            kmat = sp.skew(c.axis)
+            self._joint_rot[c.name] = (float(angle), kmat, kmat @ kmat)
+        # external forces (body, port position, vector in R)
+        self.forces = [
+            (
+                f.body,
+                ports[f.body][f.port],
+                np.array(
+                    [lft.as_expr(v).value(full)
+                     for v in np.asarray(f.force, dtype=object).reshape(3)]
+                ),
             )
-            cpos = self.model.body(c.child_port[0]).port_position_value(
-                c.child_port[1], {}
-            )
-            self._conn_data[c.name] = (q, cpos)
-        self._joint_rot = {
-            c.name: (sp.skew(c.axis), sp.skew(c.axis) @ sp.skew(c.axis))
-            for c in self.joints
-        }
+            for f in _resolved_forces(model)
+        ]
         # per body: external forces (vector in R, port position) and wrench
         # inputs (column, port position)
-        self._body_forces = {b.name: [] for b in self.model.bodies}
-        for fb, fp, fvec in self.forces:
-            self._body_forces[fb].append(
-                (fvec, self.model.body(fb).port_position_value(fp, {}))
-            )
-        self._body_wrenches = {b.name: [] for b in self.model.bodies}
+        self._body_forces = {b.name: [] for b in model.bodies}
+        for fb, p, fvec in self.forces:
+            self._body_forces[fb].append((fvec, p))
+        self._body_wrenches = {b.name: [] for b in model.bodies}
         for key, col in self.input_cols.items():
             if key[0] == "wrench":
-                self._body_wrenches[key[1]].append(
-                    (col, self.model.body(key[1]).port_position_value(key[2], {}))
-                )
+                self._body_wrenches[key[1]].append((col, ports[key[1]][key[2]]))
 
     # -- state unpacking -------------------------------------------------
     def _unpack(self, x):
@@ -209,14 +220,11 @@ class NonlinearEvaluator:
             a_lin = vd6[:, :3] + _cross(w, v)
             wd = vd6[:, 3:]
             pos = self.root_pos + _mv(p0, p6[:, :3])
-            states[self.root_name] = _BodyState(
-                self.model.root_body, p0, pos, v, w, a_lin, wd
-            )
+            states[self.root_name] = _BodyState(p0, pos, v, w, a_lin, wd)
         else:
-            p0 = sp.dcm_from_euler(sp.EulerState(self.root_euler)).matrix
             zero = np.zeros((kk, 3))
             states[GROUND] = _BodyState(
-                None, np.broadcast_to(p0, (kk, 3, 3)),
+                np.broadcast_to(self._ground_dcm, (kk, 3, 3)),
                 np.broadcast_to(self.root_pos, (kk, 3)), zero, zero, zero, zero,
             )
         for c in self.order:
@@ -228,10 +236,10 @@ class NonlinearEvaluator:
             a_q = par.a + _cross(par.wd, q) + _cross(par.w, _cross(par.w, q))
             if isinstance(c, RevoluteJoint):
                 j = self.joint_index[c.name]
-                th = float(c.angle_eq) + theta[:, j, None, None]
+                angle, kmat, k2mat = self._joint_rot[c.name]
+                th = angle + theta[:, j, None, None]
                 thd = thetadot[:, j, None]
                 thdd = thetaddot[:, j, None]
-                kmat, k2mat = self._joint_rot[c.name]
                 p_ab = c.zero_dcm @ (
                     np.eye(3) + np.sin(th) * kmat + (1.0 - np.cos(th)) * k2mat
                 )
@@ -250,9 +258,7 @@ class NonlinearEvaluator:
             a_ref = a_j - _cross(wd_a, cpos) + _cross(w_a, _cross(w_a, -cpos))
             dcm = par.dcm @ p_ab
             pos = par.pos + _mv(par.dcm, q) - _mv(dcm, cpos)
-            states[cb] = _BodyState(
-                self.model.body(cb), dcm, pos, v_ref, w_a, a_ref, wd_a, p_ab
-            )
+            states[cb] = _BodyState(dcm, pos, v_ref, w_a, a_ref, wd_a, p_ab)
         return states
 
     # -- residual ----------------------------------------------------------
@@ -389,7 +395,7 @@ class NonlinearEvaluator:
         a_r = np.asarray(self.model.acceleration, dtype=float)
         e = 0.0
         for name, st in states.items():
-            if st.body is None:
+            if name == GROUND:
                 continue
             m, j, cog, _ = self._body_data[name]
             v_cog = st.v + _cross(st.w, cog)
@@ -398,10 +404,9 @@ class NonlinearEvaluator:
             )
             pos_cog = st.pos + _mv(st.dcm, cog)
             e = e + m * (pos_cog @ a_r)
-        for fb, fp, fvec in self.forces:
+        for fb, p, fvec in self.forces:
             st = states[fb]
-            p = st.pos + _mv(st.dcm, st.body.port_position_value(fp, {}))
-            e = e - p @ fvec
+            e = e - (st.pos + _mv(st.dcm, p)) @ fvec
         # joint shaft kinetic energy (J^J ~ 1e-10) is negligible by design
         return float(e[0]) if np.ndim(x) == 1 else e
 

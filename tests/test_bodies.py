@@ -21,6 +21,7 @@ from mblft.bodies import (
     DynamicsRole,
     RigidBody,
     _d_at_port_numeric,
+    check_mass_properties,
     direct_dynamics_at_port,
     direct_dynamics_cog,
 )
@@ -95,6 +96,29 @@ def test_zero_mass_ok_for_inverse_role_only():
             cog_offset=(0, 0, 0),
             dynamics_role=DynamicsRole.FORWARD,
         )
+
+
+def test_mass_rules_name_the_point():
+    """The rules a body is built under are the ones the oracle applies at a
+    parameter point; each message names the point."""
+    fwd = _body(role=DynamicsRole.FORWARD)
+    pt = {"k": 0.5}
+    check_mass_properties(fwd, pt, 2.0, np.diag([0.4, 0.3, 0.25]))
+    bad = [
+        (-1.0, None, "mass must be positive"),
+        (0.0, None, "mass must be positive"),
+        (2.0, np.array([[1.0, 0.1, 0], [0, 1.0, 0], [0, 0, 1.0]]), "symmetric"),
+        (2.0, np.diag([1.0, -0.1, 1.0]), "positive semidefinite"),
+        (2.0, np.zeros((3, 3)), "point mass"),
+    ]
+    for mass, inertia, rule in bad:
+        with pytest.raises(BodyError, match=rule) as err:
+            check_mass_properties(fwd, pt, mass, inertia)
+        assert "{'k': 0.5}" in str(err.value)
+    inv = _body()
+    check_mass_properties(inv, pt, 0.0, np.zeros((3, 3)))
+    with pytest.raises(BodyError, match="mass must be non-negative"):
+        check_mass_properties(inv, pt, -1e-9)
 
 
 def test_uncertain_mass_must_stay_positive_over_box():

@@ -6,8 +6,15 @@ import time
 import numpy as np
 import pytest
 
-from mblft.assembly import ExternalForce, MultibodyModel, RootSpec, TrimError
-from mblft.bodies import DynamicsRole, RigidBody
+from mblft import lft
+from mblft.assembly import (
+    ExternalForce,
+    MultibodyModel,
+    RootSpec,
+    TrimError,
+    freeze_model,
+)
+from mblft.bodies import BodyError, DynamicsRole, RigidBody
 from mblft.joints import RevoluteJoint, RigidConnection
 from mblft.modelfile import load_model
 from mblft.oracle import FdConfig, NonlinearEvaluator, fd_linearize, nonlinear_accel
@@ -193,13 +200,17 @@ def _wrench_model():
     arm with an oblique axis, and a tool fixed to the arm's tip through a
     rotated rigid connection; inputs are the joint torque and a wrench at the
     tool's grip.  Every CoG lies on the vertical through the lift port, so
-    the model is trimmed."""
+    the model is trimmed.  The hull's mass, the lift port's height and the
+    grip's offset are parameters."""
     hull = RigidBody(
         name="hull",
-        mass=4.0,
+        mass=lft.Param("m_hull", 4.0, 3.5, 4.5, "uncertain"),
         inertia_cog=np.diag([0.5, 0.6, 0.4]),
         cog_offset=(0.0, 0.0, 0.0),
-        ports=(("lift", (0.0, 0.0, 0.5)), ("hinge", (0.0, 0.0, -1.0))),
+        ports=(
+            ("lift", (0.0, 0.0, lft.Param("z_lift", 0.5, 0.3, 0.7, "uncertain"))),
+            ("hinge", (0.0, 0.0, -1.0)),
+        ),
     )
     arm = RigidBody(
         name="arm",
@@ -214,7 +225,7 @@ def _wrench_model():
         mass=0.7,
         inertia_cog=np.diag([0.05, 0.04, 0.03]),
         cog_offset=(0.0, 0.0, -0.2),
-        ports=(("grip", (0.1, 0.0, -0.3)),),
+        ports=(("grip", (lft.Param("x_grip", 0.1, 0.05, 0.15, "uncertain"), 0.0, -0.3)),),
         dynamics_role=DynamicsRole.INVERSE,
     )
     return MultibodyModel(
@@ -243,10 +254,39 @@ def _wrench_model():
     )
 
 
-def _evaluator(name):
+def _pushed_pendulum():
+    """A pendulum whose mass, push-point height and horizontal push are
+    parameters: a force vector and its port both depend on the point."""
+    bob = RigidBody(
+        name="bob",
+        mass=lft.Param("m_bob", 1.0, 0.5, 1.5, "uncertain"),
+        inertia_cog=np.diag([0.02, 0.02, 0.01]),
+        cog_offset=(0.0, 0.0, -1.0),
+        ports=(("push", (0.0, 0.0, lft.Param("z_push", -0.8, -1.0, -0.5, "uncertain"))),),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+    pivot = RevoluteJoint(
+        name="pivot", parent_port=("ground", "ref"), child_port=("bob", "ref"),
+        axis=(1.0, 0.0, 0.0), friction=0.1,
+    )
+    push = lft.Ref(lft.Param("f_push", 2.0, 1.0, 3.0, "uncertain"))
+    return MultibodyModel(
+        name="pushed_pendulum", bodies=(bob,), connections=(pivot,),
+        acceleration=(0.0, 0.0, G),
+        external_forces=(ExternalForce("bob", "push", (0.0, push, 0.0)),),
+    )
+
+
+def _model(name):
     if name == "wrench":
-        return NonlinearEvaluator(_wrench_model(), {})
-    return NonlinearEvaluator(load_model(MODELS / name), {})
+        return _wrench_model()
+    if name == "pushed":
+        return _pushed_pendulum()
+    return load_model(MODELS / name)
+
+
+def _evaluator(name):
+    return NonlinearEvaluator(_model(name), {})
 
 
 STACK_MODELS = ["pendulum.yaml", "two_link_arm.yaml", "balloon_planar.yaml", "wrench"]
@@ -376,6 +416,74 @@ def test_one_row_at_gimbal_lock_fails_the_stack():
 
 
 # ---------------------------------------------------------------------------
+# evaluation at a parameter point
+# ---------------------------------------------------------------------------
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", STACK_MODELS + ["pushed"])
+def test_evaluator_at_a_point_equals_the_frozen_model(name):
+    """Evaluating each constant at the point gives bit for bit what the
+    model frozen at that point gives: joint angles, masses, inertias, CoG
+    offsets, port positions, force vectors and the balance weight."""
+    model = _model(name)
+    box = model.parameters()
+    rng = np.random.default_rng(41)
+    for i in range(3):
+        pt = {n: float(rng.uniform(p.lower, p.upper)) for n, p in box.items()}
+        ev = NonlinearEvaluator(model, pt)
+        ref = NonlinearEvaluator(freeze_model(model, pt), {})
+        x, u, nudot = _random_stack(ev, 5, seed=50 + i)
+        _same_bits(ev.residual(x, u, nudot), ref.residual(x, u, nudot))
+        _same_bits(ev.f(x, u), ref.f(x, u))
+        _same_bits(ev.energy(x), ref.energy(x))
+        for got, want in zip(fd_linearize(ev), fd_linearize(ref)):
+            _same_bits(got, want)
+
+
+@pytest.mark.parametrize(
+    "point", [{"m1": -1.0}, {"m1": math.nan}, {"J1": -5.0}, {"L2": math.inf}]
+)
+def test_evaluator_applies_the_body_rules_at_the_point(point):
+    """A point where a body's mass is negative or NaN, its inertia is not
+    positive semidefinite or a port is not finite is rejected, and the
+    message names the point."""
+    model = load_model(MODELS / "two_link_arm.yaml")
+    with pytest.raises(BodyError) as err:
+        NonlinearEvaluator(model, point)
+    name, value = next(iter(point.items()))
+    assert f"'{name}': {value}" in str(err.value)
+
+
+def test_evaluator_builds_no_frozen_model(monkeypatch):
+    """One construction reads the parameter registry once and never copies
+    the model."""
+    from mblft import assembly, oracle
+
+    model = load_model(MODELS / "two_link_arm.yaml")
+    calls = {"freeze": 0, "parameters": 0}
+    freeze, parameters = assembly.freeze_model, MultibodyModel.parameters
+
+    def counted_freeze(*args):
+        calls["freeze"] += 1
+        return freeze(*args)
+
+    def counted_parameters(self):
+        calls["parameters"] += 1
+        return parameters(self)
+
+    monkeypatch.setattr(assembly, "freeze_model", counted_freeze)
+    monkeypatch.setattr(oracle, "freeze_model", counted_freeze, raising=False)
+    monkeypatch.setattr(MultibodyModel, "parameters", counted_parameters)
+    NonlinearEvaluator(model, {"m1": 3.1, "t_t2": 0.8})
+    assert calls == {"freeze": 0, "parameters": 1}
+
+
+# ---------------------------------------------------------------------------
 # whole-box accuracy
 # ---------------------------------------------------------------------------
 
@@ -390,6 +498,38 @@ def test_balloon_lft_matches_oracle_over_its_box():
     model = load_model(MODELS / "balloon_planar.yaml")
     lm = assemble(model)
     rng = np.random.default_rng(2026)
+    box = lm.parameters
+    corners = rng.choice(2 ** len(box), size=8, replace=False)
+    points = [{}]
+    points += [{n: float(rng.uniform(p.lower, p.upper)) for n, p in box.items()}
+               for _ in range(8)]
+    points += [
+        {n: float(p.upper if (c >> i) & 1 else p.lower)
+         for i, (n, p) in enumerate(box.items())}
+        for c in corners
+    ]
+    worst = 0.0
+    for pt in points:
+        a, b, _, _ = sample_model(lm, pt)
+        a_fd, b_fd = fd_linearize(NonlinearEvaluator(model, pt), FdConfig())
+        worst = max(worst, np.linalg.norm(a - a_fd) / np.linalg.norm(a_fd),
+                    np.linalg.norm(b - b_fd) / np.linalg.norm(b_fd))
+    elapsed = time.perf_counter() - t0
+    assert len(box) == 7 and len(points) == 17
+    assert worst <= 1e-6
+    assert elapsed <= 2.0, f"{elapsed:.2f} s"
+
+
+def test_arm_lft_matches_oracle_over_its_box():
+    """The arm's assembled A and B equal the oracle's finite-difference
+    linearization to 1e-6 at the nominal point, 8 interior points and 8
+    vertices of its 7-parameter box, within 2 s."""
+    from mblft.assembly import assemble, sample_model
+
+    t0 = time.perf_counter()
+    model = load_model(MODELS / "two_link_arm.yaml")
+    lm = assemble(model)
+    rng = np.random.default_rng(2027)
     box = lm.parameters
     corners = rng.choice(2 ** len(box), size=8, replace=False)
     points = [{}]
