@@ -17,9 +17,10 @@ The linearized equations of motion are accumulated as
 
     M d(nu)/dt + C nu + K chi + B_hat u = 0,
 
-with every coefficient a Param-valued LftMatrix, and realized as
+with [M | C | K] one Param-valued LftMatrix and B_hat another, and
+realized as
 
-    A = [[-M^-1 C, -M^-1 K], [G, 0]],   B = [[-M^-1 B_hat], [0]],
+    A = [[-M^-1 [C K]], [G, 0]],   B = [[-M^-1 B_hat], [0]],
 
 where G holds the (constant) equilibrium kinematics diag(I, Gamma^-1).
 """
@@ -613,25 +614,6 @@ class LinearLftModel:
         }
 
 
-@dataclass
-class _Bundle:
-    """Linear coefficients of an interface wrench: W = M nudot + C nu
-    + K chi + B u (all LftMatrix, 6 rows)."""
-
-    m: lft.LftMatrix
-    c: lft.LftMatrix
-    k: lft.LftMatrix
-    b: lft.LftMatrix
-
-    def map(self, op) -> "_Bundle":
-        return _Bundle(op(self.m), op(self.c), op(self.k), op(self.b))
-
-    def __add__(self, other: "_Bundle") -> "_Bundle":
-        return _Bundle(
-            self.m + other.m, self.c + other.c, self.k + other.k, self.b + other.b
-        )
-
-
 def _input_layout(model: MultibodyModel) -> tuple:
     names = []
     cols = {}
@@ -661,54 +643,73 @@ def step3_linearize(
     for c in ctx.order:
         children.setdefault(c.parent_port[0], []).append(c)
 
-    joint_rows: dict[str, _Bundle] = {}
+    # An interface wrench W = M nudot + C nu + K chi + B u is carried as
+    # two LFTs: its 6 x 3nq coefficients over the columns [M | C | K], and
+    # its 6 x nu input block.  Each transport then multiplies every
+    # coefficient once, and each body's or joint's channels enter once.
+    joint_rows: dict[str, tuple] = {}
+    z3 = lft.zeros(3, nq)
+    z6 = lft.zeros(6, nq)
 
-    def visit(name: str) -> _Bundle:
+    def mck(mass=None, damping=None, stiffness=None) -> lft.LftMatrix:
+        """[M | C | K] from the given column blocks, zeros elsewhere."""
+        return lft.hstack(
+            [z6 if x is None else x for x in (mass, damping, stiffness)]
+        )
+
+    def visit(name: str) -> tuple:
         rec = ctx.geo[name]
-        z6 = lft.zeros(3, nq)
         if name == GROUND:
-            bun = _Bundle(
-                lft.zeros(6, nq), lft.zeros(6, nq), lft.zeros(6, nq),
-                lft.zeros(6, nu_in),
-            )
+            w, wb = lft.zeros(6, 3 * nq), lft.zeros(6, nu_in)
         else:
-            m_part = rec.d @ rec.jhat
-            k_part = rec.d @ lft.vstack([sp.skew_lft(rec.abar) @ rec.phi, z6])
-            c_part = lft.zeros(6, nq)
-            b_part = lft.zeros(6, nu_in)
+            k_part = lft.vstack([sp.skew_lft(rec.abar) @ rec.phi, z3])
+            w = rec.d @ lft.hstack([rec.jhat, z6, k_part])
+            wb = lft.zeros(6, nu_in)
             for fbar, tau_p in rec.loads:
-                k_part = k_part - tau_p.T @ lft.vstack(
-                    [sp.skew_lft(fbar) @ rec.phi, z6]
-                )
+                load_k = lft.vstack([sp.skew_lft(fbar) @ rec.phi, z3])
+                w = w - mck(stiffness=tau_p.T @ load_k)
             for spec_key, col in input_cols.items():
                 if spec_key[0] == "wrench" and spec_key[1] == name:
                     p = rec.body.port_position_lft(spec_key[2])
                     gain = sp.tau_lft(-p).T
                     sel = np.zeros((6, nu_in))
                     sel[:, col : col + 6] = np.eye(6)
-                    b_part = b_part - gain @ lft.constant(sel)
+                    wb = wb - gain @ lft.constant(sel)
             if (
                 model.root.kind == "free"
                 and rec.body is model.root_body
                 and model.root_damping is not None
             ):
-                c_part = c_part + lft.constant(model.root_damping) @ rec.jhat
-            bun = _Bundle(m_part, c_part, k_part, b_part)
+                w = w + mck(damping=lft.constant(model.root_damping) @ rec.jhat)
         for c in children.get(name, []):
             cb = c.child_port[0]
-            child_bun = visit(cb)
+            child_w, child_wb = visit(cb)
             cg = ctx.conn[cb]
-            tau_cp_t = cg.tau_c.T
-            s_bun = child_bun.map(lambda x: lft.reduce_lft(tau_cp_t @ x))
-            tau_q_t = cg.tau_q.T
-            p2 = cg.p2
+            s_w = lft.reduce_lft(cg.tau_c.T @ child_w)
+            s_wb = lft.reduce_lft(cg.tau_c.T @ child_wb)
             if isinstance(c, RevoluteJoint):
-                s_bar = eq.joint_load[c.name]
                 jidx = ctx.joint_index[c.name]
-                e_chi = np.zeros((1, nq))
-                e_chi[0, k + jidx] = 1.0
-                e_nu = np.zeros((1, nq))
-                e_nu[0, k + jidx] = 1.0
+                e_q = np.zeros((1, nq))
+                e_q[0, k + jidx] = 1.0
+                # joint torque-balance row
+                r6t = lft.constant(c.r6.reshape(1, 6))
+                r_parent = c.axis_in_parent.reshape(1, 3)
+                omega_rows = rec.jhat.submatrix([3, 4, 5], list(range(nq)))
+                shaft_m = lft.constant(c.shaft_inertia * e_q) + lft.constant(
+                    c.shaft_inertia * r_parent
+                ) @ omega_rows
+                row_w = lft.hstack(
+                    [shaft_m, lft.constant(c.friction * e_q), lft.zeros(1, nq)]
+                ) + r6t @ s_w
+                row_wb = r6t @ s_wb
+                if ("torque", c.name) in input_cols:
+                    e_u = np.zeros((1, nu_in))
+                    e_u[0, input_cols[("torque", c.name)]] = 1.0
+                    row_wb = row_wb - lft.constant(e_u)
+                joint_rows[c.name] = (
+                    lft.reduce_lft(row_w), lft.reduce_lft(row_wb)
+                )
+                # the transported load turns with the joint angle
                 rskew = lft.constant(
                     np.block(
                         [
@@ -717,60 +718,30 @@ def step3_linearize(
                         ]
                     )
                 )
-                stiff = (p2 @ rskew @ s_bar) @ lft.constant(e_chi)
-                add = _Bundle(
-                    tau_q_t @ (p2 @ s_bun.m),
-                    tau_q_t @ (p2 @ s_bun.c),
-                    tau_q_t @ (p2 @ s_bun.k + stiff),
-                    tau_q_t @ (p2 @ s_bun.b),
-                )
-                # joint torque-balance row
-                r6t = lft.constant(c.r6.reshape(1, 6))
-                parent_rec = ctx.geo[name]
-                r_parent = c.axis_in_parent.reshape(1, 3)
-                omega_rows = parent_rec.jhat.submatrix([3, 4, 5], list(range(nq)))
-                shaft_m = lft.constant(c.shaft_inertia * e_nu) + lft.constant(
-                    c.shaft_inertia * r_parent
-                ) @ omega_rows
-                row_m = shaft_m + r6t @ s_bun.m
-                row_c = lft.constant(c.friction * e_nu) + r6t @ s_bun.c
-                row_k = r6t @ s_bun.k
-                row_b = r6t @ s_bun.b
-                if ("torque", c.name) in input_cols:
-                    e_u = np.zeros((1, nu_in))
-                    e_u[0, input_cols[("torque", c.name)]] = 1.0
-                    row_b = row_b - lft.constant(e_u)
-                joint_rows[c.name] = _Bundle(row_m, row_c, row_k, row_b).map(
-                    lft.reduce_lft
-                )
-            else:
-                add = s_bun.map(lambda x: tau_q_t @ (p2 @ x))
-            bun = bun + add
-        return bun.map(lft.reduce_lft)
+                stiff = (rskew @ eq.joint_load[c.name]) @ lft.constant(e_q)
+                s_w = s_w + mck(stiffness=stiff)
+            w = w + cg.tau_q.T @ (cg.p2 @ s_w)
+            wb = wb + cg.tau_q.T @ (cg.p2 @ s_wb)
+        return lft.reduce_lft(w), lft.reduce_lft(wb)
 
     root_name = GROUND if model.root.kind == GROUND else model.root_body.name
-    root_bun = visit(root_name)
+    root_w, root_wb = visit(root_name)
 
     # system rows: masked root rows then joint rows in tree order
-    rows_m, rows_c, rows_k, rows_b = [], [], [], []
+    rows_w, rows_wb = [], []
     if model.root.kind == "free":
         sel = list(mask)
-        allc = list(range(nq))
-        rows_m.append(root_bun.m.submatrix(sel, allc))
-        rows_c.append(root_bun.c.submatrix(sel, allc))
-        rows_k.append(root_bun.k.submatrix(sel, allc))
-        rows_b.append(root_bun.b.submatrix(sel, list(range(nu_in))))
+        rows_w.append(root_w.submatrix(sel, range(3 * nq)))
+        rows_wb.append(root_wb.submatrix(sel, range(nu_in)))
     for c in ctx.order:
         if isinstance(c, RevoluteJoint):
-            jb = joint_rows[c.name]
-            rows_m.append(jb.m)
-            rows_c.append(jb.c)
-            rows_k.append(jb.k)
-            rows_b.append(jb.b)
-    m_sys = lft.reduce_lft(lft.vstack(rows_m))
-    c_sys = lft.reduce_lft(lft.vstack(rows_c))
-    k_sys = lft.reduce_lft(lft.vstack(rows_k))
-    b_sys = lft.reduce_lft(lft.vstack(rows_b))
+            rows_w.append(joint_rows[c.name][0])
+            rows_wb.append(joint_rows[c.name][1])
+    w_sys = lft.reduce_lft(lft.vstack(rows_w))
+    b_sys = lft.reduce_lft(lft.vstack(rows_wb))
+    rows = range(w_sys.rows)
+    m_sys = lft.reduce_lft(w_sys.submatrix(rows, range(nq)))
+    ck_sys = lft.reduce_lft(w_sys.submatrix(rows, range(nq, 3 * nq)))
     if np.linalg.cond(m_sys.nominal) > 1e13:
         raise AssemblyError("singular generalized mass matrix")
     minv = m_sys.inv()
@@ -787,12 +758,7 @@ def step3_linearize(
         g[:k, :k] = full[np.ix_(list(mask), list(mask))]
     g[k:, k:] = np.eye(n)
 
-    a = lft.block(
-        [
-            [-(minv @ c_sys), -(minv @ k_sys)],
-            [lft.constant(g), lft.zeros(nq, nq)],
-        ]
-    )
+    a = lft.block([[-(minv @ ck_sys)], [lft.constant(g), lft.zeros(nq, nq)]])
     b = lft.vstack([-(minv @ b_sys), lft.zeros(nq, nu_in)])
     a = a.sorted_by_kind()
     b = b.sorted_by_kind()

@@ -173,15 +173,11 @@ class RigidBody:
 
     # -- validation --------------------------------------------------------
     def _check_mass_properties(self):
-        """The mass rule over the nominal point and every box corner of the
-        mass and inertia parameters; the inertia rules at the nominal point."""
+        """The mass and inertia rules at the nominal point and at every box
+        corner of the mass and inertia parameters."""
         exprs = [self.mass] + [self.inertia_cog[i, j] for i in range(3) for j in range(3)]
-        grid = _scalar_grid(exprs)
-        check_mass_properties(
-            self, grid[0], self.mass_value(grid[0]), self.inertia_value(grid[0])
-        )
-        for pt in grid[1:]:
-            check_mass_properties(self, pt, self.mass_value(pt))
+        for pt in _scalar_grid(exprs):
+            check_mass_properties(self, pt, self.mass_value(pt), self.inertia_value(pt))
 
     # -- accessors ---------------------------------------------------------
     @property

@@ -109,10 +109,15 @@ def _atomic_write(path: str, text: str) -> None:
     """
     d = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}")
+    data = memoryview(text.encode("utf-8"))
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            # os.write may write fewer bytes than asked for
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -334,6 +334,34 @@ def test_no_reduce_evaluates_identically(arm):
 # ---------------------------------------------------------------------------
 
 
+# Delta channels per parameter of the shipped models' reduced A and B.  A
+# change may lower these, never raise them: a larger Delta block makes every
+# evaluated point dearer and any robustness analysis more conservative.
+_DELTA_CEILING = {
+    "two_link_arm.yaml": {
+        "A": {"J1": 1, "L2": 2, "m1": 1, "m3": 3, "rho1": 2, "t_t1": 4, "t_t2": 6},
+        "B": {"J1": 1, "L2": 2, "m1": 1, "m3": 2, "rho1": 2, "t_t2": 4},
+    },
+    "balloon_planar.yaml": {
+        "A": {
+            "J0": 1, "J10": 1, "J12": 1, "m0": 2, "m11": 12, "rho0": 2, "l6": 10,
+        },
+        "B": {"J0": 1, "J10": 1, "J12": 1, "m0": 1, "m11": 1, "rho0": 2, "l6": 4},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DELTA_CEILING))
+def test_shipped_delta_structure(name):
+    lm = assemble(load_model(MODELS / name))
+    for tag, m in (("A", lm.a), ("B", lm.b)):
+        ceiling = _DELTA_CEILING[name][tag]
+        counts = dict(m.delta_structure)
+        assert set(counts) <= set(ceiling), (tag, counts)
+        grown = {p: n for p, n in counts.items() if n > ceiling[p]}
+        assert not grown, (tag, grown)
+
+
 def test_modes_frequency_and_damping():
     lm = assemble(_pendulum(friction=0.4, shaft=1e-8))
     md = modes(sample_model(lm, {})[0])

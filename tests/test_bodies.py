@@ -133,6 +133,23 @@ def test_uncertain_mass_must_stay_positive_over_box():
         )
 
 
+def test_inertia_rules_hold_at_every_box_corner():
+    """The arm's link1 with its ``J1`` range reaching below zero: the
+    inertia is positive semidefinite at nominal but not at the corners
+    where J1 = -0.1, and the error names the first such corner."""
+    j1 = lft.Param("J1", 0.2, -0.1, 0.22, "uncertain")
+    m1 = lft.Param("m1", 3.0, 2.85, 3.15, "uncertain")
+    with pytest.raises(BodyError, match="positive semidefinite") as err:
+        RigidBody(
+            name="link1",
+            mass=m1,
+            inertia_cog=[[j1, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, j1]],
+            cog_offset=(0.0, 0.3, 0.0),
+            dynamics_role=DynamicsRole.INVERSE,
+        )
+    assert "{'J1': -0.1, 'm1': 3.15}" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # direct dynamics
 # ---------------------------------------------------------------------------

@@ -55,6 +55,24 @@ def test_shipped_models_load():
         assert model.bodies and model.connections
 
 
+def test_inertia_range_below_zero_rejected(tmp_path, capsys):
+    """A model whose inertia parameter reaches negative values over its box
+    is a schema error naming the body and the box corner, not a model that
+    loads and assembles."""
+    text = (MODELS / "two_link_arm.yaml").read_text()
+    old = "J1:   {kind: uncertain, nominal: 0.2,  lower: 0.18,"
+    assert old in text
+    bad = _write(tmp_path, text.replace(old, old.replace("0.18", "-0.1")))
+    with pytest.raises(ModelFileError, match="link1.*positive semidefinite") as err:
+        load_model(bad)
+    assert "{'J1': -0.1, 'm1': 3.15}" in str(err.value)
+    assert cli.main(["linearize", str(bad), "-o", str(tmp_path / "x.json")]) == (
+        cli.EXIT_SCHEMA
+    )
+    assert "positive semidefinite" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_minimal_model_loads(tmp_path):
     model = load_model(_write(tmp_path, MINIMAL))
     assert model.name == "tiny"
@@ -299,6 +317,24 @@ def test_cli_outputs_follow_umask(tmp_path):
     assert sorted(outdir.iterdir()) == sorted(written[1:])
     for path in written:
         assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+
+
+def test_atomic_write_completes_short_writes(tmp_path, monkeypatch):
+    """``os.write`` may write fewer bytes than given; every byte still lands,
+    and a failed write leaves neither the target nor a temporary file."""
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:3]))
+    text = '{"δ": [1.5, 2.5]}\n'
+    cli._atomic_write(str(tmp_path / "out.json"), text)
+    assert (tmp_path / "out.json").read_bytes() == text.encode("utf-8")
+
+    def fail(fd, data):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "write", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_write(str(tmp_path / "other.json"), text)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
 
 
 def test_cli_strict_bounds_rejects_out_of_box(tmp_path, capsys):
