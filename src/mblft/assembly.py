@@ -17,7 +17,10 @@ The linearized equations of motion are accumulated as
 
     M d(nu)/dt + C nu + K chi + B_hat u = 0,
 
-with [M | C | K] one Param-valued LftMatrix and B_hat another, and
+with [M | C | K] one Param-valued LftMatrix, carried from the leaves to
+the root. B_hat follows by virtual work from step 1's body Jacobians
+jhat: a torque input has -1 on its joint's row, and a wrench input at
+port p of body b has -(tau(-p) jhat_b)^T in its columns. They are
 realized as
 
     A = [[-M^-1 [C K]], [G, 0]],   B = [[-M^-1 B_hat], [0]],
@@ -297,7 +300,6 @@ class _BodyGeo:
     phi: lft.LftMatrix  # 3 x nq infinitesimal-rotation map (body frame)
     abar: lft.LftMatrix  # 3 x 1 frame acceleration in body frame
     pos: lft.LftMatrix  # 3 x 1 reference-port position in R
-    theta_nom: np.ndarray  # numeric equilibrium Euler angles
     d: lft.LftMatrix | None  # 6 x 6 direct dynamics at the reference port
     loads: list  # (fbar, tau_lft(-p)) of each external force on the body
 
@@ -368,9 +370,6 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
     for col, dof in enumerate(mask):
         jhat0[dof, col] = 1.0
     phi0 = np.zeros((3, nq))
-    for col, dof in enumerate(mask):
-        if dof >= 3:
-            phi0[:, col] = 0.0  # velocity columns do not enter phi
     # phi maps *pose* coordinates; root pose columns share the nu layout
     for col, dof in enumerate(mask):
         if dof >= 3:
@@ -384,7 +383,6 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
         phi=lft.constant(phi0),
         abar=lft.constant(dcm0.T @ a_r),
         pos=lft.constant(np.asarray(model.root.position, float).reshape(3, 1)),
-        theta_nom=euler0,
         d=d_root,
         loads=loads_root,
     )
@@ -422,10 +420,8 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
         abar = lft.reduce_lft(p_ab.T @ parent.abar)
         jp = parent.pos + parent.dcm @ qpos
         pos = lft.reduce_lft(jp - dcm @ cpos)
-        theta_nom = sp.euler_from_dcm(dcm.nominal).angles
         geo[cb] = _BodyGeo(
-            body, dcm, jhat, phi, abar, pos, theta_nom,
-            *_body_terms(body, dcm, forces),
+            body, dcm, jhat, phi, abar, pos, *_body_terms(body, dcm, forces)
         )
 
     return GeometryContext(
@@ -467,11 +463,21 @@ class EquilibriumSolution:
         """Equilibrium wrench W_A/J = -S_c (child side on the joint)."""
         return -self.joint_load[joint]
 
+    def _euler(self, body: str) -> np.ndarray:
+        """Equilibrium Euler angles of a body: a free root's as given, a
+        child's from its DCM, with t3 = 0 where its pitch is at gimbal lock
+        (only a free root's state needs angles away from lock)."""
+        root = self.model.root
+        if root.kind == "free" and body == self.model.root_body.name:
+            return np.asarray(root.euler, dtype=float)
+        dcm = self.geometry.geo[body].dcm.nominal
+        return sp.euler_from_dcm(dcm, lock_ok=True).angles
+
     def report(self) -> dict:
         g = self.geometry
         bodies = {
             name: {
-                "euler_deg": list(np.degrees(rec.theta_nom)),
+                "euler_deg": list(np.degrees(self._euler(name))),
                 "position": list(rec.pos.nominal.ravel()),
             }
             for name, rec in g.geo.items()
@@ -643,11 +649,11 @@ def step3_linearize(
     for c in ctx.order:
         children.setdefault(c.parent_port[0], []).append(c)
 
-    # An interface wrench W = M nudot + C nu + K chi + B u is carried as
-    # two LFTs: its 6 x 3nq coefficients over the columns [M | C | K], and
-    # its 6 x nu input block.  Each transport then multiplies every
-    # coefficient once, and each body's or joint's channels enter once.
-    joint_rows: dict[str, tuple] = {}
+    # An interface wrench W = M nudot + C nu + K chi is carried as one LFT,
+    # its 6 x 3nq coefficients over the columns [M | C | K].  Each transport
+    # then multiplies every coefficient once, and each body's or joint's
+    # channels enter once.
+    joint_rows: dict[str, lft.LftMatrix] = {}
     z3 = lft.zeros(3, nq)
     z6 = lft.zeros(6, nq)
 
@@ -657,24 +663,16 @@ def step3_linearize(
             [z6 if x is None else x for x in (mass, damping, stiffness)]
         )
 
-    def visit(name: str) -> tuple:
+    def visit(name: str) -> lft.LftMatrix:
         rec = ctx.geo[name]
         if name == GROUND:
-            w, wb = lft.zeros(6, 3 * nq), lft.zeros(6, nu_in)
+            w = lft.zeros(6, 3 * nq)
         else:
             k_part = lft.vstack([sp.skew_lft(rec.abar) @ rec.phi, z3])
             w = rec.d @ lft.hstack([rec.jhat, z6, k_part])
-            wb = lft.zeros(6, nu_in)
             for fbar, tau_p in rec.loads:
                 load_k = lft.vstack([sp.skew_lft(fbar) @ rec.phi, z3])
                 w = w - mck(stiffness=tau_p.T @ load_k)
-            for spec_key, col in input_cols.items():
-                if spec_key[0] == "wrench" and spec_key[1] == name:
-                    p = rec.body.port_position_lft(spec_key[2])
-                    gain = sp.tau_lft(-p).T
-                    sel = np.zeros((6, nu_in))
-                    sel[:, col : col + 6] = np.eye(6)
-                    wb = wb - gain @ lft.constant(sel)
             if (
                 model.root.kind == "free"
                 and rec.body is model.root_body
@@ -683,16 +681,12 @@ def step3_linearize(
                 w = w + mck(damping=lft.constant(model.root_damping) @ rec.jhat)
         for c in children.get(name, []):
             cb = c.child_port[0]
-            child_w, child_wb = visit(cb)
             cg = ctx.conn[cb]
-            s_w = lft.reduce_lft(cg.tau_c.T @ child_w)
-            s_wb = lft.reduce_lft(cg.tau_c.T @ child_wb)
+            s_w = lft.reduce_lft(cg.tau_c.T @ visit(cb))
             if isinstance(c, RevoluteJoint):
-                jidx = ctx.joint_index[c.name]
                 e_q = np.zeros((1, nq))
-                e_q[0, k + jidx] = 1.0
+                e_q[0, k + ctx.joint_index[c.name]] = 1.0
                 # joint torque-balance row
-                r6t = lft.constant(c.r6.reshape(1, 6))
                 r_parent = c.axis_in_parent.reshape(1, 3)
                 omega_rows = rec.jhat.submatrix([3, 4, 5], list(range(nq)))
                 shaft_m = lft.constant(c.shaft_inertia * e_q) + lft.constant(
@@ -700,15 +694,8 @@ def step3_linearize(
                 ) @ omega_rows
                 row_w = lft.hstack(
                     [shaft_m, lft.constant(c.friction * e_q), lft.zeros(1, nq)]
-                ) + r6t @ s_w
-                row_wb = r6t @ s_wb
-                if ("torque", c.name) in input_cols:
-                    e_u = np.zeros((1, nu_in))
-                    e_u[0, input_cols[("torque", c.name)]] = 1.0
-                    row_wb = row_wb - lft.constant(e_u)
-                joint_rows[c.name] = (
-                    lft.reduce_lft(row_w), lft.reduce_lft(row_wb)
-                )
+                ) + lft.constant(c.r6.reshape(1, 6)) @ s_w
+                joint_rows[c.name] = lft.reduce_lft(row_w)
                 # the transported load turns with the joint angle
                 rskew = lft.constant(
                     np.block(
@@ -721,24 +708,36 @@ def step3_linearize(
                 stiff = (rskew @ eq.joint_load[c.name]) @ lft.constant(e_q)
                 s_w = s_w + mck(stiffness=stiff)
             w = w + cg.tau_q.T @ (cg.p2 @ s_w)
-            wb = wb + cg.tau_q.T @ (cg.p2 @ s_wb)
-        return lft.reduce_lft(w), lft.reduce_lft(wb)
+        return lft.reduce_lft(w)
 
     root_name = GROUND if model.root.kind == GROUND else model.root_body.name
-    root_w, root_wb = visit(root_name)
+    root_w = visit(root_name)
 
-    # system rows: masked root rows then joint rows in tree order
-    rows_w, rows_wb = [], []
+    # system rows: masked root rows then joint rows in tree order, which is
+    # the column order of every body's Jacobian jhat
+    rows_w = []
     if model.root.kind == "free":
-        sel = list(mask)
-        rows_w.append(root_w.submatrix(sel, range(3 * nq)))
-        rows_wb.append(root_wb.submatrix(sel, range(nu_in)))
+        rows_w.append(root_w.submatrix(list(mask), range(3 * nq)))
     for c in ctx.order:
         if isinstance(c, RevoluteJoint):
-            rows_w.append(joint_rows[c.name][0])
-            rows_wb.append(joint_rows[c.name][1])
+            rows_w.append(joint_rows[c.name])
     w_sys = lft.reduce_lft(lft.vstack(rows_w))
-    b_sys = lft.reduce_lft(lft.vstack(rows_wb))
+
+    # B_hat by virtual work: a torque input acts on its joint's row, and a
+    # wrench input at port p of body b through the velocity Jacobian of p,
+    # (tau(-p) jhat_b)^T; the input enters W with a minus sign
+    b_const = np.zeros((nq, nu_in))
+    b_sys = lft.zeros(nq, nu_in)
+    for spec, col in input_cols.items():
+        if spec[0] == "torque":
+            b_const[k + ctx.joint_index[spec[1]], col] = -1.0
+        else:
+            rec = ctx.geo[spec[1]]
+            sel = np.zeros((6, nu_in))
+            sel[:, col : col + 6] = np.eye(6)
+            gain = sp.tau_lft(-rec.body.port_position_lft(spec[2])).T
+            b_sys = b_sys - rec.jhat.T @ (gain @ lft.constant(sel))
+    b_sys = lft.reduce_lft(b_sys + lft.constant(b_const))
     rows = range(w_sys.rows)
     m_sys = lft.reduce_lft(w_sys.submatrix(rows, range(nq)))
     ck_sys = lft.reduce_lft(w_sys.submatrix(rows, range(nq, 3 * nq)))

@@ -21,7 +21,8 @@ Subcommands::
         file per point plus a combined poles CSV
         (header: re,im,freq_hz,damping).  If a point cannot be evaluated,
         the files of the points before it are written, without the CSV,
-        and the exit code is 3.
+        and the exit code is 3.  A file that is not a whole version-1
+        export is a schema error.
 
     mblft validate MODEL.yaml [--points N] [--seed S]
         Cross-check the LFT linearization against a finite-difference
@@ -320,8 +321,11 @@ def _parse_grid(spec: str) -> list:
 
 
 def _load_points(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (UnicodeDecodeError, IsADirectoryError) as e:
+        raise ModelFileError(f"{path}: not a JSON point file ({e})") from None
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list) or not all(isinstance(p, dict) for p in data):
@@ -349,16 +353,38 @@ def _evaluate_prefix(mats: dict, points: list, mode: str) -> tuple:
             points, err = points[: exc.index], exc
 
 
+def _read_export(path: str) -> tuple:
+    """The matrices, nominal point and signal names of a version-1 export;
+    a file that is not one is a schema error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            export = json.load(fh)
+    except (UnicodeDecodeError, IsADirectoryError) as e:
+        raise ModelFileError(f"{path}: not a linear-model export ({e})") from None
+    if not isinstance(export, dict) or export.get("format") != "mblft-linear-model":
+        raise ModelFileError(f"{path}: not a linear-model export")
+    version = export.get("version")
+    if type(version) is not int or version != 1:
+        raise ModelFileError(f"{path}: unsupported export version {version!r}")
+    try:
+        mats = {tag: lft.LftMatrix.from_dict(export[tag]) for tag in "ABCD"}
+        nominal = {name: p["nominal"] for name, p in export["parameters"].items()}
+        names = {
+            key: [str(n) for n in export[key]]
+            for key in ("state_names", "input_names", "output_names")
+        }
+    except (KeyError, TypeError, ValueError, AttributeError, lft.LftError) as e:
+        raise ModelFileError(
+            f"{path}: malformed linear-model export ({type(e).__name__}: {e})"
+        ) from None
+    return mats, nominal, names, bool(export.get("strict_bounds"))
+
+
 def cmd_sample(args) -> int:
     prec = _precision()
-    with open(args.export, "r", encoding="utf-8") as fh:
-        export = json.load(fh)
-    if export.get("format") != "mblft-linear-model":
-        raise ModelFileError(f"{args.export}: not a linear-model export")
-    mats = {tag: lft.LftMatrix.from_dict(export[tag]) for tag in "ABCD"}
-    nominal = {name: p["nominal"] for name, p in export["parameters"].items()}
+    mats, nominal, names, strict = _read_export(args.export)
     known = set(nominal)
-    mode = "error" if export.get("strict_bounds") else "ignore"
+    mode = "error" if strict else "ignore"
 
     points = _parse_grid(args.grid) if args.grid else _load_points(args.point_file)
     for pt in points:
@@ -384,9 +410,7 @@ def cmd_sample(args) -> int:
         for j, (full, md) in enumerate(zip(block, modes(num["A"]))):
             payload = {
                 "point": {k: full[k] for k in sorted(full)},
-                "state_names": export["state_names"],
-                "input_names": export["input_names"],
-                "output_names": export["output_names"],
+                **names,
                 **{tag: num[tag][j] for tag in "ABCD"},
                 "poles": [
                     {"re": lam.real, "im": lam.imag, "freq_hz": f, "damping": z}
@@ -422,6 +446,9 @@ def _rel(a, b) -> float:
 
 def cmd_validate(args) -> int:
     prec = _precision()
+    for flag, value in (("--points", args.points), ("--seed", args.seed)):
+        if value < 0:
+            raise ModelFileError(f"{flag} must be >= 0, got {value}")
     model = load_model(args.model)
     lm = assemble(model)
     rng = np.random.default_rng(args.seed)

@@ -132,13 +132,20 @@ def dcm_from_euler(e: EulerState) -> Dcm:
     return Dcm(rot_x(t[..., 0]) @ rot_y(t[..., 1]) @ rot_z(t[..., 2]))
 
 
-def euler_from_dcm(d: Dcm | np.ndarray) -> EulerState:
+def euler_from_dcm(d: Dcm | np.ndarray, *, lock_ok: bool = False) -> EulerState:
+    """Euler angles of a DCM.  A pitch within tolerance of +/-90 deg raises,
+    unless ``lock_ok``; then at lock itself, where only t1 -/+ t3 is
+    defined, t3 = 0 and t1 carries the rest of the rotation."""
     p = d.matrix if isinstance(d, Dcm) else np.asarray(d, dtype=float)
     s2 = np.clip(p[0, 2], -1.0, 1.0)
-    if 1.0 - abs(s2) < GIMBAL_TOL:
+    if 1.0 - abs(s2) < GIMBAL_TOL and not lock_ok:
         raise GimbalLockError(
             "gimbal lock: pitch within tolerance of +/-90 deg (axis y)"
         )
+    if np.hypot(p[0, 0], p[0, 1]) < GIMBAL_TOL:  # |cos t2|
+        sign = np.sign(s2)
+        t1 = np.arctan2(sign * p[1, 0], p[1, 1])
+        return EulerState(np.array([t1, sign * np.pi / 2, 0.0]))
     t2 = np.arcsin(s2)
     t3 = np.arctan2(-p[0, 1], p[0, 0])
     t1 = np.arctan2(-p[1, 2], p[2, 2])

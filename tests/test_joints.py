@@ -144,18 +144,59 @@ def test_transmitted_wrench_is_frame_change_only():
     )
 
 
+def _reported_dcm(model, body="b"):
+    """The DCM of the Euler angles that the equilibrium report gives."""
+    rep = step2_wrenches(model, step1_geometry(model)).report()
+    theta = np.radians(rep["bodies"][body]["euler_deg"])
+    return sp.dcm_from_euler(sp.EulerState(theta)).matrix
+
+
 def test_child_euler_composition():
-    theta_b = np.array([0.2, -0.1, 0.3])
-    j = _joint(AXES[0], angle=math.radians(40))
-    ctx = step1_geometry(_grounded(j, euler=tuple(theta_b)))
-    p_ai = sp.dcm_from_euler(sp.EulerState(theta_b)).matrix @ revolute_dcm(
-        j, math.radians(40)
+    # the last input pitches the child to +90 deg, at gimbal lock
+    for theta_b, axis, angle in (
+        ((0.2, -0.1, 0.3), AXES[0], 40.0),
+        ((0.0, 0.0, 0.0), np.array([0.0, 1.0, 0.0]), 90.0),
+    ):
+        j = _joint(axis, angle=math.radians(angle))
+        p_ai = sp.dcm_from_euler(sp.EulerState(theta_b)).matrix @ revolute_dcm(
+            j, math.radians(angle)
+        )
+        np.testing.assert_allclose(
+            _reported_dcm(_grounded(j, euler=theta_b)), p_ai, atol=1e-12
+        )
+
+
+@pytest.mark.parametrize("pitch", [90.0, -90.0])
+@pytest.mark.parametrize("roll", [0.0, 0.7])
+def test_child_at_gimbal_lock_is_reported(pitch, roll):
+    """A child pitched to +/-90 deg gets t2 = +/-90 deg and t3 = 0 in the
+    report, and the angles give back its DCM; a free root at lock still
+    raises, since its pose states are Euler angles."""
+    fixed = sp.rot_x(roll) @ sp.rot_y(math.radians(pitch))
+    conn = RigidConnection(
+        name="c", parent_port=("ground", "ref"), child_port=("b", "ref"),
+        fixed_dcm=fixed,
     )
-    np.testing.assert_allclose(
-        sp.dcm_from_euler(sp.EulerState(ctx.geo["b"].theta_nom)).matrix,
-        p_ai,
-        atol=1e-12,
+    model = _grounded(conn)
+    rep = step2_wrenches(model, step1_geometry(model)).report()
+    t1, t2, t3 = rep["bodies"]["b"]["euler_deg"]
+    assert (t2, t3) == (pitch, 0.0)
+    assert abs(t1 - math.degrees(roll)) < 1e-9
+    theta = sp.EulerState(np.radians([t1, t2, t3]))
+    np.testing.assert_allclose(sp.dcm_from_euler(theta).matrix, fixed, atol=1e-9)
+    with pytest.raises(sp.GimbalLockError):
+        sp.euler_from_dcm(fixed)
+    free = MultibodyModel(
+        name="locked_root",
+        bodies=(
+            RigidBody("b", 1.5, np.diag([0.2, 0.3, 0.1]), (0.0, 0.0, 0.0)),
+        ),
+        connections=(),
+        acceleration=tuple(A_REF),
+        root=RootSpec("free", euler=(roll, math.radians(pitch), 0.0)),
     )
+    with pytest.raises(sp.GimbalLockError):
+        step1_geometry(free)
 
 
 def test_rigid_connection_equilibrium_composes_dcms():
@@ -165,9 +206,8 @@ def test_rigid_connection_equilibrium_composes_dcms():
         fixed_dcm=fixed,
     )
     theta_b = np.array([0.3, 0.2, -0.4])
-    ctx = step1_geometry(_grounded(conn, euler=tuple(theta_b)))
     np.testing.assert_allclose(
-        sp.dcm_from_euler(sp.EulerState(ctx.geo["b"].theta_nom)).matrix,
+        _reported_dcm(_grounded(conn, euler=tuple(theta_b))),
         sp.dcm_from_euler(sp.EulerState(theta_b)).matrix @ fixed,
         atol=1e-12,
     )

@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from mblft import assembly, cli, modelfile
 from mblft.modelfile import ModelFileError, load_model
+from mblft.spatial import EulerState, dcm_from_euler, rotation_about_axis
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
@@ -525,6 +526,76 @@ def test_duplicate_connection_name_rejected(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "connections.shoulder (line" in err
     assert "duplicate connection name 'shoulder'" in err
+
+
+def _malformed_exports(tmp_path) -> list:
+    export = tmp_path / "pend.json"
+    assert cli.main(["linearize", str(MODELS / "pendulum.yaml"), "-o", str(export)]) == 0
+    good = json.loads(export.read_text())
+    newer = {**good, "version": 2}
+    no_names = {k: v for k, v in good.items() if k != "state_names"}
+    bad_a = {**good, "A": {**good["A"], "coefficients": [[1.0]]}}
+    bad_params = {**good, "parameters": []}
+    return [
+        [], "text", {"format": "mblft-linear-model"},
+        {"format": "mblft-linear-model", "version": 1},
+        newer, no_names, bad_a, bad_params,
+    ]
+
+
+def test_cli_sample_malformed_export_is_a_schema_error(tmp_path, capsys):
+    """An export that is not UTF-8 or not a JSON object, lacks a key, has a
+    matrix of the wrong shape or another version exits 2 and writes no
+    point file."""
+    docs = [b"\xff\xfe{}"] + _malformed_exports(tmp_path)
+    for i, doc in enumerate(docs):
+        bad = tmp_path / f"bad_{i}.json"
+        bad.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+        outdir = tmp_path / f"out_{i}"
+        capsys.readouterr()
+        rc = cli.main(["sample", str(bad), "--grid", "m=1:2:2", "-o", str(outdir)])
+        assert rc == cli.EXIT_SCHEMA, doc
+        assert str(bad) in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+@pytest.mark.parametrize("flag", ["--points", "--seed"])
+def test_cli_validate_rejects_a_negative_count(capsys, flag):
+    rc = cli.main(["validate", str(MODELS / "pendulum.yaml"), flag, "-3"])
+    assert rc == cli.EXIT_SCHEMA
+    assert f"{flag} must be >= 0" in capsys.readouterr().err
+
+
+def test_cli_sample_point_file_not_utf8(tmp_path, capsys):
+    export = tmp_path / "pend.json"
+    assert cli.main(["linearize", str(MODELS / "pendulum.yaml"), "-o", str(export)]) == 0
+    ptfile = tmp_path / "pts.json"
+    ptfile.write_bytes(b"\xff\xfe{}")
+    rc = cli.main(
+        ["sample", str(export), "--point-file", str(ptfile), "-o", str(tmp_path / "out")]
+    )
+    assert rc == cli.EXIT_SCHEMA
+    assert "not a JSON point file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pitch", [90.0, -90.0])
+def test_cli_child_at_gimbal_lock(tmp_path, capsys, pitch):
+    """A grounded pendulum pitched to +/-90 deg about y linearizes; the
+    reported Euler angles give back the bob's DCM."""
+    text = (MODELS / "pendulum.yaml").read_text()
+    text = text.replace("axis: [1.0, 0.0, 0.0]", "axis: [0, 1, 0]").replace(
+        "angle: {value: 0.0, unit: rad}", f"angle: {{value: {pitch}, unit: deg}}"
+    )
+    model = _write(tmp_path, text)
+    export = tmp_path / "locked.json"
+    assert cli.main(["equilibrium", str(model)]) == 0
+    assert cli.main(["linearize", str(model), "-o", str(export)]) == 0
+    theta = np.radians(
+        json.loads(export.read_text())["equilibrium"]["bodies"]["bob"]["euler_deg"]
+    )
+    want = rotation_about_axis([0.0, 1.0, 0.0], np.radians(pitch))
+    got = dcm_from_euler(EulerState(theta)).matrix
+    assert np.max(np.abs(got - want)) <= 1e-9
 
 
 def test_cli_missing_file_exit_code(capsys):

@@ -550,3 +550,40 @@ def test_arm_lft_matches_oracle_over_its_box():
     assert len(box) == 7 and len(points) == 17
     assert worst <= 1e-6
     assert elapsed <= 2.0, f"{elapsed:.2f} s"
+
+
+BALLOON_WRENCH_INPUTS = """
+io:
+  inputs:
+    - {torque: J11}
+    - {wrench: link6.bottom}
+    - {wrench: telescope.ref}
+    - {wrench: ballast.ref}
+"""
+
+
+def test_balloon_wrench_inputs_match_oracle(tmp_path):
+    """Wrench inputs deep in the balloon's masked free-root chain: A and B
+    equal the oracle's finite-difference linearization to 1e-6 at the
+    nominal point and 4 interior points, and B keeps its Delta counts."""
+    from mblft.assembly import assemble, sample_model
+
+    path = tmp_path / "balloon_io.yaml"
+    path.write_text((MODELS / "balloon_planar.yaml").read_text() + BALLOON_WRENCH_INPUTS)
+    model = load_model(path)
+    lm = assemble(model)
+    assert len(lm.input_names) == 1 + 3 * 6
+    rng = np.random.default_rng(2028)
+    points = [{}] + [
+        {n: float(rng.uniform(p.lower, p.upper)) for n, p in lm.parameters.items()}
+        for _ in range(4)
+    ]
+    for pt in points:
+        a, b, _, _ = sample_model(lm, pt)
+        a_fd, b_fd = fd_linearize(NonlinearEvaluator(model, pt), FdConfig())
+        assert np.linalg.norm(a - a_fd) <= 1e-6 * np.linalg.norm(a_fd), pt
+        assert np.linalg.norm(b - b_fd) <= 1e-6 * np.linalg.norm(b_fd), pt
+    ceiling = {"J0": 1, "J10": 1, "J12": 1, "m0": 1, "m11": 1, "rho0": 2, "l6": 4}
+    counts = dict(lm.b.delta_structure)
+    assert set(counts) <= set(ceiling)
+    assert all(counts[n] <= ceiling[n] for n in counts), counts
