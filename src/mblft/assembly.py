@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -226,6 +227,11 @@ class MultibodyModel:
     # -- parameters ------------------------------------------------------
     def parameters(self) -> dict:
         """Registry of every Param in the model, keyed by name."""
+        return dict(self._parameters)
+
+    @cached_property
+    def _parameters(self) -> dict:
+        # built once: the model and every part of it are frozen
         reg: dict[str, lft.Param] = {}
 
         def add(e):

@@ -106,24 +106,30 @@ def _atomic_write(path: str, text: str) -> None:
     """Write ``text`` to ``path`` through a temporary file and a rename.
 
     The temporary file is created with mode 0o666, so the written file
-    gets the permissions the umask leaves, as a plain ``open`` would.
+    gets the permissions the umask leaves, as a plain ``open`` would.  An
+    error that names a file names ``path``, not the temporary file.
     """
     d = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}")
     data = memoryview(text.encode("utf-8"))
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
         try:
-            # os.write may write fewer bytes than asked for
-            while data:
-                data = data[os.write(fd, data) :]
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+            try:
+                # os.write may write fewer bytes than asked for
+                while data:
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as e:
+        if e.filename is None:
+            raise
+        raise type(e)(e.errno, e.strerror, path) from None
 
 
 # json's spellings of the floats whose repr it does not use
@@ -402,7 +408,10 @@ def cmd_sample(args) -> int:
                     f"parameter {name!r}: {value!r} is not a number"
                 ) from None
 
-    os.makedirs(args.output, exist_ok=True)
+    try:
+        os.makedirs(args.output, exist_ok=True)
+    except FileExistsError:
+        raise ModelFileError(f"{args.output}: exists and is not a directory") from None
     csv_rows = ["re,im,freq_hz,damping"]
     for start in range(0, len(points), lft.EVAL_BLOCK):
         block = [{**nominal, **pt} for pt in points[start : start + lft.EVAL_BLOCK]]
@@ -530,7 +539,13 @@ def main(argv=None) -> int:
     except ModelFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (FileNotFoundError, json.JSONDecodeError) as e:
+    except (
+        FileNotFoundError,
+        IsADirectoryError,
+        NotADirectoryError,
+        PermissionError,
+        json.JSONDecodeError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
     except _NUMERICAL_ERRORS as e:

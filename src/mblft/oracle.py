@@ -56,6 +56,7 @@ __all__ = ["FdConfig", "NonlinearEvaluator", "nonlinear_accel", "fd_linearize"]
 
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
+_EYE3 = np.eye(3)
 
 
 def _cross(a, b):
@@ -101,7 +102,6 @@ class _BodyState:
     """Kinematics of one body over a stack of K states."""
 
     dcm: np.ndarray  # (K,3,3) body -> R
-    pos: np.ndarray  # (K,3) ref-port position in R
     v: np.ndarray  # (K,3)
     w: np.ndarray
     a: np.ndarray  # linear dual-acceleration part (body frame)
@@ -171,6 +171,8 @@ class NonlinearEvaluator:
                 angle = angle.angle_of(full[angle.param.name])
             kmat = sp.skew(c.axis)
             self._joint_rot[c.name] = (float(angle), kmat, kmat @ kmat)
+        self._axis_in_parent = [c.axis_in_parent for c in self.joints]
+        self._a_r = np.asarray(model.acceleration, dtype=float)
         # external forces (body, port position, vector in R)
         self.forces = [
             (
@@ -189,9 +191,13 @@ class NonlinearEvaluator:
         for fb, p, fvec in self.forces:
             self._body_forces[fb].append((fvec, p))
         self._body_wrenches = {b.name: [] for b in model.bodies}
+        # (residual row, input column) of each torque input
+        self._torques = []
         for key, col in self.input_cols.items():
             if key[0] == "wrench":
                 self._body_wrenches[key[1]].append((col, ports[key[1]][key[2]]))
+            else:
+                self._torques.append((self.k + self.joint_index[key[1]], col))
 
     # -- state unpacking -------------------------------------------------
     def _unpack(self, x):
@@ -219,21 +225,20 @@ class NonlinearEvaluator:
             vd6[:, self._dofs] = nudot[:, : self.k]
             a_lin = vd6[:, :3] + _cross(w, v)
             wd = vd6[:, 3:]
-            pos = self.root_pos + _mv(p0, p6[:, :3])
-            states[self.root_name] = _BodyState(p0, pos, v, w, a_lin, wd)
+            states[self.root_name] = _BodyState(p0, v, w, a_lin, wd)
         else:
             zero = np.zeros((kk, 3))
             states[GROUND] = _BodyState(
-                np.broadcast_to(self._ground_dcm, (kk, 3, 3)),
-                np.broadcast_to(self.root_pos, (kk, 3)), zero, zero, zero, zero,
+                np.broadcast_to(self._ground_dcm, (kk, 3, 3)), zero, zero, zero, zero
             )
         for c in self.order:
             pb, _ = c.parent_port
             cb, _ = c.child_port
             par = states[pb]
             q, cpos = self._conn_data[c.name]
-            v_q = par.v + _cross(par.w, q)
-            a_q = par.a + _cross(par.wd, q) + _cross(par.w, _cross(par.w, q))
+            wq = _cross(par.w, q)
+            v_q = par.v + wq
+            a_q = par.a + _cross(par.wd, q) + _cross(par.w, wq)
             if isinstance(c, RevoluteJoint):
                 j = self.joint_index[c.name]
                 angle, kmat, k2mat = self._joint_rot[c.name]
@@ -241,7 +246,7 @@ class NonlinearEvaluator:
                 thd = thetadot[:, j, None]
                 thdd = thetaddot[:, j, None]
                 p_ab = c.zero_dcm @ (
-                    np.eye(3) + np.sin(th) * kmat + (1.0 - np.cos(th)) * k2mat
+                    _EYE3 + np.sin(th) * kmat + (1.0 - np.cos(th)) * k2mat
                 )
                 r = c.axis
                 w_par_a = _mtv(p_ab, par.w)
@@ -256,9 +261,7 @@ class NonlinearEvaluator:
             # joint point -> child reference port (offset -cpos in child frame)
             v_ref = v_j - _cross(w_a, cpos)
             a_ref = a_j - _cross(wd_a, cpos) + _cross(w_a, _cross(w_a, -cpos))
-            dcm = par.dcm @ p_ab
-            pos = par.pos + _mv(par.dcm, q) - _mv(dcm, cpos)
-            states[cb] = _BodyState(dcm, pos, v_ref, w_a, a_ref, wd_a, p_ab)
+            states[cb] = _BodyState(par.dcm @ p_ab, v_ref, w_a, a_ref, wd_a, p_ab)
         return states
 
     # -- residual ----------------------------------------------------------
@@ -269,12 +272,13 @@ class NonlinearEvaluator:
         stack: kinematics root to leaves, wrenches leaves to root.
         """
         single = np.ndim(x) == 1
+        x = _rows(x, 2 * self.nq)
         states = self._sweep(x, nudot)
-        v6, _, _, thetadot = self._unpack(x)
-        kk = len(v6)
+        thetadot = x[:, self.k : self.nq]
+        kk = len(x)
         u = np.broadcast_to(_rows(u, self.nu_in), (kk, self.nu_in))
         nudot = np.broadcast_to(_rows(nudot, self.nq), (kk, self.nq))
-        a_r = np.asarray(self.model.acceleration, dtype=float)
+        a_r = self._a_r
         res = np.zeros((kk, self.nq))
         joint_s: dict[str, np.ndarray] = {}
         damped = self.free and self.model.root_damping is not None
@@ -325,46 +329,59 @@ class NonlinearEvaluator:
         for c in self.joints:
             i = self.joint_index[c.name]
             parent = states[c.parent_port[0]]
-            lhs = c.shaft_inertia * (thetaddot[:, i] + parent.wd @ c.axis_in_parent)
+            lhs = c.shaft_inertia * (thetaddot[:, i] + parent.wd @ self._axis_in_parent[i])
             res[:, self.k + i] = (
                 lhs + c.friction * thetadot[:, i] + joint_s[c.name] @ c.axis
             )
-            col = self.input_cols.get(("torque", c.name))
-            if col is not None:
-                res[:, self.k + i] -= u[:, col]
+        self._apply_torques(res, u)
         return res[0] if single else res
 
-    def accel(self, x, u) -> np.ndarray:
-        """Solve the coupled equations for nudot at each state/input row.
+    def _apply_torques(self, res, u) -> None:
+        """Subtract each torque input from its joint's residual row, in place.
 
-        The mass matrix comes from unit accelerations (Walker & Orin's
-        method 1): one residual call on the K*(nq+1) rows r0, r(e_1), ...
+        ``res`` is (..., nq) and ``u`` (..., nu_in), broadcast against it.
+        A torque enters the residual nowhere else, so a residual computed
+        with the torques at 0 takes them afterwards with the same bits.
         """
-        single = np.ndim(x) == 1
-        x = _rows(x, 2 * self.nq)
-        kk = len(x)
-        u = np.broadcast_to(_rows(u, self.nu_in), (kk, self.nu_in))
+        for row, col in self._torques:
+            res[..., row] -= u[..., col]
+
+    def _stack(self, x, u) -> np.ndarray:
+        """Residual of the unit-acceleration stack, (K, nq+1, nq): for each
+        of the K state/input rows, the rows at nudot = 0, e_1, ..., e_nq
+        (Walker & Orin's method 1), with every torque input at 0.  One
+        residual call."""
         nq = self.nq
+        us = np.repeat(u, nq + 1, axis=0)
+        us[:, [col for _, col in self._torques]] = 0.0
         unit = np.vstack([np.zeros(nq), np.eye(nq)])
-        r = self.residual(
-            np.repeat(x, nq + 1, axis=0),
-            np.repeat(u, nq + 1, axis=0),
-            np.tile(unit, (kk, 1)),
-        ).reshape(kk, nq + 1, nq)
+        r = self.residual(np.repeat(x, nq + 1, axis=0), us, np.tile(unit, (len(x), 1)))
+        return r.reshape(len(x), nq + 1, nq)
+
+    def _accel(self, r, u) -> np.ndarray:
+        """nudot of each row from its ``_stack`` residual ``r``, after the
+        torques of ``u`` are subtracted from ``r`` in place.  The mass
+        matrix is r(e_i) - r0; one singular row fails the whole stack."""
+        self._apply_torques(r, u[:, None, :])
         r0 = r[:, 0]
         m = np.swapaxes(r[:, 1:] - r0[:, None], 1, 2)
         if np.any(np.linalg.cond(m) > 1e13):
             raise TrimError("singular mass matrix in the nonlinear evaluator")
-        nudot = np.linalg.solve(m, -r0[..., None])[..., 0]
-        return nudot[0] if single else nudot
+        return np.linalg.solve(m, -r0[..., None])[..., 0]
 
-    def f(self, x, u) -> np.ndarray:
-        """Full state derivative [nudot; chidot] of each state/input row."""
+    def accel(self, x, u) -> np.ndarray:
+        """Solve the coupled equations for nudot at each state/input row."""
         single = np.ndim(x) == 1
         x = _rows(x, 2 * self.nq)
-        nudot = self.accel(x, u)
+        u = np.broadcast_to(_rows(u, self.nu_in), (len(x), self.nu_in))
+        nudot = self._accel(self._stack(x, u), u)
+        return nudot[0] if single else nudot
+
+    def _chidot(self, x) -> np.ndarray:
+        """chidot of each (K, 2nq) state row: the root's Euler rate map
+        applied to its masked twist, and the joint rates."""
         _, p6, _, thetadot = self._unpack(x)
-        chidot = np.zeros_like(nudot)
+        chidot = np.zeros((len(x), self.nq))
         if self.free:
             euler = self.root_euler + p6[:, 3:]
             gamma = sp.euler_rate_map(sp.EulerState(euler))
@@ -374,25 +391,46 @@ class NonlinearEvaluator:
             g = full[:, self._dofs][:, :, self._dofs]
             chidot[:, : self.k] = _mv(g, x[:, : self.k])
         chidot[:, self.k :] = thetadot
-        out = np.concatenate([nudot, chidot], axis=1)
+        return chidot
+
+    def f(self, x, u) -> np.ndarray:
+        """Full state derivative [nudot; chidot] of each state/input row."""
+        single = np.ndim(x) == 1
+        x = _rows(x, 2 * self.nq)
+        out = np.concatenate([self.accel(x, u), self._chidot(x)], axis=1)
         return out[0] if single else out
 
     # -- trim ---------------------------------------------------------------
+    def _trim(self, r0) -> np.ndarray:
+        """Inputs zeroing the residual row ``r0``, computed at x0 with
+        nudot = 0 and every input at 0: each torque input takes its
+        joint's row, and every wrench input stays 0."""
+        u = np.zeros(self.nu_in)
+        for row, col in self._torques:
+            u[col] = r0[row]
+        return u
+
     def trim_inputs(self) -> np.ndarray:
         """Inputs holding the equilibrium: solve for the residual-zeroing u."""
-        u = np.zeros(self.nu_in)
-        x0 = np.zeros(2 * self.nq)
-        r0 = self.residual(x0, u, np.zeros(self.nq))
-        for key, col in self.input_cols.items():
-            if key[0] == "torque":
-                i = self.joint_index[key[1]]
-                u[col] = r0[self.k + i]
-        return u
+        return self._trim(
+            self.residual(np.zeros(2 * self.nq), np.zeros(self.nu_in), np.zeros(self.nq))
+        )
 
     def energy(self, x):
         """Total mechanical energy (kinetic + static potential) of each row."""
         states = self._sweep(x, np.zeros(self.nq))
-        a_r = np.asarray(self.model.acceleration, dtype=float)
+        _, p6, _, _ = self._unpack(x)
+        # reference-port positions in R, root to leaves
+        root = states[self.root_name]
+        pos = {
+            self.root_name: self.root_pos + _mv(root.dcm, p6[:, :3]) if self.free
+            else np.broadcast_to(self.root_pos, p6[:, :3].shape)
+        }
+        for c in self.order:
+            (pb, _), (cb, _) = c.parent_port, c.child_port
+            q, cpos = self._conn_data[c.name]
+            pos[cb] = pos[pb] + _mv(states[pb].dcm, q) - _mv(states[cb].dcm, cpos)
+        a_r = self._a_r
         e = 0.0
         for name, st in states.items():
             if name == GROUND:
@@ -402,11 +440,11 @@ class NonlinearEvaluator:
             e = e + 0.5 * (
                 m * np.sum(v_cog * v_cog, axis=1) + np.sum(st.w * (st.w @ j.T), axis=1)
             )
-            pos_cog = st.pos + _mv(st.dcm, cog)
+            pos_cog = pos[name] + _mv(st.dcm, cog)
             e = e + m * (pos_cog @ a_r)
         for fb, p, fvec in self.forces:
             st = states[fb]
-            e = e - (st.pos + _mv(st.dcm, p)) @ fvec
+            e = e - (pos[fb] + _mv(st.dcm, p)) @ fvec
         # joint shaft kinetic energy (J^J ~ 1e-10) is negligible by design
         return float(e[0]) if np.ndim(x) == 1 else e
 
@@ -415,27 +453,37 @@ def nonlinear_accel(ev: NonlinearEvaluator, x, u) -> np.ndarray:
     return ev.accel(x, u)
 
 
+def _input_rows(u0, n_base: int, scale: float):
+    """fd_linearize's input rows about ``u0``: u0 at each of the ``n_base``
+    base and state rows, then u0 + h_i e_i and u0 - h_i e_i; and the steps h."""
+    hu = scale * np.maximum(1.0, np.abs(u0))
+    du = np.diag(hu)
+    return np.vstack([np.tile(u0, (n_base, 1)), u0 + du, u0 - du]), hu
+
+
 def fd_linearize(ev: NonlinearEvaluator, cfg: FdConfig | None = None):
     """Central-difference (A, B) at the equilibrium, LFT state convention.
 
     Every evaluation is one row of a single stack: the base point, then
-    x0 +/- h e_i for each state, then u0 +/- h e_i for each input.
+    x0 +/- h e_i for each state, then u0 +/- h e_i for each input.  The
+    stack is one residual call, made with the torque inputs at 0: the trim
+    leaves every wrench input at 0, so the wrench rows are known before
+    u0.  The base row's residual gives the trim torques u0, and each row's
+    torques are subtracted from its residual afterwards.
     """
     cfg = cfg or FdConfig()
     n2, nu = 2 * ev.nq, ev.nu_in
     x0 = np.zeros(n2)
-    u0 = ev.trim_inputs()
     hx = cfg.scale * np.maximum(1.0, np.abs(x0))
-    hu = cfg.scale * np.maximum(1.0, np.abs(u0))
-    dx, du = np.diag(hx), np.diag(hu)
+    dx = np.diag(hx)
     xs = np.vstack([x0, x0 + dx, x0 - dx, np.tile(x0, (2 * nu, 1))])
-    us = np.vstack([np.tile(u0, (1 + 2 * n2, 1)), u0 + du, u0 - du])
-    fs = ev.f(xs, us)
-    r = fs[0]
-    if np.max(np.abs(r)) > cfg.trim_tol:
-        raise TrimError(
-            f"trim residual {np.max(np.abs(r)):.3e} exceeds {cfg.trim_tol:.1e}"
-        )
+    us, _ = _input_rows(np.zeros(nu), 1 + 2 * n2, cfg.scale)
+    r = ev._stack(xs, us)
+    us, hu = _input_rows(ev._trim(r[0, 0]), 1 + 2 * n2, cfg.scale)
+    fs = np.concatenate([ev._accel(r, us), ev._chidot(xs)], axis=1)
+    trim = np.max(np.abs(fs[0]))
+    if trim > cfg.trim_tol:
+        raise TrimError(f"trim residual {trim:.3e} exceeds {cfg.trim_tol:.1e}")
     fx, fu = fs[1 : 1 + 2 * n2], fs[1 + 2 * n2 :]
     a = ((fx[:n2] - fx[n2:]) / (2.0 * hx)[:, None]).T
     b = ((fu[:nu] - fu[nu:]) / (2.0 * hu)[:, None]).T

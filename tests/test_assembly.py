@@ -144,6 +144,15 @@ def test_arm_order_and_names(arm_lm):
     assert arm_lm.input_names == ("shoulder.Cm", "elbow.Cm")
 
 
+def test_parameters_gives_each_caller_its_own_registry(arm):
+    """The registry is built once per model, and a caller that edits the
+    dict it gets changes no other caller's."""
+    reg = arm.parameters()
+    assert set(reg) == {"J1", "L2", "m1", "m3", "rho1", "t_t1", "t_t2"}
+    reg.clear()
+    assert arm.parameters() is not reg and len(arm.parameters()) == 7
+
+
 def test_arm_equilibrium_torques(arm_lm):
     """Nominal: link1 vertical, link2 horizontal (-y).
 

@@ -578,6 +578,49 @@ def test_cli_sample_point_file_not_utf8(tmp_path, capsys):
     assert "not a JSON point file" in capsys.readouterr().err
 
 
+def test_cli_sample_output_that_is_a_file(tmp_path, capsys):
+    """``sample -o FILE``, where FILE is an existing regular file, exits 2
+    with a message naming FILE and writes no file."""
+    export = tmp_path / "pend.json"
+    assert cli.main(["linearize", str(MODELS / "pendulum.yaml"), "-o", str(export)]) == 0
+    ptfile = tmp_path / "pts.json"
+    ptfile.write_text("{}")
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    rc = cli.main(["sample", str(export), "--point-file", str(ptfile), "-o", str(taken)])
+    assert rc == cli.EXIT_SCHEMA
+    assert f"{taken}: exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "keep"
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("target", ["export", "point file", "poles.csv"])
+def test_cli_write_error_names_the_given_path(tmp_path, capsys, target):
+    """A file that cannot be written exits 2 with a message naming the path
+    the command writes, not the temporary file beside it, and leaves no
+    temporary file: an export into a missing directory, and a point file or
+    ``poles.csv`` whose name an existing directory takes."""
+    export = tmp_path / "pend.json"
+    assert cli.main(["linearize", str(MODELS / "pendulum.yaml"), "-o", str(export)]) == 0
+    ptfile = tmp_path / "pts.json"
+    ptfile.write_text("{}")
+    outdir = tmp_path / "out"
+    if target == "export":
+        path = tmp_path / "missing" / "x.json"
+        args = ["linearize", str(MODELS / "pendulum.yaml"), "-o", str(path)]
+    else:
+        path = outdir / ("poles.csv" if target == "poles.csv" else "point_0000.json")
+        path.mkdir(parents=True)
+        args = ["sample", str(export), "--point-file", str(ptfile), "-o", str(outdir)]
+    capsys.readouterr()
+    assert cli.main(args) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert repr(str(path)) in err and ".tmp-" not in err, err
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
 @pytest.mark.parametrize("pitch", [90.0, -90.0])
 def test_cli_child_at_gimbal_lock(tmp_path, capsys, pitch):
     """A grounded pendulum pitched to +/-90 deg about y linearizes; the

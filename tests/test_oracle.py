@@ -80,7 +80,7 @@ def test_untrimmed_free_root_raises():
         root_damping=balloon.root_damping,
     )
     ev = NonlinearEvaluator(unbalanced, {})
-    with pytest.raises(TrimError):
+    with pytest.raises(TrimError, match="trim residual"):
         fd_linearize(ev, FdConfig())
 
 
@@ -405,6 +405,14 @@ def test_one_singular_row_fails_the_stack():
         ev.f(np.insert(bent, 3, stretched, axis=0), np.zeros((4, 2)))
 
 
+def test_singular_mass_at_the_equilibrium_fails_fd_linearize():
+    """The stretched point-mass arm is singular at x0: its rows fail the
+    mass-matrix gate inside fd_linearize's one residual stack."""
+    ev = NonlinearEvaluator(_point_mass_arm(), {})
+    with pytest.raises(TrimError, match="singular mass matrix"):
+        fd_linearize(ev, FdConfig())
+
+
 def test_one_row_at_gimbal_lock_fails_the_stack():
     ev = _evaluator("wrench")
     x, u, _ = _random_stack(ev, 4, seed=11)
@@ -562,15 +570,19 @@ io:
 """
 
 
+def _balloon_with_wrench_inputs(tmp_path):
+    path = tmp_path / "balloon_io.yaml"
+    path.write_text((MODELS / "balloon_planar.yaml").read_text() + BALLOON_WRENCH_INPUTS)
+    return load_model(path)
+
+
 def test_balloon_wrench_inputs_match_oracle(tmp_path):
     """Wrench inputs deep in the balloon's masked free-root chain: A and B
     equal the oracle's finite-difference linearization to 1e-6 at the
     nominal point and 4 interior points, and B keeps its Delta counts."""
     from mblft.assembly import assemble, sample_model
 
-    path = tmp_path / "balloon_io.yaml"
-    path.write_text((MODELS / "balloon_planar.yaml").read_text() + BALLOON_WRENCH_INPUTS)
-    model = load_model(path)
+    model = _balloon_with_wrench_inputs(tmp_path)
     lm = assemble(model)
     assert len(lm.input_names) == 1 + 3 * 6
     rng = np.random.default_rng(2028)
@@ -587,3 +599,85 @@ def test_balloon_wrench_inputs_match_oracle(tmp_path):
     counts = dict(lm.b.delta_structure)
     assert set(counts) <= set(ceiling)
     assert all(counts[n] <= ceiling[n] for n in counts), counts
+
+
+# ---------------------------------------------------------------------------
+# one residual pass per linearization
+# ---------------------------------------------------------------------------
+
+
+def _two_call_fd(ev, cfg):
+    """fd_linearize as two residual passes, each over the unit-acceleration
+    stack of its rows, with the torques inside ``residual``: the first pass
+    with every input at 0 gives the trim torques u0 from its base row, the
+    second runs with u0 and u0 +/- h applied, and each row's mass matrix is
+    solved here.  Both passes have the shape of fd_linearize's one pass, so
+    each array operation takes the same code path (a one-row residual may
+    round differently from a stacked one, as BLAS may pick another kernel)."""
+    nq, n2, nu = ev.nq, 2 * ev.nq, ev.nu_in
+    x0 = np.zeros(n2)
+    hx = cfg.scale * np.maximum(1.0, np.abs(x0))
+    dx = np.diag(hx)
+    xs = np.vstack([x0, x0 + dx, x0 - dx, np.tile(x0, (2 * nu, 1))])
+    unit = np.tile(np.vstack([np.zeros(nq), np.eye(nq)]), (len(xs), 1))
+
+    def stack(us):
+        r = ev.residual(np.repeat(xs, nq + 1, axis=0), np.repeat(us, nq + 1, axis=0), unit)
+        return r.reshape(len(xs), nq + 1, nq)
+
+    r0 = stack(np.zeros((len(xs), nu)))[0, 0]
+    u0 = np.zeros(nu)
+    for key, col in ev.input_cols.items():
+        if key[0] == "torque":
+            u0[col] = r0[ev.k + ev.joint_index[key[1]]]
+    hu = cfg.scale * np.maximum(1.0, np.abs(u0))
+    du = np.diag(hu)
+    us = np.vstack([np.tile(u0, (1 + 2 * n2, 1)), u0 + du, u0 - du])
+    r = stack(us)
+    m = np.swapaxes(r[:, 1:] - r[:, :1], 1, 2)
+    nudot = np.linalg.solve(m, -r[:, 0, :, None])[..., 0]
+    fs = np.concatenate([nudot, ev.f(xs, us)[:, nq:]], axis=1)
+    assert np.max(np.abs(fs[0])) <= cfg.trim_tol
+    fx, fu = fs[1 : 1 + 2 * n2], fs[1 + 2 * n2 :]
+    return u0, (
+        ((fx[:n2] - fx[n2:]) / (2.0 * hx)[:, None]).T,
+        ((fu[:nu] - fu[nu:]) / (2.0 * hu)[:, None]).T,
+    )
+
+
+@pytest.mark.parametrize("name", STACK_MODELS + ["balloon_io"])
+def test_fd_linearize_equals_the_two_call_reference(name, tmp_path):
+    """Applying the torques after the one residual pass changes no bit of A
+    or B, at the nominal point and 3 seeded points of the box; the trim
+    torques read from a stack are ``trim_inputs``' to rounding."""
+    model = (
+        _balloon_with_wrench_inputs(tmp_path) if name == "balloon_io" else _model(name)
+    )
+    rng = np.random.default_rng(12)
+    points = [{}] + [
+        {n: float(rng.uniform(p.lower, p.upper)) for n, p in model.parameters().items()}
+        for _ in range(3)
+    ]
+    cfg = FdConfig()
+    for pt in points:
+        ev = NonlinearEvaluator(model, pt)
+        u0, want = _two_call_fd(ev, cfg)
+        for got, w in zip(fd_linearize(ev, cfg), want):
+            _same_bits(got, w)
+        assert np.allclose(u0, ev.trim_inputs(), rtol=1e-14, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", STACK_MODELS)
+def test_fd_linearize_makes_one_residual_call(name, monkeypatch):
+    ev = _evaluator(name)
+    calls = []
+    residual = NonlinearEvaluator.residual
+
+    def counted(self, *args):
+        calls.append(len(args[0]))
+        return residual(self, *args)
+
+    monkeypatch.setattr(NonlinearEvaluator, "residual", counted)
+    fd_linearize(ev, FdConfig())
+    n2 = 2 * ev.nq
+    assert calls == [(1 + 2 * n2 + 2 * ev.nu_in) * (ev.nq + 1)]
