@@ -830,16 +830,32 @@ def assemble(model: MultibodyModel, reduce: bool = True) -> LinearLftModel:
 # ---------------------------------------------------------------------------
 
 
+def _check_point_names(point: Mapping, declared, index: int = 0) -> None:
+    """Raise EvaluationError if ``point`` names a parameter that is not
+    ``declared``; ``index`` is the point's position in its sequence."""
+    unknown = point.keys() - declared
+    if unknown:
+        raise lft.EvaluationError(
+            f"unknown parameter(s) {sorted(unknown)!r}; known: {sorted(declared)}",
+            index,
+        )
+
+
 def sample_model(lm: LinearLftModel, point, strict: bool = False):
     """Numeric (A, B, C, D) of the LFT model at a parameter point, or
     stacked over a sequence of points (see ``LftMatrix.evaluate``).
-    Parameters a point leaves out take their nominal values."""
+    Parameters a point leaves out take their nominal values; a point that
+    names a parameter the model does not declare raises EvaluationError."""
     mode = "error" if strict else "ignore"
     nominal = {name: p.nominal for name, p in lm.parameters.items()}
     if isinstance(point, Mapping):
+        _check_point_names(point, nominal)
         full = {**nominal, **point}
     else:
-        full = [{**nominal, **pt} for pt in point]
+        full = []
+        for i, pt in enumerate(point):
+            _check_point_names(pt, nominal, i)
+            full.append({**nominal, **pt})
     return (
         lm.a.evaluate(full, out_of_bounds=mode),
         lm.b.evaluate(full, out_of_bounds=mode),

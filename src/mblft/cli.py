@@ -41,7 +41,6 @@ import argparse
 import itertools
 import json
 import os
-import secrets
 import sys
 
 import numpy as np
@@ -110,7 +109,7 @@ def _atomic_write(path: str, text: str) -> None:
     error that names a file names ``path``, not the temporary file.
     """
     d = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(d, f".tmp-{secrets.token_hex(8)}")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}")
     data = memoryview(text.encode("utf-8"))
     try:
         fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)

@@ -70,9 +70,9 @@ class WellPosednessError(LftError):
 
 
 class EvaluationError(LftError):
-    """An LFT cannot be evaluated at a point; ``index`` is the point's
-    position in the sequence given to ``LftMatrix.evaluate`` (0 for a
-    single point)."""
+    """An LFT, or the nonlinear model, cannot be evaluated at a point;
+    ``index`` is the point's position in the sequence given to
+    ``LftMatrix.evaluate`` or ``sample_model`` (0 for a single point)."""
 
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message)

@@ -16,17 +16,24 @@ angles, masked) followed by the joint angles. Inputs are the model's
 declared torque/wrench inputs in absolute terms (at trim, a torque input
 equals the equilibrium torque).
 
-The evaluator reads the model as given: it evaluates every
-parameter-dependent constant (masses, inertias, CoG offsets, port
-positions, force vectors including the balance weight, and joint angles)
-once at the parameter point, and holds them to the numeric body rules
-that ``mblft.bodies`` applies when a body is built.
+The evaluator reads the model as given, in two parts:
+
+- once per model object, a plan of everything that does not depend on the
+  parameter point: the tree order, joint index, DOF mask and input layout,
+  the grounded root's DCM, each joint's skew matrices, every mass,
+  inertia, CoG, port and force entry as an expression, and
+  ``fd_linearize``'s state, input and unit-acceleration rows for each
+  step scale.  Every evaluator of the same model object shares it;
+- once per point, in the constructor: the plan's expressions evaluated at
+  the point (masses, inertias, CoG offsets, port positions, force vectors
+  including the balance weight, and joint angles), held to the numeric
+  body rules that ``mblft.bodies`` applies when a body is built, and the
+  skew matrices of the vectors fixed at the point.
 
 This module deliberately shares no assembly step and no LFT algebra with
-the assembly path: only the model classes, their numeric accessors and
-input/force layout, the numeric body rules, the numeric spatial primitives
-and the numeric direct dynamics; the linearization here is purely
-finite-difference.
+the assembly path: only the model classes, their input/force layout, the
+numeric body rules, the numeric spatial primitives and the numeric direct
+dynamics; the linearization here is purely finite-difference.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from mblft.assembly import (
     GROUND,
     MultibodyModel,
     TrimError,
+    _check_point_names,
     _input_layout,
     _resolved_forces,
 )
@@ -54,16 +62,34 @@ from mblft.joints import RevoluteJoint
 __all__ = ["FdConfig", "NonlinearEvaluator", "nonlinear_accel", "fd_linearize"]
 
 
-_NEXT = np.array([1, 2, 0])
-_PREV = np.array([2, 0, 1])
+# (a x b)_i = a_next(i) b_prev(i) - a_prev(i) b_next(i): both products of
+# each component from one take of a and one of b
+_A_IDX = np.array([1, 2, 0, 2, 0, 1])
+_B_IDX = np.array([2, 0, 1, 1, 2, 0])
 _EYE3 = np.eye(3)
 
 
 def _cross(a, b):
     """Cross product of (..., 3) arrays, broadcast over the leading axes."""
-    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(
-        _NEXT, -1
-    )
+    ab = a.take(_A_IDX, -1) * b.take(_B_IDX, -1)
+    return ab[..., :3] - ab[..., 3:]
+
+
+def _xs(a, s):
+    """a @ s for (..., 3) rows a and a (3, 3) s.  With s = skew(v) it is
+    a x v, and with s = skew(v).T it is v x a: each component is the same
+    two rounded products and their difference as in ``_cross`` (plus an
+    exact zero term), so only the sign of a zero result can differ."""
+    return np.einsum("...i,ij->...j", a, s)
+
+
+def _skews(vs) -> np.ndarray:
+    """skew(v) of each row of an (N, 3) array, as an (N, 3, 3) stack."""
+    s = np.zeros((len(vs), 3, 3))
+    s[:, 0, 1], s[:, 0, 2] = -vs[:, 2], vs[:, 1]
+    s[:, 1, 0], s[:, 1, 2] = vs[:, 2], -vs[:, 0]
+    s[:, 2, 0], s[:, 2, 1] = -vs[:, 1], vs[:, 0]
+    return s
 
 
 def _mv(m, v):
@@ -71,15 +97,16 @@ def _mv(m, v):
     return (m @ v[..., None])[..., 0]
 
 
-def _mtv(m, v):
-    """m.T @ v for a (3,3) or (K,3,3) m and a (K,3) v."""
-    return (v[..., None, :] @ m)[..., 0, :]
-
-
 def _rows(a, width: int) -> np.ndarray:
     """A (K, width) view of a stack, or a (1, width) view of one row."""
     a = np.asarray(a, dtype=float)
     return a.reshape(len(a) if a.ndim > 1 else 1, width)
+
+
+def _rows_of(a, width: int, k: int) -> np.ndarray:
+    """``_rows`` of a stack of k rows, or of one row broadcast to k rows."""
+    a = _rows(a, width)
+    return a if len(a) == k else np.broadcast_to(a, (k, width))
 
 
 @dataclass(frozen=True)
@@ -109,6 +136,180 @@ class _BodyState:
     p_ab: np.ndarray = None  # DCM of the inbound connection, (3,3) or (K,3,3)
 
 
+class _FdStack:
+    """fd_linearize's point-independent rows for one step scale: the state
+    rows ``xs`` (the base state x0, x0 +/- h e_i, then x0 again for each
+    input row); their unit-acceleration rows ``x``, ``u``, ``nudot``, with
+    every input at 0 except the wrench steps; and the chidot of ``xs``."""
+
+    def __init__(self, plan: "_Plan", scale: float):
+        n2, nu = 2 * plan.nq, plan.nu_in
+        x0 = np.zeros(n2)
+        self.hx = scale * np.maximum(1.0, np.abs(x0))
+        dx = np.diag(self.hx)
+        self.xs = np.vstack([x0, x0 + dx, x0 - dx, np.tile(x0, (2 * nu, 1))])
+        us, _ = _input_rows(np.zeros(nu), 1 + 2 * n2, scale)
+        self.x, self.u, self.nudot = plan.unit_rows(self.xs, us)
+        self.chidot = plan.chidot(self.xs)
+        # shared by every evaluator of the model: read-only
+        for a in (self.hx, self.xs, self.x, self.u, self.nudot, self.chidot):
+            a.setflags(write=False)
+
+
+class _Plan:
+    """Everything the evaluator needs that does not depend on the parameter
+    point, for one model object (see ``_plan``)."""
+
+    def __init__(self, model: MultibodyModel):
+        self.nominal = {name: p.nominal for name, p in model.parameters().items()}
+        self.order = model._tree_order()
+        self.joints = [c for c in self.order if isinstance(c, RevoluteJoint)]
+        self.joint_index = {c.name: i for i, c in enumerate(self.joints)}
+        self.free = model.root.kind == "free"
+        self.mask = model.root_body.dof_mask if self.free else ()
+        self.k = len(self.mask)
+        self.dofs = np.array(self.mask, dtype=np.intp)  # index into a 6-vector
+        self.nq = self.k + len(self.joints)
+        self.input_names, self.input_cols = _input_layout(model)
+        self.nu_in = len(self.input_names)
+        self.root_name = model.root_body.name if self.free else GROUND
+        self.root_euler = np.asarray(model.root.euler, dtype=float)
+        self.root_pos = np.asarray(model.root.position, dtype=float)
+        self.root_damping = model.root_damping if self.free else None
+        # a grounded root's attitude never moves
+        self.ground_dcm = (
+            None if self.free
+            else sp.dcm_from_euler(sp.EulerState(self.root_euler)).matrix
+        )
+        self.children: dict[str, list] = {}
+        for c in self.order:
+            self.children.setdefault(c.parent_port[0], []).append(c)
+        # per joint: the skew matrix K of its axis, and K @ K
+        self.kmats = np.array([sp.skew(c.axis) for c in self.joints]).reshape(-1, 3, 3)
+        self.k2mats = self.kmats @ self.kmats
+        self.axis_in_parent = [c.axis_in_parent for c in self.joints]
+        self.a_r = np.asarray(model.acceleration, dtype=float)
+        # joint angles: the constant ones, and the tangent-substitution ones
+        # the constructor sets at the point
+        self.angles = np.array([
+            0.0 if isinstance(c.angle_eq, lft.HalfTanParam) else float(c.angle_eq)
+            for c in self.joints
+        ])
+        self.angle_params = [
+            (j, c.angle_eq) for j, c in enumerate(self.joints)
+            if isinstance(c.angle_eq, lft.HalfTanParam)
+        ]
+        # Every mass, inertia and force entry, then every 3-vector (a zero
+        # vector for the ground and each "ref" port, then each body's CoG
+        # and ports), in one row of values: the constant entries are
+        # evaluated here, and the constructor evaluates ``exprs`` at the
+        # point.  Bodies, connections, forces and wrench inputs hold indices.
+        scalars, vectors = [], [(0.0, 0.0, 0.0)]
+
+        def scalar(entries) -> int:
+            scalars.extend(entries)
+            return len(scalars) - len(entries)
+
+        def vector(entries) -> int:
+            vectors.append(tuple(entries))
+            return len(vectors) - 1
+
+        port = {}  # (body, port) -> vector index
+        self.bodies = []
+        for b in model.bodies:
+            i_mass, i_inertia = scalar([b.mass]), scalar(b.inertia_cog.ravel())
+            i_cog = vector(b.cog_offset)
+            port[b.name, "ref"] = 0
+            ports = [(n, vector(pos)) for n, pos in b.ports]
+            port.update(((b.name, n), i) for n, i in ports)
+            self.bodies.append(
+                (b, i_mass, i_inertia, i_cog, ports, port[b.name, "ref"])
+            )
+        # per connection: vector indices of q (parent side) and cpos
+        self.conns = [
+            (c, 0 if c.parent_port[0] == GROUND else port[c.parent_port],
+             port[c.child_port])
+            for c in self.order
+        ]
+        # per external force: body, port vector index, index of its vector
+        self.forces = [
+            (f.body, port[f.body, f.port],
+             scalar(np.asarray(f.force, dtype=object).reshape(3)))
+            for f in _resolved_forces(model)
+        ]
+        self.vec_start = len(scalars)
+        entries = [lft.as_expr(v) for v in scalars + [v for vec in vectors for v in vec]]
+        self.values = np.array([0.0 if x.params() else x.value({}) for x in entries])
+        self.exprs = [(i, x) for i, x in enumerate(entries) if x.params()]
+        # (body, input column, port vector index) of each wrench input;
+        # (residual row, input column) of each torque input
+        self.wrenches, self.torques = [], []
+        for key, col in self.input_cols.items():
+            if key[0] == "wrench":
+                self.wrenches.append((key[1], col, port[key[1], key[2]]))
+            else:
+                self.torques.append((self.k + self.joint_index[key[1]], col))
+        self.torque_cols = [col for _, col in self.torques]
+        self._fd: dict[float, _FdStack] = {}
+
+    def fd_stack(self, scale: float) -> _FdStack:
+        stack = self._fd.get(scale)
+        if stack is None:
+            stack = self._fd[scale] = _FdStack(self, scale)
+        return stack
+
+    def unit_rows(self, x, u):
+        """The unit-acceleration rows of K state/input rows (Walker & Orin's
+        method 1): each repeated nq + 1 times, with nudot = 0, e_1, ...,
+        e_nq and every torque input at 0."""
+        nq = self.nq
+        us = np.repeat(u, nq + 1, axis=0)
+        us[:, self.torque_cols] = 0.0
+        unit = np.vstack([np.zeros(nq), np.eye(nq)])
+        return np.repeat(x, nq + 1, axis=0), us, np.tile(unit, (len(x), 1))
+
+    def unpack(self, x):
+        """(K, 2nq) states -> root v6, p6 (K,6) and joint theta, thetadot."""
+        x = _rows(x, 2 * self.nq)
+        nu, chi = x[:, : self.nq], x[:, self.nq :]
+        v6 = np.zeros((len(x), 6))
+        p6 = np.zeros((len(x), 6))
+        v6[:, self.dofs] = nu[:, : self.k]
+        p6[:, self.dofs] = chi[:, : self.k]
+        return v6, p6, chi[:, self.k :], nu[:, self.k :]
+
+    def chidot(self, x) -> np.ndarray:
+        """chidot of each (K, 2nq) state row: the root's Euler rate map
+        applied to its masked twist, and the joint rates."""
+        _, p6, _, thetadot = self.unpack(x)
+        chidot = np.zeros((len(x), self.nq))
+        if self.free:
+            euler = self.root_euler + p6[:, 3:]
+            gamma = sp.euler_rate_map(sp.EulerState(euler))
+            full = np.zeros((len(x), 6, 6))
+            full[:, :3, :3] = np.eye(3)
+            full[:, 3:, 3:] = np.linalg.inv(gamma)
+            g = full[:, self.dofs][:, :, self.dofs]
+            chidot[:, : self.k] = _mv(g, x[:, : self.k])
+        chidot[:, self.k :] = thetadot
+        return chidot
+
+
+_PLAN = "_oracle_plan"
+
+
+def _plan(model: MultibodyModel) -> _Plan:
+    """The model's plan, built on its first evaluator.  It is kept in the
+    model's instance dict, where ``functools.cached_property`` keeps the
+    model's parameter registry: it lives and dies with the model object,
+    and no other model object can reach it.  The model is frozen, so the
+    plan never goes stale."""
+    plan = model.__dict__.get(_PLAN)
+    if plan is None:
+        plan = model.__dict__[_PLAN] = _Plan(model)
+    return plan
+
+
 class NonlinearEvaluator:
     """Nonlinear equations of motion at a fixed numeric parameter point.
 
@@ -119,149 +320,106 @@ class NonlinearEvaluator:
     """
 
     def __init__(self, model: MultibodyModel, point=None):
-        full = {name: p.nominal for name, p in model.parameters().items()}
-        if point:
-            full.update(point)
+        plan = self._plan = _plan(model)
+        point = point or {}
+        _check_point_names(point, plan.nominal)
+        full = {**plan.nominal, **point}
         self.point = full
         self.model = model
-        self.order = model._tree_order()
-        self.joints = [c for c in self.order if isinstance(c, RevoluteJoint)]
-        self.joint_index = {c.name: i for i, c in enumerate(self.joints)}
-        self.free = model.root.kind == "free"
-        self.mask = model.root_body.dof_mask if self.free else ()
-        self.k = len(self.mask)
-        self._dofs = np.array(self.mask, dtype=np.intp)  # index into a 6-vector
-        self.nq = self.k + len(self.joints)
-        self.input_names, self.input_cols = _input_layout(model)
-        self.nu_in = len(self.input_names)
-        self.root_name = model.root_body.name if self.free else GROUND
-        self.root_euler = np.asarray(model.root.euler, dtype=float)
-        self.root_pos = np.asarray(model.root.position, dtype=float)
-        # a grounded root's attitude never moves
-        self._ground_dcm = (
-            None if self.free
-            else sp.dcm_from_euler(sp.EulerState(self.root_euler)).matrix
-        )
-        self.children: dict[str, list] = {}
-        for c in self.order:
-            self.children.setdefault(c.parent_port[0], []).append(c)
+        self.nq, self.k, self.nu_in = plan.nq, plan.k, plan.nu_in
+        self.joint_index = plan.joint_index
+        self.input_names, self.input_cols = plan.input_names, plan.input_cols
         # Every parameter-dependent constant, evaluated once at the point and
         # held to the same numeric body rules a model built at the point obeys.
-        self._body_data = {}
-        ports = {}
-        for b in model.bodies:
-            mass, inertia = b.mass_value(full), b.inertia_value(full)
+        vals = plan.values.copy()
+        for i, x in plan.exprs:
+            vals[i] = x.value(full)
+        vecs = vals[plan.vec_start :].reshape(-1, 3)
+        # The vectors fixed at the point enter each pass as cross products;
+        # their skew matrices turn each of those into one product (``_xs``).
+        skews = _skews(vecs)
+        self._body_data, self._cog_skew = {}, {}
+        for b, i_mass, i_inertia, i_cog, ports, i_ref in plan.bodies:
+            mass = float(vals[i_mass])
+            inertia = vals[i_inertia : i_inertia + 9].reshape(3, 3)
             check_mass_properties(b, full, mass, inertia)
-            ports[b.name] = {"ref": np.zeros(3)}
-            for n, _ in b.ports:
-                ports[b.name][n] = b.port_position_value(n, full)
-                check_port_position(b, n, ports[b.name][n], full)
-            cog = b.cog_offset_value(full)
-            d = _d_numeric(ports[b.name]["ref"] - cog, mass, inertia)
+            for n, i in ports:
+                check_port_position(b, n, vecs[i], full)
+            cog = vecs[i_cog]
+            d = _d_numeric(vecs[i_ref] - cog, mass, inertia)
             self._body_data[b.name] = (mass, inertia, cog, d)
-        self._conn_data = {}
-        for c in self.order:
-            (pb, pp), (cb, cp) = c.parent_port, c.child_port
-            q = np.zeros(3) if pb == GROUND else ports[pb][pp]
-            self._conn_data[c.name] = (q, ports[cb][cp])
-        self._joint_rot = {}
-        for c in self.joints:
-            angle = c.angle_eq
-            if isinstance(angle, lft.HalfTanParam):
-                angle = angle.angle_of(full[angle.param.name])
-            kmat = sp.skew(c.axis)
-            self._joint_rot[c.name] = (float(angle), kmat, kmat @ kmat)
-        self._axis_in_parent = [c.axis_in_parent for c in self.joints]
-        self._a_r = np.asarray(model.acceleration, dtype=float)
-        # external forces (body, port position, vector in R)
-        self.forces = [
-            (
-                f.body,
-                ports[f.body][f.port],
-                np.array(
-                    [lft.as_expr(v).value(full)
-                     for v in np.asarray(f.force, dtype=object).reshape(3)]
-                ),
-            )
-            for f in _resolved_forces(model)
-        ]
-        # per body: external forces (vector in R, port position) and wrench
-        # inputs (column, port position)
-        self._body_forces = {b.name: [] for b in model.bodies}
-        for fb, p, fvec in self.forces:
-            self._body_forces[fb].append((fvec, p))
-        self._body_wrenches = {b.name: [] for b in model.bodies}
-        # (residual row, input column) of each torque input
-        self._torques = []
-        for key, col in self.input_cols.items():
-            if key[0] == "wrench":
-                self._body_wrenches[key[1]].append((col, ports[key[1]][key[2]]))
-            else:
-                self._torques.append((self.k + self.joint_index[key[1]], col))
-
-    # -- state unpacking -------------------------------------------------
-    def _unpack(self, x):
-        """(K, 2nq) states -> root v6, p6 (K,6) and joint theta, thetadot."""
-        x = _rows(x, 2 * self.nq)
-        nu, chi = x[:, : self.nq], x[:, self.nq :]
-        v6 = np.zeros((len(x), 6))
-        p6 = np.zeros((len(x), 6))
-        v6[:, self._dofs] = nu[:, : self.k]
-        p6[:, self._dofs] = chi[:, : self.k]
-        return v6, p6, chi[:, self.k :], nu[:, self.k :]
+            self._cog_skew[b.name] = skews[i_cog]
+        self._angles = plan.angles.copy()
+        for j, angle in plan.angle_params:
+            self._angles[j] = angle.angle_of(full[angle.param.name])
+        # per connection: q, cpos and skew(q), skew(cpos)
+        self._conn_data = {
+            c.name: (vecs[iq], vecs[ic], skews[iq], skews[ic])
+            for c, iq, ic in plan.conns
+        }
+        # external forces (body, port position, vector in R); per body, its
+        # external forces (vector, port skew transposed) and wrench inputs
+        # (column, port skew transposed)
+        self.forces = [(fb, vecs[ip], vals[i : i + 3]) for fb, ip, i in plan.forces]
+        self._body_forces = {b.name: [] for b, *_ in plan.bodies}
+        for fb, ip, i in plan.forces:
+            self._body_forces[fb].append((vals[i : i + 3], skews[ip].T))
+        self._body_wrenches = {b.name: [] for b, *_ in plan.bodies}
+        for fb, col, ip in plan.wrenches:
+            self._body_wrenches[fb].append((col, skews[ip].T))
 
     # -- forward kinematics sweep ----------------------------------------
     def _sweep(self, x, nudot) -> dict:
-        v6, p6, theta, thetadot = self._unpack(x)
+        plan = self._plan
+        v6, p6, theta, thetadot = plan.unpack(x)
         kk = len(v6)
-        nudot = np.broadcast_to(_rows(nudot, self.nq), (kk, self.nq))
+        nudot = _rows_of(nudot, self.nq, kk)
         thetaddot = nudot[:, self.k :]
         states: dict[str, _BodyState] = {}
-        if self.free:
-            euler = self.root_euler + p6[:, 3:]
+        if plan.free:
+            euler = plan.root_euler + p6[:, 3:]
             p0 = sp.dcm_from_euler(sp.EulerState(euler)).matrix
             v, w = v6[:, :3], v6[:, 3:]
             vd6 = np.zeros((kk, 6))
-            vd6[:, self._dofs] = nudot[:, : self.k]
+            vd6[:, plan.dofs] = nudot[:, : self.k]
             a_lin = vd6[:, :3] + _cross(w, v)
             wd = vd6[:, 3:]
-            states[self.root_name] = _BodyState(p0, v, w, a_lin, wd)
+            states[plan.root_name] = _BodyState(p0, v, w, a_lin, wd)
         else:
             zero = np.zeros((kk, 3))
             states[GROUND] = _BodyState(
-                np.broadcast_to(self._ground_dcm, (kk, 3, 3)), zero, zero, zero, zero
+                np.broadcast_to(plan.ground_dcm, (kk, 3, 3)), zero, zero, zero, zero
             )
-        for c in self.order:
-            pb, _ = c.parent_port
-            cb, _ = c.child_port
-            par = states[pb]
-            q, cpos = self._conn_data[c.name]
-            wq = _cross(par.w, q)
+        # each joint's rotation from its zero angle, I + sin K + (1 - cos) K^2
+        th = (self._angles + theta)[..., None, None]
+        rots = _EYE3 + np.sin(th) * plan.kmats + (1.0 - np.cos(th)) * plan.k2mats
+        for c in plan.order:
+            par = states[c.parent_port[0]]
+            _, _, q_s, c_s = self._conn_data[c.name]
+            wq = _xs(par.w, q_s)
             v_q = par.v + wq
-            a_q = par.a + _cross(par.wd, q) + _cross(par.w, wq)
-            if isinstance(c, RevoluteJoint):
+            a_q = par.a + _xs(par.wd, q_s) + _cross(par.w, wq)
+            joint = isinstance(c, RevoluteJoint)
+            if joint:
                 j = self.joint_index[c.name]
-                angle, kmat, k2mat = self._joint_rot[c.name]
-                th = angle + theta[:, j, None, None]
-                thd = thetadot[:, j, None]
-                thdd = thetaddot[:, j, None]
-                p_ab = c.zero_dcm @ (
-                    _EYE3 + np.sin(th) * kmat + (1.0 - np.cos(th)) * k2mat
-                )
-                r = c.axis
-                w_par_a = _mtv(p_ab, par.w)
-                w_a = w_par_a + thd * r
-                wd_a = _mtv(p_ab, par.wd) + thdd * r + thd * _cross(w_par_a, r)
+                p_ab = c.zero_dcm @ rots[:, j]
             else:
                 p_ab = c.fixed_dcm
-                w_a = _mtv(p_ab, par.w)
-                wd_a = _mtv(p_ab, par.wd)
-            v_j = _mtv(p_ab, v_q)
-            a_j = _mtv(p_ab, a_q)
-            # joint point -> child reference port (offset -cpos in child frame)
-            v_ref = v_j - _cross(w_a, cpos)
-            a_ref = a_j - _cross(wd_a, cpos) + _cross(w_a, _cross(w_a, -cpos))
-            states[cb] = _BodyState(par.dcm @ p_ab, v_ref, w_a, a_ref, wd_a, p_ab)
+            # the four parent vectors in the child frame: one stacked P^T v
+            rot = np.concatenate([par.w, par.wd, v_q, a_q], axis=1)
+            rot = rot.reshape(kk, 4, 3) @ p_ab
+            w_a, wd_a, v_j, a_j = rot[:, 0], rot[:, 1], rot[:, 2], rot[:, 3]
+            if joint:
+                r = c.axis
+                thd = thetadot[:, j, None]
+                wd_a = wd_a + thetaddot[:, j, None] * r + thd * _xs(w_a, plan.kmats[j])
+                w_a = w_a + thd * r
+            wc = _xs(w_a, c_s)
+            v_ref = v_j - wc
+            a_ref = a_j - _xs(wd_a, c_s) - _cross(w_a, wc)
+            states[c.child_port[0]] = _BodyState(
+                par.dcm @ p_ab, v_ref, w_a, a_ref, wd_a, p_ab
+            )
         return states
 
     # -- residual ----------------------------------------------------------
@@ -271,65 +429,68 @@ class NonlinearEvaluator:
         One recursive Newton-Euler pass (Featherstone, 2008) over the whole
         stack: kinematics root to leaves, wrenches leaves to root.
         """
+        plan = self._plan
         single = np.ndim(x) == 1
         x = _rows(x, 2 * self.nq)
         states = self._sweep(x, nudot)
         thetadot = x[:, self.k : self.nq]
         kk = len(x)
-        u = np.broadcast_to(_rows(u, self.nu_in), (kk, self.nu_in))
-        nudot = np.broadcast_to(_rows(nudot, self.nq), (kk, self.nq))
-        a_r = self._a_r
+        u = _rows_of(u, self.nu_in, kk)
+        nudot = _rows_of(nudot, self.nq, kk)
+        a_r = plan.a_r
         res = np.zeros((kk, self.nq))
         joint_s: dict[str, np.ndarray] = {}
-        damped = self.free and self.model.root_damping is not None
 
         def visit(name: str) -> np.ndarray:
             st = states[name]
             if name == GROUND:
                 inb = np.zeros((kk, 6))
             else:
-                m, _, cog, d = self._body_data[name]
+                m, _, _, d = self._body_data[name]
                 w = st.w
                 x2 = np.concatenate([st.a, st.wd], axis=1)
                 x2[:, :3] += a_r @ st.dcm
-                nl = np.concatenate(
-                    [m * _cross(w, _cross(-cog, w)), _cross(w, w @ d[3:, 3:].T)],
-                    axis=1,
-                )
+                # m w x (w x cog) and w x (J w), from one cross product
+                nl = _cross(
+                    w[:, None],
+                    np.concatenate(
+                        [_xs(w, self._cog_skew[name]), w @ d[3:, 3:].T], axis=1
+                    ).reshape(kk, 2, 3),
+                ).reshape(kk, 6)
+                nl[:, :3] *= m
                 inb = x2 @ d.T + nl
-                for fvec, p in self._body_forces[name]:
+                for fvec, p_st in self._body_forces[name]:
                     f_body = fvec @ st.dcm
-                    inb -= np.concatenate([f_body, _cross(p, f_body)], axis=1)
-                for col, p in self._body_wrenches[name]:
+                    inb -= np.concatenate([f_body, _xs(f_body, p_st)], axis=1)
+                for col, p_st in self._body_wrenches[name]:
                     wvec = u[:, col : col + 6]
                     inb -= np.concatenate(
-                        [wvec[:, :3], _cross(p, wvec[:, :3]) + wvec[:, 3:]], axis=1
+                        [wvec[:, :3], _xs(wvec[:, :3], p_st) + wvec[:, 3:]], axis=1
                     )
-                if damped and name == self.root_name:
+                if plan.root_damping is not None and name == plan.root_name:
                     twist = np.concatenate([st.v, st.w], axis=1)
-                    inb += twist @ self.model.root_damping.T
-            for c in self.children.get(name, []):
+                    inb += twist @ plan.root_damping.T
+            for c in plan.children.get(name, []):
                 cb, _ = c.child_port
                 child_in = visit(cb)
-                q, cpos = self._conn_data[c.name]
+                _, _, q_s, c_s = self._conn_data[c.name]
                 s_f = child_in[:, :3]
-                s_m = child_in[:, 3:] - _cross(cpos, s_f)
+                s_m = child_in[:, 3:] - _xs(s_f, c_s.T)
                 if isinstance(c, RevoluteJoint):
                     joint_s[c.name] = s_m
                 p_ab = states[cb].p_ab
                 f_b = _mv(p_ab, s_f)
                 m_b = _mv(p_ab, s_m)
-                inb += np.concatenate([f_b, m_b + _cross(q, f_b)], axis=1)
+                inb += np.concatenate([f_b, m_b + _xs(f_b, q_s.T)], axis=1)
             return inb
 
-        root_in = visit(self.root_name)
+        root_in = visit(plan.root_name)
         thetaddot = nudot[:, self.k :]
-        if self.free:
-            res[:, : self.k] = root_in[:, self._dofs]
-        for c in self.joints:
-            i = self.joint_index[c.name]
+        if plan.free:
+            res[:, : self.k] = root_in[:, plan.dofs]
+        for i, c in enumerate(plan.joints):
             parent = states[c.parent_port[0]]
-            lhs = c.shaft_inertia * (thetaddot[:, i] + parent.wd @ self._axis_in_parent[i])
+            lhs = c.shaft_inertia * (thetaddot[:, i] + parent.wd @ plan.axis_in_parent[i])
             res[:, self.k + i] = (
                 lhs + c.friction * thetadot[:, i] + joint_s[c.name] @ c.axis
             )
@@ -343,20 +504,15 @@ class NonlinearEvaluator:
         A torque enters the residual nowhere else, so a residual computed
         with the torques at 0 takes them afterwards with the same bits.
         """
-        for row, col in self._torques:
+        for row, col in self._plan.torques:
             res[..., row] -= u[..., col]
 
     def _stack(self, x, u) -> np.ndarray:
         """Residual of the unit-acceleration stack, (K, nq+1, nq): for each
-        of the K state/input rows, the rows at nudot = 0, e_1, ..., e_nq
-        (Walker & Orin's method 1), with every torque input at 0.  One
-        residual call."""
-        nq = self.nq
-        us = np.repeat(u, nq + 1, axis=0)
-        us[:, [col for _, col in self._torques]] = 0.0
-        unit = np.vstack([np.zeros(nq), np.eye(nq)])
-        r = self.residual(np.repeat(x, nq + 1, axis=0), us, np.tile(unit, (len(x), 1)))
-        return r.reshape(len(x), nq + 1, nq)
+        of the K state/input rows, the rows at nudot = 0, e_1, ..., e_nq,
+        with every torque input at 0.  One residual call."""
+        r = self.residual(*self._plan.unit_rows(x, u))
+        return r.reshape(len(x), self.nq + 1, self.nq)
 
     def _accel(self, r, u) -> np.ndarray:
         """nudot of each row from its ``_stack`` residual ``r``, after the
@@ -377,27 +533,11 @@ class NonlinearEvaluator:
         nudot = self._accel(self._stack(x, u), u)
         return nudot[0] if single else nudot
 
-    def _chidot(self, x) -> np.ndarray:
-        """chidot of each (K, 2nq) state row: the root's Euler rate map
-        applied to its masked twist, and the joint rates."""
-        _, p6, _, thetadot = self._unpack(x)
-        chidot = np.zeros((len(x), self.nq))
-        if self.free:
-            euler = self.root_euler + p6[:, 3:]
-            gamma = sp.euler_rate_map(sp.EulerState(euler))
-            full = np.zeros((len(x), 6, 6))
-            full[:, :3, :3] = np.eye(3)
-            full[:, 3:, 3:] = np.linalg.inv(gamma)
-            g = full[:, self._dofs][:, :, self._dofs]
-            chidot[:, : self.k] = _mv(g, x[:, : self.k])
-        chidot[:, self.k :] = thetadot
-        return chidot
-
     def f(self, x, u) -> np.ndarray:
         """Full state derivative [nudot; chidot] of each state/input row."""
         single = np.ndim(x) == 1
         x = _rows(x, 2 * self.nq)
-        out = np.concatenate([self.accel(x, u), self._chidot(x)], axis=1)
+        out = np.concatenate([self.accel(x, u), self._plan.chidot(x)], axis=1)
         return out[0] if single else out
 
     # -- trim ---------------------------------------------------------------
@@ -406,7 +546,7 @@ class NonlinearEvaluator:
         nudot = 0 and every input at 0: each torque input takes its
         joint's row, and every wrench input stays 0."""
         u = np.zeros(self.nu_in)
-        for row, col in self._torques:
+        for row, col in self._plan.torques:
             u[col] = r0[row]
         return u
 
@@ -418,19 +558,19 @@ class NonlinearEvaluator:
 
     def energy(self, x):
         """Total mechanical energy (kinetic + static potential) of each row."""
+        plan = self._plan
         states = self._sweep(x, np.zeros(self.nq))
-        _, p6, _, _ = self._unpack(x)
+        _, p6, _, _ = plan.unpack(x)
         # reference-port positions in R, root to leaves
-        root = states[self.root_name]
+        root = states[plan.root_name]
         pos = {
-            self.root_name: self.root_pos + _mv(root.dcm, p6[:, :3]) if self.free
-            else np.broadcast_to(self.root_pos, p6[:, :3].shape)
+            plan.root_name: plan.root_pos + _mv(root.dcm, p6[:, :3]) if plan.free
+            else np.broadcast_to(plan.root_pos, p6[:, :3].shape)
         }
-        for c in self.order:
+        for c in plan.order:
             (pb, _), (cb, _) = c.parent_port, c.child_port
-            q, cpos = self._conn_data[c.name]
+            q, cpos, _, _ = self._conn_data[c.name]
             pos[cb] = pos[pb] + _mv(states[pb].dcm, q) - _mv(states[cb].dcm, cpos)
-        a_r = self._a_r
         e = 0.0
         for name, st in states.items():
             if name == GROUND:
@@ -441,7 +581,7 @@ class NonlinearEvaluator:
                 m * np.sum(v_cog * v_cog, axis=1) + np.sum(st.w * (st.w @ j.T), axis=1)
             )
             pos_cog = pos[name] + _mv(st.dcm, cog)
-            e = e + m * (pos_cog @ a_r)
+            e = e + m * (pos_cog @ plan.a_r)
         for fb, p, fvec in self.forces:
             st = states[fb]
             e = e - (pos[fb] + _mv(st.dcm, p)) @ fvec
@@ -468,23 +608,20 @@ def fd_linearize(ev: NonlinearEvaluator, cfg: FdConfig | None = None):
     x0 +/- h e_i for each state, then u0 +/- h e_i for each input.  The
     stack is one residual call, made with the torque inputs at 0: the trim
     leaves every wrench input at 0, so the wrench rows are known before
-    u0.  The base row's residual gives the trim torques u0, and each row's
+    u0, and the whole stack is the model's, built once per step scale.
+    The base row's residual gives the trim torques u0, and each row's
     torques are subtracted from its residual afterwards.
     """
     cfg = cfg or FdConfig()
-    n2, nu = 2 * ev.nq, ev.nu_in
-    x0 = np.zeros(n2)
-    hx = cfg.scale * np.maximum(1.0, np.abs(x0))
-    dx = np.diag(hx)
-    xs = np.vstack([x0, x0 + dx, x0 - dx, np.tile(x0, (2 * nu, 1))])
-    us, _ = _input_rows(np.zeros(nu), 1 + 2 * n2, cfg.scale)
-    r = ev._stack(xs, us)
+    n2, nq, nu = 2 * ev.nq, ev.nq, ev.nu_in
+    st = ev._plan.fd_stack(cfg.scale)
+    r = ev.residual(st.x, st.u, st.nudot).reshape(len(st.xs), nq + 1, nq)
     us, hu = _input_rows(ev._trim(r[0, 0]), 1 + 2 * n2, cfg.scale)
-    fs = np.concatenate([ev._accel(r, us), ev._chidot(xs)], axis=1)
+    fs = np.concatenate([ev._accel(r, us), st.chidot], axis=1)
     trim = np.max(np.abs(fs[0]))
     if trim > cfg.trim_tol:
         raise TrimError(f"trim residual {trim:.3e} exceeds {cfg.trim_tol:.1e}")
     fx, fu = fs[1 : 1 + 2 * n2], fs[1 + 2 * n2 :]
-    a = ((fx[:n2] - fx[n2:]) / (2.0 * hx)[:, None]).T
+    a = ((fx[:n2] - fx[n2:]) / (2.0 * st.hx)[:, None]).T
     b = ((fu[:nu] - fu[nu:]) / (2.0 * hu)[:, None]).T
     return a, b

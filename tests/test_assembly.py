@@ -200,6 +200,20 @@ def test_strict_sampling_rejects_out_of_bounds(arm_lm):
     sample_model(arm_lm, {"m1": 100.0}, strict=False)  # extrapolates quietly
 
 
+def test_sampling_rejects_undeclared_parameter_names(arm_lm):
+    """The YAML's angle names t1 and t2 are not the LFT's t_t1 and t_t2: a
+    point naming them is rejected, with the first bad point's index, rather
+    than sampled at the nominal angles."""
+    with pytest.raises(lft.EvaluationError, match=r"unknown parameter\(s\) \['t1'\]") as err:
+        sample_model(arm_lm, {"t1": 60.0})
+    assert err.value.index == 0
+    assert "known: ['J1', 'L2', 'm1', 'm3', 'rho1', 't_t1', 't_t2']" in str(err.value)
+    points = [{"m1": 3.0}, {"t_t1": 0.9}, {"t2": 1.0, "x": 0.0}, {"t1": 60.0}]
+    with pytest.raises(lft.EvaluationError, match=r"\['t2', 'x'\]") as err:
+        sample_model(arm_lm, points)
+    assert err.value.index == 2
+
+
 def test_balloon_keel_sweep_matches_frozen_reassembly():
     # criterion 6's keel-length grid, which reaches the edges of the box
     balloon = load_model(MODELS / "balloon_planar.yaml")

@@ -162,7 +162,9 @@ def test_fd_exact_for_linear_system():
 
 
 def test_richardson_ratio_of_central_scheme():
-    """Halving the step divides the truncation error by ~4."""
+    """Halving the step divides the truncation error by ~4.  One evaluator
+    takes both steps, so each step scale must get its own rows from the
+    model's plan (with one shared set, the ratio would be 1)."""
     m, length, jj = 1.0, 1.0, 1e-10
     ev = NonlinearEvaluator(_pendulum(m, length, shaft=jj), {})
     exact = -m * G * length / (m * length ** 2 + jj)
@@ -468,13 +470,14 @@ def test_evaluator_applies_the_body_rules_at_the_point(point):
 
 
 def test_evaluator_builds_no_frozen_model(monkeypatch):
-    """One construction reads the parameter registry once and never copies
-    the model."""
+    """Evaluators of one model object never copy the model, and build its
+    plan, which reads the parameter registry, once between them."""
     from mblft import assembly, oracle
 
     model = load_model(MODELS / "two_link_arm.yaml")
-    calls = {"freeze": 0, "parameters": 0}
+    calls = {"freeze": 0, "parameters": 0, "plan": 0}
     freeze, parameters = assembly.freeze_model, MultibodyModel.parameters
+    plan_init = oracle._Plan.__init__
 
     def counted_freeze(*args):
         calls["freeze"] += 1
@@ -484,11 +487,100 @@ def test_evaluator_builds_no_frozen_model(monkeypatch):
         calls["parameters"] += 1
         return parameters(self)
 
+    def counted_plan(self, *args):
+        calls["plan"] += 1
+        plan_init(self, *args)
+
     monkeypatch.setattr(assembly, "freeze_model", counted_freeze)
     monkeypatch.setattr(oracle, "freeze_model", counted_freeze, raising=False)
     monkeypatch.setattr(MultibodyModel, "parameters", counted_parameters)
-    NonlinearEvaluator(model, {"m1": 3.1, "t_t2": 0.8})
-    assert calls == {"freeze": 0, "parameters": 1}
+    monkeypatch.setattr(oracle._Plan, "__init__", counted_plan)
+    for m1 in (3.1, 2.9, 3.0, 3.05, 2.95):
+        fd_linearize(NonlinearEvaluator(model, {"m1": m1, "t_t2": 0.8}))
+    assert calls == {"freeze": 0, "parameters": 1, "plan": 1}
+
+
+def test_evaluator_rejects_undeclared_parameter_names():
+    """A point naming a parameter the model does not declare (here the
+    YAML's angle name t1, where the model's parameter is t_t1) is rejected
+    rather than evaluated at the nominal angle."""
+    model = load_model(MODELS / "two_link_arm.yaml")
+    with pytest.raises(lft.EvaluationError, match=r"unknown parameter\(s\) \['t1'\]") as err:
+        NonlinearEvaluator(model, {"t1": 60.0, "m1": 3.1})
+    assert "known: ['J1', 'L2', 'm1', 'm3', 'rho1', 't_t1', 't_t2']" in str(err.value)
+
+
+def _arm_with_m1_nominal(tmp_path, nominal):
+    text = (MODELS / "two_link_arm.yaml").read_text()
+    old = "m1:   {kind: uncertain, nominal: 3.0,"
+    assert old in text
+    path = tmp_path / "arm_m1.yaml"
+    path.write_text(text.replace(old, f"m1:   {{kind: uncertain, nominal: {nominal},"))
+    return load_model(path)
+
+
+def test_evaluators_of_several_models_each_use_their_own_plan(tmp_path):
+    """Evaluators built in turn for the arm, the balloon and the arm with
+    another m1 nominal give A and B bit for bit as an evaluator that is the
+    first of its model object (and so builds that object's plan) does."""
+    def models():
+        return {
+            "arm": load_model(MODELS / "two_link_arm.yaml"),
+            "balloon": load_model(MODELS / "balloon_planar.yaml"),
+            "arm_m1": _arm_with_m1_nominal(tmp_path, 3.12),
+        }
+
+    shared = models()
+    rng = np.random.default_rng(61)
+    points = {
+        name: [{}, {n: float(rng.uniform(p.lower, p.upper))
+                    for n, p in model.parameters().items()}]
+        for name, model in shared.items()
+    }
+    want = {
+        (name, i): fd_linearize(NonlinearEvaluator(model, pt))
+        for name, model in models().items()
+        for i, pt in enumerate(points[name])
+    }
+    assert not np.array_equal(want["arm", 0][0], want["arm_m1", 0][0])
+    for _ in range(2):
+        for i in range(2):
+            for name, model in shared.items():
+                got = fd_linearize(NonlinearEvaluator(model, points[name][i]))
+                for g, w in zip(got, want[name, i]):
+                    _same_bits(g, w)
+
+
+def test_plan_lives_and_dies_with_its_model():
+    """A dropped model is freed with its plan, and a new model object gets
+    a plan of its own even where it takes the dropped model's id."""
+    import gc
+    import weakref
+
+    base = _pendulum()
+    model = MultibodyModel(name="p", bodies=base.bodies,
+                           connections=base.connections, acceleration=(0, 0, G))
+    NonlinearEvaluator(model, {})
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
+
+    reused = False
+    for i in range(50):
+        model = MultibodyModel(name="p", bodies=base.bodies,
+                               connections=base.connections, acceleration=(0, 0, G))
+        NonlinearEvaluator(model, {})  # builds the model's plan
+        old = id(model)
+        del model  # freed at once: nothing else holds it
+        g = 1.0 + i
+        model = MultibodyModel(name="p", bodies=base.bodies,
+                               connections=base.connections, acceleration=(0, 0, g))
+        reused |= id(model) == old
+        a, _ = fd_linearize(NonlinearEvaluator(model, {}))
+        assert a[0, 1] == pytest.approx(-g / (1.0 + 1e-10), rel=1e-6)
+        del model
+    assert reused
 
 
 # ---------------------------------------------------------------------------
