@@ -46,6 +46,7 @@ __all__ = [
     "TrimError",
     "ExternalForce",
     "RootSpec",
+    "TreeLayout",
     "MultibodyModel",
     "EquilibriumSolution",
     "LinearLftModel",
@@ -105,6 +106,28 @@ class RootSpec:
         object.__setattr__(
             self, "position", tuple(float(v) for v in self.position)
         )
+
+
+@dataclass(frozen=True)
+class TreeLayout:
+    """The one layout of a model's tree that the assembly steps and the
+    oracle share: the walk from the root, and the columns of the state
+    x = [nu; chi] and of the inputs u."""
+
+    root: str  # root body name, or GROUND
+    order: tuple  # connections, depth-first from the root
+    children: dict  # body name (or GROUND) -> its outbound connections
+    joints: tuple  # revolute joints in tree order
+    joint_index: dict  # joint name -> index among the joints
+    mask: tuple  # unmasked root DOFs (empty for a grounded root)
+    nq: int  # len(mask) + number of joints
+    input_names: tuple
+    input_cols: dict  # ("torque", joint) | ("wrench", body, port) -> column
+
+    @property
+    def k(self) -> int:
+        """Unmasked root DOF count: the joint rows start here."""
+        return len(self.mask)
 
 
 @dataclass(frozen=True)
@@ -176,41 +199,25 @@ class MultibodyModel:
         dup = sorted({n for n in conn_names if conn_names.count(n) > 1})
         if dup:
             raise AssemblyError(f"duplicate connection name(s) {dup}")
-        root_name = GROUND if self.root.kind == GROUND else self.root_body.name
-        child_of = {}
         for c in self.connections:
             pb, pp = c.parent_port
-            cb, cp = c.child_port
             if pb != GROUND:
                 self.body(pb).port_position(pp)
             elif self.root.kind != GROUND:
                 raise AssemblyError("ground parent in a free-root model")
-            self.body(cb).port_position(cp)
-            if cb in child_of:
-                raise AssemblyError(f"body {cb!r} has two parents (not a tree)")
-            if cb == root_name:
-                raise AssemblyError("root body cannot be a child")
-            child_of[cb] = pb
-        expected = set(names) - {root_name}
-        if set(child_of) != expected:
-            missing = expected - set(child_of)
+            self.body(c.child_port[0]).port_position(c.child_port[1])
+        tree = self.tree
+        missing = set(names) - {c.child_port[0] for c in self.connections}
+        missing.discard(tree.root)
+        if missing:
             raise AssemblyError(f"disconnected bodies: {sorted(missing)}")
-        # reachability (cycle through ground impossible by construction,
-        # but verify every chain terminates at the root)
-        for b in expected:
-            seen = set()
-            cur = b
-            while cur != root_name and cur != GROUND:
-                if cur in seen:
-                    raise AssemblyError("connection graph contains a cycle")
-                seen.add(cur)
-                cur = child_of[cur]
+        # every body but the root has one parent, so a connection that the
+        # walk from the root does not reach lies on a cycle
+        if len(tree.order) != len(self.connections):
+            raise AssemblyError("connection graph contains a cycle")
         for spec in self.inputs:
             if spec[0] == "torque":
-                if not any(
-                    isinstance(c, RevoluteJoint) and c.name == spec[1]
-                    for c in self.connections
-                ):
+                if spec[1] not in tree.joint_index:
                     raise AssemblyError(f"torque input on unknown joint {spec[1]!r}")
             elif spec[0] == "wrench":
                 self.body(spec[1]).port_position(spec[2])
@@ -223,6 +230,50 @@ class MultibodyModel:
                 raise AssemblyError(
                     f"external force on unknown port {f.port!r} of body {f.body!r}"
                 )
+
+    @cached_property
+    def tree(self) -> TreeLayout:
+        """The tree's layout, walked once from the root: the model is
+        frozen.  Raises AssemblyError where a body has two parents or the
+        root is a child, so that the walk visits each body once."""
+        root = GROUND if self.root.kind == GROUND else self.root_body.name
+        children: dict[str, list] = {}
+        has_parent = set()
+        for c in self.connections:
+            cb = c.child_port[0]
+            if cb in has_parent:
+                raise AssemblyError(f"body {cb!r} has two parents (not a tree)")
+            if cb == root:
+                raise AssemblyError("root body cannot be a child")
+            has_parent.add(cb)
+            children.setdefault(c.parent_port[0], []).append(c)
+        order, stack = [], [root]
+        while stack:
+            kids = children.get(stack.pop(), [])
+            order.extend(kids)
+            stack.extend(c.child_port[0] for c in reversed(kids))
+        joints = tuple(c for c in order if isinstance(c, RevoluteJoint))
+        mask = () if root == GROUND else self.root_body.dof_mask
+        input_names, input_cols = [], {}
+        for spec in self.inputs:
+            if spec[0] == "torque":
+                input_cols["torque", spec[1]] = len(input_names)
+                input_names.append(f"{spec[1]}.Cm")
+            elif spec[0] == "wrench":
+                input_cols["wrench", spec[1], spec[2]] = len(input_names)
+                wn = ("Fx", "Fy", "Fz", "Mx", "My", "Mz")
+                input_names.extend(f"{spec[1]}.{spec[2]}.{w}" for w in wn)
+        return TreeLayout(
+            root=root,
+            order=tuple(order),
+            children=children,
+            joints=joints,
+            joint_index={c.name: i for i, c in enumerate(joints)},
+            mask=mask,
+            nq=len(mask) + len(joints),
+            input_names=tuple(input_names),
+            input_cols=input_cols,
+        )
 
     # -- parameters ------------------------------------------------------
     def parameters(self) -> dict:
@@ -268,30 +319,6 @@ class MultibodyModel:
             total = total + lft.as_expr(b.mass)
         return total
 
-    @property
-    def joints(self) -> tuple:
-        return tuple(
-            c for c in self._tree_order() if isinstance(c, RevoluteJoint)
-        )
-
-    def _tree_order(self) -> tuple:
-        """Connections in depth-first order from the root."""
-        root_name = GROUND if self.root.kind == GROUND else self.root_body.name
-        by_parent: dict[str, list] = {}
-        for c in self.connections:
-            by_parent.setdefault(c.parent_port[0], []).append(c)
-        out = []
-        stack = [root_name]
-        while stack:
-            cur = stack.pop()
-            kids = by_parent.get(cur, [])
-            out.extend(kids)
-            for c in reversed(kids):
-                stack.append(c.child_port[0])
-        if len(out) != len(self.connections):
-            raise AssemblyError("disconnected connections")
-        return tuple(out)
-
 
 # ---------------------------------------------------------------------------
 # Step 1: geometry at equilibrium
@@ -322,11 +349,6 @@ class _ConnGeo:
 @dataclass
 class GeometryContext:
     model: MultibodyModel
-    order: tuple  # connections in tree order
-    joint_index: dict  # joint name -> index among revolute joints
-    nq: int
-    k: int  # unmasked root DOF count
-    mask: tuple
     geo: dict  # body name (or GROUND) -> _BodyGeo
     conn: dict  # child body name -> _ConnGeo of its inbound connection
     gamma0: np.ndarray  # root Euler-rate map at equilibrium
@@ -353,16 +375,8 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
     """Root-to-leaf pass: equilibrium orientations, Jacobians, accelerations,
     and the per-body and per-connection LFTs that steps 2 and 3 share."""
     forces = _resolved_forces(model)
-    order = model._tree_order()
-    joints = [c for c in order if isinstance(c, RevoluteJoint)]
-    joint_index = {c.name: i for i, c in enumerate(joints)}
-    n = len(joints)
-    if model.root.kind == GROUND:
-        mask: tuple = ()
-    else:
-        mask = model.root_body.dof_mask
-    k = len(mask)
-    nq = k + n
+    tree = model.tree
+    nq, k, mask = tree.nq, tree.k, tree.mask
     euler0 = np.asarray(model.root.euler, dtype=float)
     dcm0 = sp.dcm_from_euler(sp.EulerState(euler0)).matrix
     gamma0 = sp.euler_rate_map(sp.EulerState(euler0))
@@ -370,8 +384,7 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
 
     geo: dict[str, _BodyGeo] = {}
     conn: dict[str, _ConnGeo] = {}
-    root_name = GROUND if model.root.kind == GROUND else model.root_body.name
-    root_body = None if root_name == GROUND else model.root_body
+    root_body = None if tree.root == GROUND else model.root_body
     jhat0 = np.zeros((6, nq))
     for col, dof in enumerate(mask):
         jhat0[dof, col] = 1.0
@@ -382,7 +395,7 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
             phi0[:, col] = gamma0[:, dof - 3]
     dcm_root = lft.constant(dcm0)
     d_root, loads_root = _body_terms(root_body, dcm_root, forces)
-    geo[root_name] = _BodyGeo(
+    geo[tree.root] = _BodyGeo(
         body=root_body,
         dcm=dcm_root,
         jhat=lft.constant(jhat0),
@@ -393,7 +406,7 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
         loads=loads_root,
     )
 
-    for c in order:
+    for c in tree.order:
         pb, pp = c.parent_port
         cb, cp = c.child_port
         parent = geo[pb]
@@ -415,7 +428,7 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
         phi = p_ab.T @ parent.phi
         if isinstance(c, RevoluteJoint):
             e_nu = np.zeros((1, nq))
-            e_nu[0, k + joint_index[c.name]] = 1.0
+            e_nu[0, k + tree.joint_index[c.name]] = 1.0
             j_joint = j_joint + lft.constant(
                 c.r6.reshape(6, 1)
             ) @ lft.constant(e_nu)
@@ -430,17 +443,7 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
             body, dcm, jhat, phi, abar, pos, *_body_terms(body, dcm, forces)
         )
 
-    return GeometryContext(
-        model=model,
-        order=order,
-        joint_index=joint_index,
-        nq=nq,
-        k=k,
-        mask=mask,
-        geo=geo,
-        conn=conn,
-        gamma0=gamma0,
-    )
+    return GeometryContext(model=model, geo=geo, conn=conn, gamma0=gamma0)
 
 
 # ---------------------------------------------------------------------------
@@ -520,9 +523,7 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
     inbound: dict[str, lft.LftMatrix] = {}
     joint_load: dict[str, lft.LftMatrix] = {}
     torque: dict[str, lft.LftMatrix] = {}
-    children: dict[str, list] = {}
-    for c in ctx.order:
-        children.setdefault(c.parent_port[0], []).append(c)
+    tree = model.tree
 
     def visit(name: str) -> lft.LftMatrix:
         rec = ctx.geo[name]
@@ -532,7 +533,7 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
             ibar = rec.d @ lft.vstack([rec.abar, lft.zeros(3, 1)])
             for fbar, tau_p in rec.loads:
                 ibar = ibar - tau_p.T @ lft.vstack([fbar, lft.zeros(3, 1)])
-        for c in children.get(name, []):
+        for c in tree.children.get(name, []):
             cb = c.child_port[0]
             child_in = visit(cb)
             cg = ctx.conn[cb]
@@ -548,8 +549,7 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
             inbound[name] = ibar
         return ibar
 
-    root_name = GROUND if model.root.kind == GROUND else model.root_body.name
-    root_in = visit(root_name)
+    root_in = visit(tree.root)
     eq = EquilibriumSolution(
         geometry=ctx,
         inbound=inbound,
@@ -558,7 +558,7 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
         root_reaction=root_in,
     )
     if model.root.kind == "free" and not model.accelerating_trim:
-        res = root_in.nominal.ravel()[list(ctx.mask)]
+        res = root_in.nominal.ravel()[list(tree.mask)]
         if np.max(np.abs(res)) > 1e-6:
             raise TrimError(
                 f"free root is not in equilibrium (residual {res}); balance "
@@ -626,34 +626,16 @@ class LinearLftModel:
         }
 
 
-def _input_layout(model: MultibodyModel) -> tuple:
-    names = []
-    cols = {}
-    for spec in model.inputs:
-        if spec[0] == "torque":
-            cols[("torque", spec[1])] = len(names)
-            names.append(f"{spec[1]}.Cm")
-        else:
-            cols[("wrench", spec[1], spec[2])] = len(names)
-            wn = ("Fx", "Fy", "Fz", "Mx", "My", "Mz")
-            names.extend(f"{spec[1]}.{spec[2]}.{w}" for w in wn)
-    return tuple(names), cols
-
-
 def step3_linearize(
     model: MultibodyModel, eq: EquilibriumSolution, reduce: bool = True
 ) -> LinearLftModel:
     """Assemble the linearized LFT state-space model around the equilibrium."""
     ctx = eq.geometry
-    nq, k, mask = ctx.nq, ctx.k, ctx.mask
-    n = len(ctx.joint_index)
+    tree = model.tree
+    nq, k, mask = tree.nq, tree.k, tree.mask
     if nq == 0:
         raise AssemblyError("model has no degrees of freedom")
-    input_names, input_cols = _input_layout(model)
-    nu_in = len(input_names)
-    children: dict[str, list] = {}
-    for c in ctx.order:
-        children.setdefault(c.parent_port[0], []).append(c)
+    nu_in = len(tree.input_names)
 
     # An interface wrench W = M nudot + C nu + K chi is carried as one LFT,
     # its 6 x 3nq coefficients over the columns [M | C | K].  Each transport
@@ -685,13 +667,13 @@ def step3_linearize(
                 and model.root_damping is not None
             ):
                 w = w + mck(damping=lft.constant(model.root_damping) @ rec.jhat)
-        for c in children.get(name, []):
+        for c in tree.children.get(name, []):
             cb = c.child_port[0]
             cg = ctx.conn[cb]
             s_w = lft.reduce_lft(cg.tau_c.T @ visit(cb))
             if isinstance(c, RevoluteJoint):
                 e_q = np.zeros((1, nq))
-                e_q[0, k + ctx.joint_index[c.name]] = 1.0
+                e_q[0, k + tree.joint_index[c.name]] = 1.0
                 # joint torque-balance row
                 r_parent = c.axis_in_parent.reshape(1, 3)
                 omega_rows = rec.jhat.submatrix([3, 4, 5], list(range(nq)))
@@ -716,17 +698,14 @@ def step3_linearize(
             w = w + cg.tau_q.T @ (cg.p2 @ s_w)
         return lft.reduce_lft(w)
 
-    root_name = GROUND if model.root.kind == GROUND else model.root_body.name
-    root_w = visit(root_name)
+    root_w = visit(tree.root)
 
     # system rows: masked root rows then joint rows in tree order, which is
     # the column order of every body's Jacobian jhat
     rows_w = []
     if model.root.kind == "free":
         rows_w.append(root_w.submatrix(list(mask), range(3 * nq)))
-    for c in ctx.order:
-        if isinstance(c, RevoluteJoint):
-            rows_w.append(joint_rows[c.name])
+    rows_w += [joint_rows[c.name] for c in tree.joints]
     w_sys = lft.reduce_lft(lft.vstack(rows_w))
 
     # B_hat by virtual work: a torque input acts on its joint's row, and a
@@ -734,9 +713,9 @@ def step3_linearize(
     # (tau(-p) jhat_b)^T; the input enters W with a minus sign
     b_const = np.zeros((nq, nu_in))
     b_sys = lft.zeros(nq, nu_in)
-    for spec, col in input_cols.items():
+    for spec, col in tree.input_cols.items():
         if spec[0] == "torque":
-            b_const[k + ctx.joint_index[spec[1]], col] = -1.0
+            b_const[k + tree.joint_index[spec[1]], col] = -1.0
         else:
             rec = ctx.geo[spec[1]]
             sel = np.zeros((6, nu_in))
@@ -761,7 +740,7 @@ def step3_linearize(
             ]
         )
         g[:k, :k] = full[np.ix_(list(mask), list(mask))]
-    g[k:, k:] = np.eye(n)
+    g[k:, k:] = np.eye(nq - k)
 
     a = lft.block([[-(minv @ ck_sys)], [lft.constant(g), lft.zeros(nq, nq)]])
     b = lft.vstack([-(minv @ b_sys), lft.zeros(nq, nu_in)])
@@ -773,7 +752,7 @@ def step3_linearize(
     a.check_wellposed()
     b.check_wellposed()
 
-    state_names = _state_names(model, ctx)
+    state_names = _state_names(tree)
     if model.outputs:
         idx = []
         for name in model.outputs:
@@ -795,27 +774,23 @@ def step3_linearize(
         c=c_out,
         d=d_out,
         state_names=state_names,
-        input_names=input_names,
+        input_names=tree.input_names,
         output_names=output_names,
         parameters=params,
         equilibrium=eq,
     )
 
 
-def _state_names(model: MultibodyModel, ctx: GeometryContext) -> tuple:
+def _state_names(tree: TreeLayout) -> tuple:
     axes = ("vx", "vy", "vz", "wx", "wy", "wz")
     pose = ("x", "y", "z", "t1", "t2", "t3")
-    joints = [c for c in ctx.order if isinstance(c, RevoluteJoint)]
-    names: list[str] = []
-    if model.root.kind == "free":
-        root = model.root_body.name
-        names += [f"{root}.{axes[i]}" for i in ctx.mask]
-    names += [f"{c.name}.thetadot" for c in joints]
-    if model.root.kind == "free":
-        root = model.root_body.name
-        names += [f"{root}.{pose[i]}" for i in ctx.mask]
-    names += [f"{c.name}.theta" for c in joints]
-    return tuple(names)
+    # a grounded root has no unmasked DOFs, so no root states
+    return tuple(
+        [f"{tree.root}.{axes[i]}" for i in tree.mask]
+        + [f"{c.name}.thetadot" for c in tree.joints]
+        + [f"{tree.root}.{pose[i]}" for i in tree.mask]
+        + [f"{c.name}.theta" for c in tree.joints]
+    )
 
 
 def assemble(model: MultibodyModel, reduce: bool = True) -> LinearLftModel:

@@ -180,15 +180,6 @@ class RigidBody:
             check_mass_properties(self, pt, self.mass_value(pt), self.inertia_value(pt))
 
     # -- accessors ---------------------------------------------------------
-    @property
-    def inertia_nominal(self) -> np.ndarray:
-        out = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                e = lft.as_expr(self.inertia_cog[i, j])
-                out[i, j] = e.value({p.name: p.nominal for p in e.params()})
-        return out
-
     def port_position(self, port: str) -> np.ndarray:
         """Port position relative to the reference port (Scalar entries)."""
         if port == "ref":
@@ -206,9 +197,6 @@ class RigidBody:
 
     def port_position_lft(self, port: str) -> lft.LftMatrix:
         return sp.as_lft(list(self.port_position(port)))
-
-    def cog_offset_lft(self) -> lft.LftMatrix:
-        return sp.as_lft(list(self.cog_offset))
 
     def cog_offset_value(self, point) -> np.ndarray:
         return np.array(

@@ -87,9 +87,9 @@ def _precision() -> int:
     try:
         prec = int(raw)
     except ValueError:
-        raise SystemExit(f"MBLFT_PRECISION must be an integer, got {raw!r}")
+        raise ModelFileError(f"MBLFT_PRECISION must be an integer, got {raw!r}")
     if not 1 <= prec <= 17:
-        raise SystemExit("MBLFT_PRECISION must be between 1 and 17")
+        raise ModelFileError("MBLFT_PRECISION must be between 1 and 17")
     return prec
 
 
@@ -271,7 +271,7 @@ def cmd_equilibrium(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _occurrence_table(lm, prec: int) -> list:
+def _occurrence_table(lm) -> list:
     rows = [f"order: {lm.order}",
             f"states: {', '.join(lm.state_names)}",
             f"inputs: {', '.join(lm.input_names)}",
@@ -286,13 +286,13 @@ def _occurrence_table(lm, prec: int) -> list:
 
 
 def cmd_linearize(args) -> int:
-    prec = _precision()
+    _precision()  # an invalid MBLFT_PRECISION fails before any work
     model = load_model(args.model)
     lm = assemble(model, reduce=not args.no_reduce)
     export = lm.to_export_dict()
     export["strict_bounds"] = bool(args.strict_bounds)
     _atomic_write(args.output, _json_text(export))
-    print("\n".join([f"model: {model.name}"] + _occurrence_table(lm, prec)))
+    print("\n".join([f"model: {model.name}"] + _occurrence_table(lm)))
     print(f"wrote: {args.output}")
     return EXIT_OK
 

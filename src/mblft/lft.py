@@ -634,13 +634,8 @@ class LftMatrix:
 
     # -- algebra -----------------------------------------------------------
 
-    def _coerce(self, other) -> "LftMatrix":
-        if isinstance(other, LftMatrix):
-            return other
-        return constant(other)
-
     def __add__(self, other) -> "LftMatrix":
-        o = self._coerce(other)
+        o = _as_lft(other)
         if self.shape != o.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {o.shape}")
         r, c = self.shape
@@ -656,13 +651,13 @@ class LftMatrix:
         return LftMatrix(m, r, c, self.delta + o.delta)
 
     def __radd__(self, other):
-        return self._coerce(other) + self
+        return _as_lft(other) + self
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self + (-_as_lft(other))
 
     def __rsub__(self, other):
-        return self._coerce(other) + (-self)
+        return _as_lft(other) + (-self)
 
     def __neg__(self) -> "LftMatrix":
         m = self.m.copy()
@@ -682,7 +677,7 @@ class LftMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other) -> "LftMatrix":
-        o = self._coerce(other)
+        o = _as_lft(other)
         if self.cols != o.rows:
             raise ValueError(f"inner dimensions {self.cols} vs {o.rows}")
         r, k, c = self.rows, self.cols, o.cols
@@ -699,7 +694,7 @@ class LftMatrix:
         return LftMatrix(m, r, c, self.delta + o.delta)
 
     def __rmatmul__(self, other):
-        return self._coerce(other) @ self
+        return _as_lft(other) @ self
 
     @property
     def T(self) -> "LftMatrix":
@@ -1093,8 +1088,10 @@ def reduce_lft(m: LftMatrix) -> LftMatrix:
     parameter's rows and columns, so they do not depend on how the
     channels happen to be scaled, nor on the BLAS thread count.  The
     passes repeat until no channel is removed.  The result evaluates to
-    the same matrix up to round-off, with occurrence counts that never
-    increase.
+    the same matrix, with occurrence counts that never increase: up to
+    round-off, except where a parameter's coefficients span many decades
+    and a channel below the tolerance still carries about 1e-9 of the
+    value (p**-2 + 19683 / p keeps 1 channel, not 2).
     """
     r, c = m.rows, m.cols
     while m.ndelta:

@@ -20,10 +20,11 @@ The evaluator reads the model as given, in two parts:
 
 - once per model object, a plan of everything that does not depend on the
   parameter point: the tree order, joint index, DOF mask and input layout,
-  the grounded root's DCM, each joint's skew matrices, every mass,
-  inertia, CoG, port and force entry as an expression, and
-  ``fd_linearize``'s state, input and unit-acceleration rows for each
-  step scale.  Every evaluator of the same model object shares it;
+  read from ``MultibodyModel.tree``, the grounded root's DCM, each joint's
+  skew matrices, every mass, inertia, CoG, port and force entry as an
+  expression, and ``fd_linearize``'s state, input and unit-acceleration
+  rows for each step scale.  Every evaluator of the same model object
+  shares it;
 - once per point, in the constructor: the plan's expressions evaluated at
   the point (masses, inertias, CoG offsets, port positions, force vectors
   including the balance weight, and joint angles), held to the numeric
@@ -31,9 +32,9 @@ The evaluator reads the model as given, in two parts:
   skew matrices of the vectors fixed at the point.
 
 This module deliberately shares no assembly step and no LFT algebra with
-the assembly path: only the model classes, their input/force layout, the
-numeric body rules, the numeric spatial primitives and the numeric direct
-dynamics; the linearization here is purely finite-difference.
+the assembly path: only the model classes, their tree layout and force
+resolution, the numeric body rules, the numeric spatial primitives and the
+numeric direct dynamics; the linearization here is purely finite-difference.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from mblft.assembly import (
     MultibodyModel,
     TrimError,
     _check_point_names,
-    _input_layout,
     _resolved_forces,
 )
 from mblft.bodies import (
@@ -143,7 +143,7 @@ class _FdStack:
     every input at 0 except the wrench steps; and the chidot of ``xs``."""
 
     def __init__(self, plan: "_Plan", scale: float):
-        n2, nu = 2 * plan.nq, plan.nu_in
+        n2, nu = 2 * plan.tree.nq, plan.nu_in
         x0 = np.zeros(n2)
         self.hx = scale * np.maximum(1.0, np.abs(x0))
         dx = np.diag(self.hx)
@@ -162,17 +162,10 @@ class _Plan:
 
     def __init__(self, model: MultibodyModel):
         self.nominal = {name: p.nominal for name, p in model.parameters().items()}
-        self.order = model._tree_order()
-        self.joints = [c for c in self.order if isinstance(c, RevoluteJoint)]
-        self.joint_index = {c.name: i for i, c in enumerate(self.joints)}
-        self.free = model.root.kind == "free"
-        self.mask = model.root_body.dof_mask if self.free else ()
-        self.k = len(self.mask)
-        self.dofs = np.array(self.mask, dtype=np.intp)  # index into a 6-vector
-        self.nq = self.k + len(self.joints)
-        self.input_names, self.input_cols = _input_layout(model)
-        self.nu_in = len(self.input_names)
-        self.root_name = model.root_body.name if self.free else GROUND
+        tree = self.tree = model.tree
+        self.free = tree.root != GROUND
+        self.dofs = np.array(tree.mask, dtype=np.intp)  # index into a 6-vector
+        self.nu_in = len(tree.input_names)
         self.root_euler = np.asarray(model.root.euler, dtype=float)
         self.root_pos = np.asarray(model.root.position, dtype=float)
         self.root_damping = model.root_damping if self.free else None
@@ -181,22 +174,19 @@ class _Plan:
             None if self.free
             else sp.dcm_from_euler(sp.EulerState(self.root_euler)).matrix
         )
-        self.children: dict[str, list] = {}
-        for c in self.order:
-            self.children.setdefault(c.parent_port[0], []).append(c)
         # per joint: the skew matrix K of its axis, and K @ K
-        self.kmats = np.array([sp.skew(c.axis) for c in self.joints]).reshape(-1, 3, 3)
+        self.kmats = np.array([sp.skew(c.axis) for c in tree.joints]).reshape(-1, 3, 3)
         self.k2mats = self.kmats @ self.kmats
-        self.axis_in_parent = [c.axis_in_parent for c in self.joints]
+        self.axis_in_parent = [c.axis_in_parent for c in tree.joints]
         self.a_r = np.asarray(model.acceleration, dtype=float)
         # joint angles: the constant ones, and the tangent-substitution ones
         # the constructor sets at the point
         self.angles = np.array([
             0.0 if isinstance(c.angle_eq, lft.HalfTanParam) else float(c.angle_eq)
-            for c in self.joints
+            for c in tree.joints
         ])
         self.angle_params = [
-            (j, c.angle_eq) for j, c in enumerate(self.joints)
+            (j, c.angle_eq) for j, c in enumerate(tree.joints)
             if isinstance(c.angle_eq, lft.HalfTanParam)
         ]
         # Every mass, inertia and force entry, then every 3-vector (a zero
@@ -229,7 +219,7 @@ class _Plan:
         self.conns = [
             (c, 0 if c.parent_port[0] == GROUND else port[c.parent_port],
              port[c.child_port])
-            for c in self.order
+            for c in tree.order
         ]
         # per external force: body, port vector index, index of its vector
         self.forces = [
@@ -244,11 +234,11 @@ class _Plan:
         # (body, input column, port vector index) of each wrench input;
         # (residual row, input column) of each torque input
         self.wrenches, self.torques = [], []
-        for key, col in self.input_cols.items():
+        for key, col in tree.input_cols.items():
             if key[0] == "wrench":
                 self.wrenches.append((key[1], col, port[key[1], key[2]]))
             else:
-                self.torques.append((self.k + self.joint_index[key[1]], col))
+                self.torques.append((tree.k + tree.joint_index[key[1]], col))
         self.torque_cols = [col for _, col in self.torques]
         self._fd: dict[float, _FdStack] = {}
 
@@ -262,7 +252,7 @@ class _Plan:
         """The unit-acceleration rows of K state/input rows (Walker & Orin's
         method 1): each repeated nq + 1 times, with nudot = 0, e_1, ...,
         e_nq and every torque input at 0."""
-        nq = self.nq
+        nq = self.tree.nq
         us = np.repeat(u, nq + 1, axis=0)
         us[:, self.torque_cols] = 0.0
         unit = np.vstack([np.zeros(nq), np.eye(nq)])
@@ -270,19 +260,21 @@ class _Plan:
 
     def unpack(self, x):
         """(K, 2nq) states -> root v6, p6 (K,6) and joint theta, thetadot."""
-        x = _rows(x, 2 * self.nq)
-        nu, chi = x[:, : self.nq], x[:, self.nq :]
+        nq, k = self.tree.nq, self.tree.k
+        x = _rows(x, 2 * nq)
+        nu, chi = x[:, :nq], x[:, nq:]
         v6 = np.zeros((len(x), 6))
         p6 = np.zeros((len(x), 6))
-        v6[:, self.dofs] = nu[:, : self.k]
-        p6[:, self.dofs] = chi[:, : self.k]
-        return v6, p6, chi[:, self.k :], nu[:, self.k :]
+        v6[:, self.dofs] = nu[:, :k]
+        p6[:, self.dofs] = chi[:, :k]
+        return v6, p6, chi[:, k:], nu[:, k:]
 
     def chidot(self, x) -> np.ndarray:
         """chidot of each (K, 2nq) state row: the root's Euler rate map
         applied to its masked twist, and the joint rates."""
         _, p6, _, thetadot = self.unpack(x)
-        chidot = np.zeros((len(x), self.nq))
+        k = self.tree.k
+        chidot = np.zeros((len(x), self.tree.nq))
         if self.free:
             euler = self.root_euler + p6[:, 3:]
             gamma = sp.euler_rate_map(sp.EulerState(euler))
@@ -290,8 +282,8 @@ class _Plan:
             full[:, :3, :3] = np.eye(3)
             full[:, 3:, 3:] = np.linalg.inv(gamma)
             g = full[:, self.dofs][:, :, self.dofs]
-            chidot[:, : self.k] = _mv(g, x[:, : self.k])
-        chidot[:, self.k :] = thetadot
+            chidot[:, :k] = _mv(g, x[:, :k])
+        chidot[:, k:] = thetadot
         return chidot
 
 
@@ -326,9 +318,10 @@ class NonlinearEvaluator:
         full = {**plan.nominal, **point}
         self.point = full
         self.model = model
-        self.nq, self.k, self.nu_in = plan.nq, plan.k, plan.nu_in
-        self.joint_index = plan.joint_index
-        self.input_names, self.input_cols = plan.input_names, plan.input_cols
+        tree = plan.tree
+        self.nq, self.k, self.nu_in = tree.nq, tree.k, plan.nu_in
+        self.joint_index = tree.joint_index
+        self.input_names, self.input_cols = tree.input_names, tree.input_cols
         # Every parameter-dependent constant, evaluated once at the point and
         # held to the same numeric body rules a model built at the point obeys.
         vals = plan.values.copy()
@@ -384,7 +377,7 @@ class NonlinearEvaluator:
             vd6[:, plan.dofs] = nudot[:, : self.k]
             a_lin = vd6[:, :3] + _cross(w, v)
             wd = vd6[:, 3:]
-            states[plan.root_name] = _BodyState(p0, v, w, a_lin, wd)
+            states[plan.tree.root] = _BodyState(p0, v, w, a_lin, wd)
         else:
             zero = np.zeros((kk, 3))
             states[GROUND] = _BodyState(
@@ -393,7 +386,7 @@ class NonlinearEvaluator:
         # each joint's rotation from its zero angle, I + sin K + (1 - cos) K^2
         th = (self._angles + theta)[..., None, None]
         rots = _EYE3 + np.sin(th) * plan.kmats + (1.0 - np.cos(th)) * plan.k2mats
-        for c in plan.order:
+        for c in plan.tree.order:
             par = states[c.parent_port[0]]
             _, _, q_s, c_s = self._conn_data[c.name]
             wq = _xs(par.w, q_s)
@@ -430,6 +423,7 @@ class NonlinearEvaluator:
         stack: kinematics root to leaves, wrenches leaves to root.
         """
         plan = self._plan
+        tree = plan.tree
         single = np.ndim(x) == 1
         x = _rows(x, 2 * self.nq)
         states = self._sweep(x, nudot)
@@ -467,10 +461,10 @@ class NonlinearEvaluator:
                     inb -= np.concatenate(
                         [wvec[:, :3], _xs(wvec[:, :3], p_st) + wvec[:, 3:]], axis=1
                     )
-                if plan.root_damping is not None and name == plan.root_name:
+                if plan.root_damping is not None and name == tree.root:
                     twist = np.concatenate([st.v, st.w], axis=1)
                     inb += twist @ plan.root_damping.T
-            for c in plan.children.get(name, []):
+            for c in tree.children.get(name, []):
                 cb, _ = c.child_port
                 child_in = visit(cb)
                 _, _, q_s, c_s = self._conn_data[c.name]
@@ -484,11 +478,11 @@ class NonlinearEvaluator:
                 inb += np.concatenate([f_b, m_b + _xs(f_b, q_s.T)], axis=1)
             return inb
 
-        root_in = visit(plan.root_name)
+        root_in = visit(tree.root)
         thetaddot = nudot[:, self.k :]
         if plan.free:
             res[:, : self.k] = root_in[:, plan.dofs]
-        for i, c in enumerate(plan.joints):
+        for i, c in enumerate(tree.joints):
             parent = states[c.parent_port[0]]
             lhs = c.shaft_inertia * (thetaddot[:, i] + parent.wd @ plan.axis_in_parent[i])
             res[:, self.k + i] = (
@@ -562,12 +556,13 @@ class NonlinearEvaluator:
         states = self._sweep(x, np.zeros(self.nq))
         _, p6, _, _ = plan.unpack(x)
         # reference-port positions in R, root to leaves
-        root = states[plan.root_name]
+        root_name = plan.tree.root
+        root = states[root_name]
         pos = {
-            plan.root_name: plan.root_pos + _mv(root.dcm, p6[:, :3]) if plan.free
+            root_name: plan.root_pos + _mv(root.dcm, p6[:, :3]) if plan.free
             else np.broadcast_to(plan.root_pos, p6[:, :3].shape)
         }
-        for c in plan.order:
+        for c in plan.tree.order:
             (pb, _), (cb, _) = c.parent_port, c.child_port
             q, cpos, _, _ = self._conn_data[c.name]
             pos[cb] = pos[pb] + _mv(states[pb].dcm, q) - _mv(states[cb].dcm, cpos)

@@ -426,6 +426,45 @@ def test_two_parents_rejected():
         )
 
 
+def _link(name):
+    return RigidBody(
+        name=name,
+        mass=1.0,
+        inertia_cog=np.zeros((3, 3)),
+        cog_offset=(0.0, 0.0, -1.0),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # a and b each have one parent, but the walk from the ground
+        # reaches neither of them
+        ((("ground", "c"), ("a", "b"), ("b", "a")), "connection graph contains a cycle"),
+        # a loop the walk from the ground does reach
+        ((("ground", "a"), ("a", "b"), ("b", "a")), "body 'a' has two parents"),
+    ],
+)
+def test_cycle_rejected(edges, message):
+    conns = tuple(
+        RevoluteJoint(
+            name=f"{p}_{c}",
+            parent_port=(p, "ref"),
+            child_port=(c, "ref"),
+            axis=(1.0, 0.0, 0.0),
+        )
+        for p, c in edges
+    )
+    with pytest.raises(AssemblyError, match=message):
+        MultibodyModel(
+            name="loop",
+            bodies=tuple(_link(n) for n in "abc"),
+            connections=conns,
+            acceleration=(0.0, 0.0, G),
+        )
+
+
 def test_disconnected_body_rejected():
     m = _pendulum()
     orphan = RigidBody(

@@ -670,3 +670,13 @@ def test_cli_precision_env(tmp_path, capsys, monkeypatch):
     assert "torque=-58.86" in out
     assert "-58.8599" not in out
 
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("abc", "must be an integer, got 'abc'"), ("0", "must be between 1 and 17")],
+)
+def test_cli_invalid_precision_is_a_schema_error(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("MBLFT_PRECISION", value)
+    rc = cli.main(["equilibrium", str(MODELS / "pendulum.yaml")])
+    assert rc == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err == f"error: MBLFT_PRECISION {message}\n"
