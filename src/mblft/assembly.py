@@ -102,10 +102,11 @@ class RootSpec:
     def __post_init__(self):
         if self.kind not in (GROUND, "free"):
             raise AssemblyError("root kind must be 'ground' or 'free'")
-        object.__setattr__(self, "euler", tuple(float(v) for v in self.euler))
-        object.__setattr__(
-            self, "position", tuple(float(v) for v in self.position)
-        )
+        for attr in ("euler", "position"):
+            v = tuple(float(x) for x in getattr(self, attr))
+            if len(v) != 3:
+                raise AssemblyError(f"root {attr} must have 3 entries, got {len(v)}")
+            object.__setattr__(self, attr, v)
 
 
 @dataclass(frozen=True)
@@ -368,7 +369,7 @@ def _body_terms(body, dcm: lft.LftMatrix, forces: list) -> tuple:
         for f in forces
         if f.body == body.name
     ]
-    return direct_dynamics_at_port(body, "ref").matrix, loads
+    return direct_dynamics_at_port(body, "ref"), loads
 
 
 def step1_geometry(model: MultibodyModel) -> GeometryContext:
@@ -378,8 +379,8 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
     tree = model.tree
     nq, k, mask = tree.nq, tree.k, tree.mask
     euler0 = np.asarray(model.root.euler, dtype=float)
-    dcm0 = sp.dcm_from_euler(sp.EulerState(euler0)).matrix
-    gamma0 = sp.euler_rate_map(sp.EulerState(euler0))
+    dcm0 = sp.dcm_from_euler(euler0)
+    gamma0 = sp.euler_rate_map(euler0)
     a_r = np.asarray(model.acceleration, dtype=float).reshape(3, 1)
 
     geo: dict[str, _BodyGeo] = {}
@@ -480,7 +481,7 @@ class EquilibriumSolution:
         if root.kind == "free" and body == self.model.root_body.name:
             return np.asarray(root.euler, dtype=float)
         dcm = self.geometry.geo[body].dcm.nominal
-        return sp.euler_from_dcm(dcm, lock_ok=True).angles
+        return sp.euler_from_dcm(dcm, lock_ok=True)
 
     def report(self) -> dict:
         g = self.geometry

@@ -27,7 +27,6 @@ from mblft import spatial as sp
 __all__ = [
     "DynamicsRole",
     "RigidBody",
-    "DirectDynamics",
     "BodyError",
     "check_mass_properties",
     "check_port_position",
@@ -216,22 +215,6 @@ class RigidBody:
         )
 
 
-@dataclass(frozen=True)
-class DirectDynamics:
-    """6x6 mass/inertia operator of a body expressed at one of its ports."""
-
-    matrix: lft.LftMatrix
-    point: str
-    body: str
-
-    def __post_init__(self):
-        nom = self.matrix.nominal
-        if np.max(np.abs(nom - nom.T)) > 1e-12:
-            raise BodyError(
-                f"direct dynamics at {self.body}/{self.point} not symmetric"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Direct dynamics
 # ---------------------------------------------------------------------------
@@ -245,13 +228,17 @@ def direct_dynamics_cog(body: RigidBody) -> lft.LftMatrix:
     return lft.blockdiag([m3, j])
 
 
-def direct_dynamics_at_port(body: RigidBody, port: str = "ref") -> DirectDynamics:
-    """Transport D from the CoG to a port by the tau congruence."""
+def direct_dynamics_at_port(body: RigidBody, port: str = "ref") -> lft.LftMatrix:
+    """The 6x6 mass/inertia operator D of a body at one of its ports,
+    transported from the CoG by the tau congruence; symmetric at nominal."""
     offset_bp = sp.as_lft(list(np.asarray(body.port_position(port), dtype=object)
                                - body.cog_offset))
     tau = sp.tau_lft(offset_bp)
     mat = tau.T @ direct_dynamics_cog(body) @ tau
-    return DirectDynamics(matrix=mat, point=port, body=body.name)
+    nom = mat.nominal
+    if np.max(np.abs(nom - nom.T)) > 1e-12:
+        raise BodyError(f"direct dynamics at {body.name}/{port} not symmetric")
+    return mat
 
 
 def _d_at_port_numeric(body: RigidBody, port: str, point) -> np.ndarray:

@@ -318,7 +318,10 @@ def _parse_grid(spec: str) -> list:
             raise ModelFileError(f"--grid: non-numeric bounds in {part!r}") from None
         if n < 1:
             raise ModelFileError("--grid: point count must be >= 1")
-        axes.append((name.strip(), np.linspace(lo, hi, n)))
+        name = name.strip()
+        if any(name == seen for seen, _ in axes):
+            raise ModelFileError(f"--grid: parameter {name!r} given twice")
+        axes.append((name, np.linspace(lo, hi, n)))
     return [
         {name: float(v) for (name, _), v in zip(axes, combo)}
         for combo in itertools.product(*(vals for _, vals in axes))
@@ -400,9 +403,12 @@ def cmd_sample(args) -> int:
                 f"known: {sorted(known)}"
             )
         for name, value in pt.items():
+            # a JSON number: float() alone would also take "0.6" and true
             try:
-                float(value)
-            except (TypeError, ValueError, OverflowError):
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise TypeError
+                float(value)  # an integer past the float range overflows
+            except (TypeError, OverflowError):
                 raise ModelFileError(
                     f"parameter {name!r}: {value!r} is not a number"
                 ) from None

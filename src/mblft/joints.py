@@ -45,12 +45,6 @@ class JointError(ValueError):
     pass
 
 
-def _as_dcm(value) -> np.ndarray:
-    if isinstance(value, sp.Dcm):
-        return value.matrix
-    return sp.Dcm(np.asarray(value, dtype=float)).matrix
-
-
 @dataclass(frozen=True)
 class RigidConnection:
     """Constant-orientation rigid attachment of a child body to a parent port."""
@@ -61,7 +55,7 @@ class RigidConnection:
     fixed_dcm: object = None  # P_a/b, defaults to identity
 
     def __post_init__(self):
-        m = np.eye(3) if self.fixed_dcm is None else _as_dcm(self.fixed_dcm)
+        m = np.eye(3) if self.fixed_dcm is None else sp.check_dcm(self.fixed_dcm)
         object.__setattr__(self, "fixed_dcm", m)
 
 
@@ -83,7 +77,7 @@ class RevoluteJoint:
         if abs(np.linalg.norm(r) - 1.0) > 1e-12:
             raise JointError(f"joint {self.name!r}: axis must be unit norm")
         object.__setattr__(self, "axis", r)
-        m = np.eye(3) if self.zero_dcm is None else _as_dcm(self.zero_dcm)
+        m = np.eye(3) if self.zero_dcm is None else sp.check_dcm(self.zero_dcm)
         object.__setattr__(self, "zero_dcm", m)
         if not self.shaft_inertia > 0.0:
             raise JointError(f"joint {self.name!r}: shaft inertia must be > 0")
@@ -117,5 +111,8 @@ def revolute_dcm(joint: RevoluteJoint, theta: float) -> np.ndarray:
 
 def revolute_dcm_lft(joint: RevoluteJoint) -> lft.LftMatrix:
     """P_a/b at the equilibrium angle, Param-valued when the angle is one."""
-    rot = sp.rotation_about_axis_lft(joint.axis, joint.angle_eq)
+    if isinstance(joint.angle_eq, lft.HalfTanParam):
+        rot = lft.rotation_about_axis(joint.axis, joint.angle_eq)
+    else:
+        rot = lft.constant(sp.rotation_about_axis(joint.axis, float(joint.angle_eq)))
     return lft.constant(joint.zero_dcm) @ rot

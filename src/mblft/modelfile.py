@@ -375,7 +375,7 @@ def _parse_connections(section, params) -> tuple:
             if "orientation" in entry:
                 onode = _take(f"{ctx}.orientation", entry["orientation"],
                               required=("dcm",))
-                dcm = np.array(onode["dcm"], dtype=float)
+                dcm = onode["dcm"]
             try:
                 conns.append(
                     RigidConnection(

@@ -59,7 +59,7 @@ from mblft.bodies import (
 )
 from mblft.joints import RevoluteJoint
 
-__all__ = ["FdConfig", "NonlinearEvaluator", "nonlinear_accel", "fd_linearize"]
+__all__ = ["FdConfig", "NonlinearEvaluator", "fd_linearize"]
 
 
 # (a x b)_i = a_next(i) b_prev(i) - a_prev(i) b_next(i): both products of
@@ -170,10 +170,7 @@ class _Plan:
         self.root_pos = np.asarray(model.root.position, dtype=float)
         self.root_damping = model.root_damping if self.free else None
         # a grounded root's attitude never moves
-        self.ground_dcm = (
-            None if self.free
-            else sp.dcm_from_euler(sp.EulerState(self.root_euler)).matrix
-        )
+        self.ground_dcm = None if self.free else sp.dcm_from_euler(self.root_euler)
         # per joint: the skew matrix K of its axis, and K @ K
         self.kmats = np.array([sp.skew(c.axis) for c in tree.joints]).reshape(-1, 3, 3)
         self.k2mats = self.kmats @ self.kmats
@@ -277,7 +274,7 @@ class _Plan:
         chidot = np.zeros((len(x), self.tree.nq))
         if self.free:
             euler = self.root_euler + p6[:, 3:]
-            gamma = sp.euler_rate_map(sp.EulerState(euler))
+            gamma = sp.euler_rate_map(euler)
             full = np.zeros((len(x), 6, 6))
             full[:, :3, :3] = np.eye(3)
             full[:, 3:, 3:] = np.linalg.inv(gamma)
@@ -371,7 +368,7 @@ class NonlinearEvaluator:
         states: dict[str, _BodyState] = {}
         if plan.free:
             euler = plan.root_euler + p6[:, 3:]
-            p0 = sp.dcm_from_euler(sp.EulerState(euler)).matrix
+            p0 = sp.dcm_from_euler(euler)
             v, w = v6[:, :3], v6[:, 3:]
             vd6 = np.zeros((kk, 6))
             vd6[:, plan.dofs] = nudot[:, : self.k]
@@ -582,10 +579,6 @@ class NonlinearEvaluator:
             e = e - (pos[fb] + _mv(st.dcm, p)) @ fvec
         # joint shaft kinetic energy (J^J ~ 1e-10) is negligible by design
         return float(e[0]) if np.ndim(x) == 1 else e
-
-
-def nonlinear_accel(ev: NonlinearEvaluator, x, u) -> np.ndarray:
-    return ev.accel(x, u)
 
 
 def _input_rows(u0, n_base: int, scale: float):

@@ -4,18 +4,21 @@ counterparts that the assembly builds its models from.
 All attitude math uses the intrinsic x-y-z (roll-pitch-yaw) Euler
 sequence: P = Rx(t1) @ Ry(t2) @ Rz(t3), where P maps body coordinates to
 reference coordinates ([v]_ref = P [v]_body).
+
+Angles and direction cosine matrices (DCMs, [v]_to = P [v]_from) are plain
+arrays: Euler angles a 3-vector or a (..., 3) stack, DCMs a 3x3 matrix or a
+(..., 3, 3) stack.  ``check_dcm`` holds the DCM rule for a matrix that
+comes from outside the program; a DCM computed here is orthonormal by
+construction and is not checked again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Dcm",
-    "EulerState",
     "GimbalLockError",
+    "check_dcm",
     "skew",
     "rot_x",
     "rot_y",
@@ -57,40 +60,23 @@ def tau_matrix(offset_pc) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
-class Dcm:
-    """Direction cosine matrix: [v]_to = matrix @ [v]_from.
-
-    ``matrix`` may be a (..., 3, 3) stack; every matrix in it is checked.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape[-2:] != (3, 3):
-            raise ValueError("DCM must be 3x3")
-        if np.max(np.abs(np.swapaxes(m, -1, -2) @ m - np.eye(3))) > 1e-10:
-            raise ValueError("DCM is not orthonormal")
-        if np.any(np.linalg.det(m) < 0):
-            raise ValueError("DCM must be proper (det = +1)")
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class EulerState:
-    """Intrinsic x-y-z Euler angles (rad), a 3-vector or a (..., 3) stack."""
-
-    angles: np.ndarray
-    sequence: str = "xyz"
-
-    def __post_init__(self):
-        a = np.asarray(self.angles, dtype=float)
-        if a.ndim > 1 and a.shape[-1] != 3:
-            raise ValueError(f"expected a stack of 3-vectors, got shape {a.shape}")
-        object.__setattr__(self, "angles", a if a.ndim > 1 else _vec3(a))
-        if self.sequence != "xyz":
-            raise ValueError("only the intrinsic x-y-z sequence is supported")
+def check_dcm(m) -> np.ndarray:
+    """The DCM rule: ``m`` as a float array, or ValueError unless it is a
+    3x3 matrix of finite numbers that is orthonormal and proper."""
+    try:
+        arr = np.asarray(m)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != (3, 3):
+        raise ValueError("DCM must be a 3x3 matrix of numbers")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("DCM entries must be finite")
+    if np.max(np.abs(arr.T @ arr - np.eye(3))) > 1e-10:
+        raise ValueError("DCM is not orthonormal")
+    if np.linalg.det(arr) < 0:
+        raise ValueError("DCM must be proper (det = +1)")
+    return arr
 
 
 def _elementary_rotation(t, axis: int) -> np.ndarray:
@@ -127,16 +113,18 @@ def rotation_about_axis(axis, theta: float) -> np.ndarray:
     return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
 
 
-def dcm_from_euler(e: EulerState) -> Dcm:
-    t = e.angles
-    return Dcm(rot_x(t[..., 0]) @ rot_y(t[..., 1]) @ rot_z(t[..., 2]))
+def dcm_from_euler(angles) -> np.ndarray:
+    """DCM of Euler angles: a 3x3 matrix, or a (..., 3, 3) stack of a
+    (..., 3) stack."""
+    t = np.asarray(angles, dtype=float)
+    return rot_x(t[..., 0]) @ rot_y(t[..., 1]) @ rot_z(t[..., 2])
 
 
-def euler_from_dcm(d: Dcm | np.ndarray, *, lock_ok: bool = False) -> EulerState:
+def euler_from_dcm(d, *, lock_ok: bool = False) -> np.ndarray:
     """Euler angles of a DCM.  A pitch within tolerance of +/-90 deg raises,
     unless ``lock_ok``; then at lock itself, where only t1 -/+ t3 is
     defined, t3 = 0 and t1 carries the rest of the rotation."""
-    p = d.matrix if isinstance(d, Dcm) else np.asarray(d, dtype=float)
+    p = np.asarray(d, dtype=float)
     s2 = np.clip(p[0, 2], -1.0, 1.0)
     if 1.0 - abs(s2) < GIMBAL_TOL and not lock_ok:
         raise GimbalLockError(
@@ -145,20 +133,21 @@ def euler_from_dcm(d: Dcm | np.ndarray, *, lock_ok: bool = False) -> EulerState:
     if np.hypot(p[0, 0], p[0, 1]) < GIMBAL_TOL:  # |cos t2|
         sign = np.sign(s2)
         t1 = np.arctan2(sign * p[1, 0], p[1, 1])
-        return EulerState(np.array([t1, sign * np.pi / 2, 0.0]))
+        return np.array([t1, sign * np.pi / 2, 0.0])
     t2 = np.arcsin(s2)
     t3 = np.arctan2(-p[0, 1], p[0, 0])
     t1 = np.arctan2(-p[1, 2], p[2, 2])
-    return EulerState(np.array([t1, t2, t3]))
+    return np.array([t1, t2, t3])
 
 
-def euler_rate_map(e: EulerState) -> np.ndarray:
+def euler_rate_map(angles) -> np.ndarray:
     """Gamma(theta): body angular velocity = Gamma @ d(theta)/dt.
 
-    A stack of Euler states gives a (..., 3, 3) stack; any one at gimbal
-    lock raises.
+    A (..., 3) stack of Euler angles gives a (..., 3, 3) stack; any one at
+    gimbal lock raises.
     """
-    t2, t3 = e.angles[..., 1], e.angles[..., 2]
+    t = np.asarray(angles, dtype=float)
+    t2, t3 = t[..., 1], t[..., 2]
     c2, s2 = np.cos(t2), np.sin(t2)
     if np.any(np.abs(c2) < GIMBAL_TOL):
         raise GimbalLockError()
@@ -173,8 +162,8 @@ def euler_rate_map(e: EulerState) -> np.ndarray:
     return g
 
 
-def p2(d: Dcm | np.ndarray) -> np.ndarray:
-    m = d.matrix if isinstance(d, Dcm) else np.asarray(d, dtype=float)
+def p2(d) -> np.ndarray:
+    m = np.asarray(d, dtype=float)
     out = np.zeros((6, 6))
     out[:3, :3] = m
     out[3:, 3:] = m
@@ -226,9 +215,3 @@ def p2_lft(dcm) -> "_lft.LftMatrix":
     d = as_lft(dcm)
     return _lft.blockdiag([d, d])
 
-
-def rotation_about_axis_lft(axis, angle_spec) -> "_lft.LftMatrix":
-    """3x3 rotation about a fixed unit axis, fixed or Param-valued angle."""
-    if isinstance(angle_spec, _lft.HalfTanParam):
-        return _lft.rotation_about_axis(np.asarray(axis, dtype=float), angle_spec)
-    return _lft.constant(rotation_about_axis(axis, float(angle_spec)))

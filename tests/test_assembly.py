@@ -409,6 +409,19 @@ def test_modes_of_a_stack_equal_modes_of_each_matrix(n):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"euler": (0.1, 0.2)}, "root euler must have 3 entries, got 2"),
+        ({"position": (0.0, 0.0, 0.0, 1.0)}, "root position must have 3 entries, got 4"),
+    ],
+)
+def test_root_pose_must_be_3_vectors(kwargs, message):
+    with pytest.raises(AssemblyError, match=message):
+        RootSpec(**kwargs)
+    assert RootSpec("free", euler=[0, 0.5, 1]).euler == (0.0, 0.5, 1.0)
+
+
 def test_two_parents_rejected():
     m = _pendulum()
     extra = RevoluteJoint(

@@ -160,7 +160,7 @@ def test_inertia_rules_hold_at_every_box_corner():
 def test_d_at_port_symmetric_and_congruent(cx, cy, cz):
     b = _body(cog=(cx, cy, cz))
     d_cog = direct_dynamics_cog(b).evaluate({})
-    d_port = direct_dynamics_at_port(b, "p").matrix.evaluate({})
+    d_port = direct_dynamics_at_port(b, "p").evaluate({})
     np.testing.assert_allclose(d_port, d_port.T, atol=1e-12)
     offset = b.port_position_value("p", {}) - b.cog_offset_value({})
     tau = sp.tau_matrix(offset)
@@ -181,7 +181,7 @@ def test_raw_param_entries_give_the_numeric_d_at_port():
         dynamics_role=DynamicsRole.INVERSE,
     )
     for port in ("ref", "p"):
-        d = direct_dynamics_at_port(b, port).matrix
+        d = direct_dynamics_at_port(b, port)
         for pt in ({"m": 1.5, "l": 0.4}, {"m": 2.0, "l": 0.5}, {"m": 2.5, "l": 0.6}):
             np.testing.assert_allclose(
                 d.evaluate(pt), _d_at_port_numeric(b, port, pt), atol=1e-12
@@ -209,7 +209,7 @@ def test_newton_euler_matches_first_principles():
     alpha = nudot[3:]
     a_port = nudot[:3] + np.cross(omega, v)
     a_cog = a_port + np.cross(alpha, r) + np.cross(omega, np.cross(omega, r))
-    p = sp.dcm_from_euler(sp.EulerState(euler)).matrix
+    p = sp.dcm_from_euler(euler)
     f = m * (a_cog + p.T @ a_ref)
     t_cog = j @ alpha + np.cross(omega, j @ omega)
     t_port = t_cog + np.cross(r, f)
@@ -231,7 +231,7 @@ def test_equilibrium_wrench_is_d_times_a6():
     w = step2_wrenches(model, ctx).inbound["c"].evaluate({})
     p = ctx.geo["c"].dcm.evaluate({})
     a6 = np.concatenate([p.T @ np.array([0.0, 0.0, 9.81]), np.zeros(3)])
-    d = direct_dynamics_at_port(child, "ref").matrix.evaluate({})
+    d = direct_dynamics_at_port(child, "ref").evaluate({})
     np.testing.assert_allclose(w.ravel(), d @ a6, atol=1e-12)
 
 
@@ -287,7 +287,7 @@ def test_forward_block_b_matrix_is_d_inverse():
     b = _body(role=DynamicsRole.FORWARD)
     lm = assemble(_free(b, inputs=(("wrench", "b", "ref"),)))
     a, bb, _, _ = sample_model(lm, {})
-    d = direct_dynamics_at_port(b, "ref").matrix.evaluate({})
+    d = direct_dynamics_at_port(b, "ref").evaluate({})
     np.testing.assert_allclose(bb[:6, :], np.linalg.inv(d), atol=1e-9)
     np.testing.assert_allclose(bb[6:, :], 0.0, atol=1e-14)
     np.testing.assert_allclose(a[:6, :6], 0.0, atol=1e-12)

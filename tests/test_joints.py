@@ -98,6 +98,47 @@ def test_revolute_dcm_lft_matches_numeric_with_varying_angle():
         )
 
 
+_REFLECTION = np.diag([1.0, 1.0, -1.0])
+_NAN_DCM = np.where(np.eye(3) == 1.0, np.nan, 0.0)
+
+
+@pytest.mark.parametrize(
+    "dcm, message",
+    [
+        (np.eye(2), "3x3 matrix of numbers"),
+        (np.stack([np.eye(3), np.eye(3)]), "3x3 matrix of numbers"),
+        ([["1", 0, 0], [0, 1, 0], [0, 0, 1]], "3x3 matrix of numbers"),
+        (2.0 * np.eye(3), "not orthonormal"),
+        (_REFLECTION, r"proper \(det = \+1\)"),
+        (_NAN_DCM, "finite"),
+    ],
+)
+def test_dcm_rule_on_connections(dcm, message):
+    """A DCM given to a rigid connection or a revolute joint must be a
+    finite, orthonormal, proper 3x3 matrix of numbers."""
+    with pytest.raises(ValueError, match=message):
+        RigidConnection(
+            name="c", parent_port=("ground", "ref"), child_port=("b", "ref"),
+            fixed_dcm=dcm,
+        )
+    with pytest.raises(ValueError, match=message):
+        RevoluteJoint(
+            name="j", parent_port=("ground", "ref"), child_port=("b", "ref"),
+            axis=AXES[0], zero_dcm=dcm,
+        )
+
+
+def test_connection_dcm_is_kept_as_floats():
+    fixed = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+    conn = RigidConnection(
+        name="c", parent_port=("ground", "ref"), child_port=("b", "ref"),
+        fixed_dcm=fixed,
+    )
+    assert conn.fixed_dcm.dtype == float
+    assert np.array_equal(conn.fixed_dcm, np.array(fixed, dtype=float))
+    assert np.array_equal(_joint(AXES[0]).zero_dcm, np.eye(3))
+
+
 # ---------------------------------------------------------------------------
 # equilibrium: orientation, torque balance, wrench transfer
 # ---------------------------------------------------------------------------
@@ -148,7 +189,7 @@ def _reported_dcm(model, body="b"):
     """The DCM of the Euler angles that the equilibrium report gives."""
     rep = step2_wrenches(model, step1_geometry(model)).report()
     theta = np.radians(rep["bodies"][body]["euler_deg"])
-    return sp.dcm_from_euler(sp.EulerState(theta)).matrix
+    return sp.dcm_from_euler(theta)
 
 
 def test_child_euler_composition():
@@ -158,7 +199,7 @@ def test_child_euler_composition():
         ((0.0, 0.0, 0.0), np.array([0.0, 1.0, 0.0]), 90.0),
     ):
         j = _joint(axis, angle=math.radians(angle))
-        p_ai = sp.dcm_from_euler(sp.EulerState(theta_b)).matrix @ revolute_dcm(
+        p_ai = sp.dcm_from_euler(theta_b) @ revolute_dcm(
             j, math.radians(angle)
         )
         np.testing.assert_allclose(
@@ -182,8 +223,8 @@ def test_child_at_gimbal_lock_is_reported(pitch, roll):
     t1, t2, t3 = rep["bodies"]["b"]["euler_deg"]
     assert (t2, t3) == (pitch, 0.0)
     assert abs(t1 - math.degrees(roll)) < 1e-9
-    theta = sp.EulerState(np.radians([t1, t2, t3]))
-    np.testing.assert_allclose(sp.dcm_from_euler(theta).matrix, fixed, atol=1e-9)
+    theta = np.radians([t1, t2, t3])
+    np.testing.assert_allclose(sp.dcm_from_euler(theta), fixed, atol=1e-9)
     with pytest.raises(sp.GimbalLockError):
         sp.euler_from_dcm(fixed)
     free = MultibodyModel(
@@ -208,7 +249,7 @@ def test_rigid_connection_equilibrium_composes_dcms():
     theta_b = np.array([0.3, 0.2, -0.4])
     np.testing.assert_allclose(
         _reported_dcm(_grounded(conn, euler=tuple(theta_b))),
-        sp.dcm_from_euler(sp.EulerState(theta_b)).matrix @ fixed,
+        sp.dcm_from_euler(theta_b) @ fixed,
         atol=1e-12,
     )
 

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 from mblft import assembly, cli, modelfile
 from mblft.modelfile import ModelFileError, load_model
-from mblft.spatial import EulerState, dcm_from_euler, rotation_about_axis
+from mblft.spatial import dcm_from_euler, rotation_about_axis
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
@@ -387,7 +387,8 @@ def test_cli_sample_nan_value_keeps_the_points_before_it(tmp_path, capsys):
     assert [p.name for p in outdir.iterdir()] == ["point_0000.json"]
 
 
-@pytest.mark.parametrize("value", ["abc", None, [1.0], 10 ** 400])
+# a string or a boolean is no parameter value, though float() takes both
+@pytest.mark.parametrize("value", ["abc", None, [1.0], 10 ** 400, "0.6", True, False])
 def test_cli_sample_rejects_a_value_that_is_not_a_number(tmp_path, capsys, value):
     export = tmp_path / "arm.json"
     args = ["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(export)]
@@ -397,7 +398,32 @@ def test_cli_sample_rejects_a_value_that_is_not_a_number(tmp_path, capsys, value
     outdir = tmp_path / "out"
     sample = ["sample", str(export), "--point-file", str(ptfile), "-o", str(outdir)]
     assert cli.main(sample) == cli.EXIT_SCHEMA
-    assert "'t_t1'" in capsys.readouterr().err
+    assert f"parameter 't_t1': {value!r} is not a number" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_cli_sample_writes_an_integer_value_as_an_integer(tmp_path):
+    export = tmp_path / "arm.json"
+    args = ["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(export)]
+    assert cli.main(args) == 0
+    ptfile = tmp_path / "pts.json"
+    ptfile.write_text('[{"t_t1": 1}]')
+    outdir = tmp_path / "out"
+    assert cli.main(
+        ["sample", str(export), "--point-file", str(ptfile), "-o", str(outdir)]
+    ) == 0
+    assert '"t_t1": 1,' in (outdir / "point_0000.json").read_text()
+
+
+def test_cli_sample_grid_rejects_a_repeated_parameter(tmp_path, capsys):
+    export = tmp_path / "arm.json"
+    args = ["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(export)]
+    assert cli.main(args) == 0
+    outdir = tmp_path / "out"
+    grid = "t_t1=0.5:0.6:2, t_t1=0.7:0.8:2"
+    rc = cli.main(["sample", str(export), "--grid", grid, "-o", str(outdir)])
+    assert rc == cli.EXIT_SCHEMA
+    assert "--grid: parameter 't_t1' given twice" in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -621,6 +647,29 @@ def test_cli_write_error_names_the_given_path(tmp_path, capsys, target):
     assert not list(tmp_path.rglob(".tmp-*"))
 
 
+@pytest.mark.parametrize(
+    "dcm, message",
+    [
+        ("[[1, 0, 0], [0, 1, 0], [0, 0]]", "3x3 matrix of numbers"),
+        ('"abc"', "3x3 matrix of numbers"),
+        ('[[1, 0, 0], [0, 1, 0], [0, 0, "x"]]', "3x3 matrix of numbers"),
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, null]]", "3x3 matrix of numbers"),
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, .nan]]", "finite"),
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, 2]]", "not orthonormal"),
+        ("[[1, 0, 0], [0, 1, 0], [0, 0, -1]]", "proper"),
+    ],
+)
+def test_malformed_orientation_dcm_is_a_schema_error(tmp_path, capsys, dcm, message):
+    text = (MODELS / "two_link_arm.yaml").read_text()
+    grip = "    child: payload.ref\n"
+    assert text.count(grip) == 1
+    bad = _write(tmp_path, text.replace(grip, grip + f"    orientation: {{dcm: {dcm}}}\n"))
+    assert cli.main(["equilibrium", str(bad)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err.startswith("error: connections.grip (line ")
+    assert message in err
+
+
 @pytest.mark.parametrize("pitch", [90.0, -90.0])
 def test_cli_child_at_gimbal_lock(tmp_path, capsys, pitch):
     """A grounded pendulum pitched to +/-90 deg about y linearizes; the
@@ -637,7 +686,7 @@ def test_cli_child_at_gimbal_lock(tmp_path, capsys, pitch):
         json.loads(export.read_text())["equilibrium"]["bodies"]["bob"]["euler_deg"]
     )
     want = rotation_about_axis([0.0, 1.0, 0.0], np.radians(pitch))
-    got = dcm_from_euler(EulerState(theta)).matrix
+    got = dcm_from_euler(theta)
     assert np.max(np.abs(got - want)) <= 1e-9
 
 

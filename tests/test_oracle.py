@@ -17,7 +17,7 @@ from mblft.assembly import (
 from mblft.bodies import BodyError, DynamicsRole, RigidBody
 from mblft.joints import RevoluteJoint, RigidConnection
 from mblft.modelfile import load_model
-from mblft.oracle import FdConfig, NonlinearEvaluator, fd_linearize, nonlinear_accel
+from mblft.oracle import FdConfig, NonlinearEvaluator, fd_linearize
 from mblft.spatial import GimbalLockError, rot_z
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
@@ -93,7 +93,7 @@ def test_pendulum_small_angle_acceleration():
     ev = NonlinearEvaluator(_pendulum(), {})
     theta = 1e-3
     x = np.array([0.0, theta])
-    qdd = nonlinear_accel(ev, x, np.zeros(1))
+    qdd = ev.accel(x, np.zeros(1))
     expected = -(G / 1.0) * theta
     assert abs(qdd[0] - expected) / abs(expected) <= 1e-3
 
@@ -104,7 +104,7 @@ def test_pendulum_large_angle_acceleration_exact():
     ev = NonlinearEvaluator(_pendulum(m, length, shaft=jj), {})
     for theta in (0.3, 1.0, -0.9):
         x = np.array([0.0, theta])
-        qdd = nonlinear_accel(ev, x, np.zeros(1))
+        qdd = ev.accel(x, np.zeros(1))
         expected = -m * G * length * math.sin(theta) / (m * length ** 2 + jj)
         assert abs(qdd[0] - expected) <= 1e-9
 
