@@ -18,9 +18,10 @@ The linearized equations of motion are accumulated as
     M d(nu)/dt + C nu + K chi + B_hat u = 0,
 
 with [M | C | K] one Param-valued LftMatrix, carried from the leaves to
-the root. B_hat follows by virtual work from step 1's body Jacobians
-jhat: a torque input has -1 on its joint's row, and a wrench input at
-port p of body b has -(tau(-p) jhat_b)^T in its columns. They are
+the root. B_hat follows by virtual work from the body Jacobians jhat
+that step 3 builds in its own root-to-leaf pass: a torque input has -1
+on its joint's row, and a wrench input at port p of body b has
+-(tau(-p) jhat_b)^T in its columns. They are
 realized as
 
     A = [[-M^-1 [C K]], [G, 0]],   B = [[-M^-1 B_hat], [0]],
@@ -154,6 +155,8 @@ class MultibodyModel:
             "acceleration",
             tuple(float(v) for v in np.asarray(self.acceleration).reshape(3)),
         )
+        if not np.all(np.isfinite(self.acceleration)):
+            raise AssemblyError("acceleration entries must be finite")
         object.__setattr__(self, "external_forces", tuple(self.external_forces))
         if self.root_damping is not None:
             rd = np.asarray(self.root_damping, dtype=float)
@@ -328,10 +331,11 @@ class MultibodyModel:
 
 @dataclass
 class _BodyGeo:
+    """Equilibrium LFTs of one body, shared by steps 2 and 3 (its
+    Jacobians are step 3's, see ``_body_jacobians``)."""
+
     body: object  # RigidBody or None for ground
     dcm: lft.LftMatrix  # body frame -> R
-    jhat: lft.LftMatrix  # 6 x nq acceleration/velocity Jacobian (body frame)
-    phi: lft.LftMatrix  # 3 x nq infinitesimal-rotation map (body frame)
     abar: lft.LftMatrix  # 3 x 1 frame acceleration in body frame
     pos: lft.LftMatrix  # 3 x 1 reference-port position in R
     d: lft.LftMatrix | None  # 6 x 6 direct dynamics at the reference port
@@ -342,6 +346,7 @@ class _BodyGeo:
 class _ConnGeo:
     """LFTs of one connection, shared by steps 1-3."""
 
+    p_ab: lft.LftMatrix  # P_a/b, reduced: child frame -> parent frame
     p2: lft.LftMatrix  # p2_lft(P_a/b): child-frame 6-vectors -> parent frame
     tau_c: lft.LftMatrix  # tau_lft(cpos): joint point -> child reference port
     tau_q: lft.LftMatrix  # tau_lft(-qpos): parent reference port -> joint point
@@ -349,6 +354,9 @@ class _ConnGeo:
 
 @dataclass
 class GeometryContext:
+    """Step 1's result: the equilibrium geometry that steps 2 and 3 read,
+    without the body Jacobians, which only step 3 needs."""
+
     model: MultibodyModel
     geo: dict  # body name (or GROUND) -> _BodyGeo
     conn: dict  # child body name -> _ConnGeo of its inbound connection
@@ -373,11 +381,12 @@ def _body_terms(body, dcm: lft.LftMatrix, forces: list) -> tuple:
 
 
 def step1_geometry(model: MultibodyModel) -> GeometryContext:
-    """Root-to-leaf pass: equilibrium orientations, Jacobians, accelerations,
-    and the per-body and per-connection LFTs that steps 2 and 3 share."""
+    """Root-to-leaf pass: equilibrium orientations, positions and frame
+    accelerations, and the per-body and per-connection LFTs that steps 2
+    and 3 share.  The body Jacobians are left to step 3, so that
+    ``mblft equilibrium`` does not pay for them."""
     forces = _resolved_forces(model)
     tree = model.tree
-    nq, k, mask = tree.nq, tree.k, tree.mask
     euler0 = np.asarray(model.root.euler, dtype=float)
     dcm0 = sp.dcm_from_euler(euler0)
     gamma0 = sp.euler_rate_map(euler0)
@@ -386,21 +395,11 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
     geo: dict[str, _BodyGeo] = {}
     conn: dict[str, _ConnGeo] = {}
     root_body = None if tree.root == GROUND else model.root_body
-    jhat0 = np.zeros((6, nq))
-    for col, dof in enumerate(mask):
-        jhat0[dof, col] = 1.0
-    phi0 = np.zeros((3, nq))
-    # phi maps *pose* coordinates; root pose columns share the nu layout
-    for col, dof in enumerate(mask):
-        if dof >= 3:
-            phi0[:, col] = gamma0[:, dof - 3]
     dcm_root = lft.constant(dcm0)
     d_root, loads_root = _body_terms(root_body, dcm_root, forces)
     geo[tree.root] = _BodyGeo(
         body=root_body,
         dcm=dcm_root,
-        jhat=lft.constant(jhat0),
-        phi=lft.constant(phi0),
         abar=lft.constant(dcm0.T @ a_r),
         pos=lft.constant(np.asarray(model.root.position, float).reshape(3, 1)),
         d=d_root,
@@ -423,26 +422,14 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
         else:
             p_ab = lft.constant(c.fixed_dcm)
         p_ab = lft.reduce_lft(p_ab)
-        cg = _ConnGeo(sp.p2_lft(p_ab), sp.tau_lft(cpos), sp.tau_lft(-qpos))
-        conn[cb] = cg
-        j_joint = cg.p2.T @ (cg.tau_q @ parent.jhat)
-        phi = p_ab.T @ parent.phi
-        if isinstance(c, RevoluteJoint):
-            e_nu = np.zeros((1, nq))
-            e_nu[0, k + tree.joint_index[c.name]] = 1.0
-            j_joint = j_joint + lft.constant(
-                c.r6.reshape(6, 1)
-            ) @ lft.constant(e_nu)
-            phi = phi + lft.constant(c.axis.reshape(3, 1)) @ lft.constant(e_nu)
-        jhat = lft.reduce_lft(cg.tau_c @ j_joint)
-        phi = lft.reduce_lft(phi)
+        conn[cb] = _ConnGeo(
+            p_ab, sp.p2_lft(p_ab), sp.tau_lft(cpos), sp.tau_lft(-qpos)
+        )
         dcm = lft.reduce_lft(parent.dcm @ p_ab)
         abar = lft.reduce_lft(p_ab.T @ parent.abar)
         jp = parent.pos + parent.dcm @ qpos
         pos = lft.reduce_lft(jp - dcm @ cpos)
-        geo[cb] = _BodyGeo(
-            body, dcm, jhat, phi, abar, pos, *_body_terms(body, dcm, forces)
-        )
+        geo[cb] = _BodyGeo(body, dcm, abar, pos, *_body_terms(body, dcm, forces))
 
     return GeometryContext(model=model, geo=geo, conn=conn, gamma0=gamma0)
 
@@ -627,6 +614,39 @@ class LinearLftModel:
         }
 
 
+def _body_jacobians(ctx: GeometryContext) -> dict:
+    """Step 3's root-to-leaf pass: body name (or GROUND) -> (jhat, phi), the
+    6 x nq acceleration/velocity Jacobian and the 3 x nq infinitesimal-
+    rotation map of the body, in its own frame, from step 1's connection
+    LFTs."""
+    tree = ctx.model.tree
+    nq, k, mask = tree.nq, tree.k, tree.mask
+    jhat0 = np.zeros((6, nq))
+    for col, dof in enumerate(mask):
+        jhat0[dof, col] = 1.0
+    phi0 = np.zeros((3, nq))
+    # phi maps *pose* coordinates; root pose columns share the nu layout
+    for col, dof in enumerate(mask):
+        if dof >= 3:
+            phi0[:, col] = ctx.gamma0[:, dof - 3]
+    out = {tree.root: (lft.constant(jhat0), lft.constant(phi0))}
+    for c in tree.order:
+        cb = c.child_port[0]
+        cg = ctx.conn[cb]
+        jhat, phi = out[c.parent_port[0]]
+        j_joint = cg.p2.T @ (cg.tau_q @ jhat)
+        phi = cg.p_ab.T @ phi
+        if isinstance(c, RevoluteJoint):
+            e_nu = np.zeros((1, nq))
+            e_nu[0, k + tree.joint_index[c.name]] = 1.0
+            j_joint = j_joint + lft.constant(
+                c.r6.reshape(6, 1)
+            ) @ lft.constant(e_nu)
+            phi = phi + lft.constant(c.axis.reshape(3, 1)) @ lft.constant(e_nu)
+        out[cb] = (lft.reduce_lft(cg.tau_c @ j_joint), lft.reduce_lft(phi))
+    return out
+
+
 def step3_linearize(
     model: MultibodyModel, eq: EquilibriumSolution, reduce: bool = True
 ) -> LinearLftModel:
@@ -637,6 +657,7 @@ def step3_linearize(
     if nq == 0:
         raise AssemblyError("model has no degrees of freedom")
     nu_in = len(tree.input_names)
+    jac = _body_jacobians(ctx)
 
     # An interface wrench W = M nudot + C nu + K chi is carried as one LFT,
     # its 6 x 3nq coefficients over the columns [M | C | K].  Each transport
@@ -654,20 +675,21 @@ def step3_linearize(
 
     def visit(name: str) -> lft.LftMatrix:
         rec = ctx.geo[name]
+        jhat, phi = jac[name]
         if name == GROUND:
             w = lft.zeros(6, 3 * nq)
         else:
-            k_part = lft.vstack([sp.skew_lft(rec.abar) @ rec.phi, z3])
-            w = rec.d @ lft.hstack([rec.jhat, z6, k_part])
+            k_part = lft.vstack([sp.skew_lft(rec.abar) @ phi, z3])
+            w = rec.d @ lft.hstack([jhat, z6, k_part])
             for fbar, tau_p in rec.loads:
-                load_k = lft.vstack([sp.skew_lft(fbar) @ rec.phi, z3])
+                load_k = lft.vstack([sp.skew_lft(fbar) @ phi, z3])
                 w = w - mck(stiffness=tau_p.T @ load_k)
             if (
                 model.root.kind == "free"
                 and rec.body is model.root_body
                 and model.root_damping is not None
             ):
-                w = w + mck(damping=lft.constant(model.root_damping) @ rec.jhat)
+                w = w + mck(damping=lft.constant(model.root_damping) @ jhat)
         for c in tree.children.get(name, []):
             cb = c.child_port[0]
             cg = ctx.conn[cb]
@@ -677,7 +699,7 @@ def step3_linearize(
                 e_q[0, k + tree.joint_index[c.name]] = 1.0
                 # joint torque-balance row
                 r_parent = c.axis_in_parent.reshape(1, 3)
-                omega_rows = rec.jhat.submatrix([3, 4, 5], list(range(nq)))
+                omega_rows = jhat.submatrix([3, 4, 5], list(range(nq)))
                 shaft_m = lft.constant(c.shaft_inertia * e_q) + lft.constant(
                     c.shaft_inertia * r_parent
                 ) @ omega_rows
@@ -718,11 +740,11 @@ def step3_linearize(
         if spec[0] == "torque":
             b_const[k + tree.joint_index[spec[1]], col] = -1.0
         else:
-            rec = ctx.geo[spec[1]]
             sel = np.zeros((6, nu_in))
             sel[:, col : col + 6] = np.eye(6)
-            gain = sp.tau_lft(-rec.body.port_position_lft(spec[2])).T
-            b_sys = b_sys - rec.jhat.T @ (gain @ lft.constant(sel))
+            body = ctx.geo[spec[1]].body
+            gain = sp.tau_lft(-body.port_position_lft(spec[2])).T
+            b_sys = b_sys - jac[spec[1]][0].T @ (gain @ lft.constant(sel))
     b_sys = lft.reduce_lft(b_sys + lft.constant(b_const))
     rows = range(w_sys.rows)
     m_sys = lft.reduce_lft(w_sys.submatrix(rows, range(nq)))

@@ -46,6 +46,11 @@ class DynamicsRole(Enum):
     INVERSE = "inverse"
 
 
+def _nominal_point(exprs) -> dict[str, float]:
+    """The nominal value of each parameter in the given exprs."""
+    return {p.name: p.nominal for e in exprs for p in lft.as_expr(e).params()}
+
+
 def _scalar_grid(exprs) -> list[dict[str, float]]:
     """Nominal point plus all parameter-box corners of the given exprs."""
     params: dict[str, lft.Param] = {}
@@ -155,7 +160,7 @@ class RigidBody:
         if len(set(names)) != len(names):
             raise BodyError(f"body {self.name!r}: duplicate port names")
         for n, p in ports:
-            nominal = {q.name: q.nominal for v in p for q in lft.as_expr(v).params()}
+            nominal = _nominal_point(p)
             check_port_position(
                 self, n, [lft.as_expr(v).value(nominal) for v in p], nominal
             )
@@ -230,12 +235,13 @@ def direct_dynamics_cog(body: RigidBody) -> lft.LftMatrix:
 
 def direct_dynamics_at_port(body: RigidBody, port: str = "ref") -> lft.LftMatrix:
     """The 6x6 mass/inertia operator D of a body at one of its ports,
-    transported from the CoG by the tau congruence; symmetric at nominal."""
-    offset_bp = sp.as_lft(list(np.asarray(body.port_position(port), dtype=object)
-                               - body.cog_offset))
-    tau = sp.tau_lft(offset_bp)
+    transported from the CoG by the tau congruence.  BodyError unless the
+    numeric D at the nominal point (``_d_at_port_numeric``) is symmetric."""
+    offset = np.asarray(body.port_position(port), dtype=object) - body.cog_offset
+    tau = sp.tau_lft(list(offset))
     mat = tau.T @ direct_dynamics_cog(body) @ tau
-    nom = mat.nominal
+    exprs = [body.mass, *body.inertia_cog.ravel(), *offset]
+    nom = _d_at_port_numeric(body, port, _nominal_point(exprs))
     if np.max(np.abs(nom - nom.T)) > 1e-12:
         raise BodyError(f"direct dynamics at {body.name}/{port} not symmetric")
     return mat

@@ -74,6 +74,8 @@ class RevoluteJoint:
 
     def __post_init__(self):
         r = np.asarray(self.axis, dtype=float).reshape(3)
+        if not np.all(np.isfinite(r)):
+            raise JointError(f"joint {self.name!r}: axis entries must be finite")
         if abs(np.linalg.norm(r) - 1.0) > 1e-12:
             raise JointError(f"joint {self.name!r}: axis must be unit norm")
         object.__setattr__(self, "axis", r)

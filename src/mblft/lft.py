@@ -289,6 +289,7 @@ class PowOp(Expr):
 
 
 Scalar = Union[float, int, Param, Expr]
+_NUMBERS = (int, float, np.floating, np.integer)
 
 
 def as_expr(x: Scalar) -> Expr:
@@ -296,7 +297,7 @@ def as_expr(x: Scalar) -> Expr:
         return x
     if isinstance(x, Param):
         return Ref(x)
-    if isinstance(x, (int, float, np.floating, np.integer)):
+    if isinstance(x, _NUMBERS):
         return Const(float(x))
     raise TypeError(f"cannot interpret {x!r} as a rational expression")
 
@@ -640,6 +641,8 @@ class LftMatrix:
             raise ValueError(f"shape mismatch {self.shape} vs {o.shape}")
         r, c = self.shape
         d1, d2 = self.ndelta, o.ndelta
+        if not d1 and not d2:
+            return LftMatrix(self.m + o.m, r, c, ())
         m = np.zeros((r + d1 + d2, c + d1 + d2))
         m[:r, :c] = self.a + o.a
         m[:r, c : c + d1] = self.b
@@ -682,6 +685,8 @@ class LftMatrix:
             raise ValueError(f"inner dimensions {self.cols} vs {o.rows}")
         r, k, c = self.rows, self.cols, o.cols
         d1, d2 = self.ndelta, o.ndelta
+        if not d1 and not d2:
+            return LftMatrix(self.m @ o.m, r, c, ())
         m = np.zeros((r + d1 + d2, c + d1 + d2))
         m[:r, :c] = self.a @ o.a
         m[:r, c : c + d1] = self.b
@@ -881,8 +886,12 @@ def lift_scalar(expr: Scalar) -> LftMatrix:
 
 
 def lift_matrix(entries: Sequence[Sequence[Scalar]]) -> LftMatrix:
-    """Lift a nested list of scalars/expressions to a matrix LFT."""
-    return block([[lift_scalar(e) for e in row] for row in entries])
+    """Lift a nested list of scalars/expressions to a matrix LFT; plain
+    numbers give one constant, equal to the block of their 1x1 lifts."""
+    rows = [list(row) for row in entries]
+    if all(isinstance(e, _NUMBERS) for row in rows for e in row):
+        return constant(rows)
+    return block([[lift_scalar(e) for e in row] for row in rows])
 
 
 # ---------------------------------------------------------------------------

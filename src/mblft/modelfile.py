@@ -452,6 +452,8 @@ def _parse_boundary(section, params, bodies):
                   required=("value", "unit"))
     _check_unit(f"{ctx}.acceleration", anode, "acceleration")
     accel = _vector3(f"{ctx}.acceleration.value", anode["value"], params)
+    if not all(isinstance(v, float) and math.isfinite(v) for v in accel):
+        raise _err(f"{ctx}.acceleration", anode, "value must be 3 finite numbers")
 
     ports = {b.name: {"ref", *dict(b.ports)} for b in bodies}
     forces = []

@@ -192,10 +192,12 @@ def as_lft(x) -> "_lft.LftMatrix":
 
 
 def skew_lft(v) -> "_lft.LftMatrix":
-    """Skew matrix of a 3x1 LFT column."""
+    """Skew matrix of a 3x1 LFT column; ``skew`` of a constant one."""
     v = as_lft(v)
     if v.shape != (3, 1):
         raise ValueError("skew_lft expects a 3x1 column")
+    if not v.ndelta:
+        return _lft.constant(skew(v.a))
     z = _lft.zeros(1, 1)
     c = [v.submatrix([i], [0]) for i in range(3)]
     return _lft.block(
@@ -204,8 +206,11 @@ def skew_lft(v) -> "_lft.LftMatrix":
 
 
 def tau_lft(offset_pc) -> "_lft.LftMatrix":
-    """6x6 kinematic transport with a Param-valued P -> C offset."""
+    """6x6 kinematic transport with a Param-valued P -> C offset;
+    ``tau_matrix`` of a constant one."""
     off = as_lft(offset_pc)
+    if not off.ndelta and off.shape == (3, 1):
+        return _lft.constant(tau_matrix(off.a))
     return _lft.block(
         [[_lft.eye(3), skew_lft(off)], [_lft.zeros(3, 3), _lft.eye(3)]]
     )

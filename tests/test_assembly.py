@@ -422,6 +422,12 @@ def test_root_pose_must_be_3_vectors(kwargs, message):
     assert RootSpec("free", euler=[0, 0.5, 1]).euler == (0.0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_acceleration_must_be_finite(bad):
+    with pytest.raises(AssemblyError, match="acceleration entries must be finite"):
+        _pendulum(accel=(0.0, bad, G))
+
+
 def test_two_parents_rejected():
     m = _pendulum()
     extra = RevoluteJoint(

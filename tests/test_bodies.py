@@ -11,6 +11,7 @@ from mblft import spatial as sp
 from mblft.assembly import (
     MultibodyModel,
     RootSpec,
+    _body_jacobians,
     assemble,
     sample_model,
     step1_geometry,
@@ -242,27 +243,30 @@ def test_equilibrium_wrench_is_d_times_a6():
 
 def test_acceleration_terms_derivative_against_fd():
     """Step 1's frame acceleration abar = P^T a of a body and its pose
-    derivative skew(abar) phi, over the root Euler angles and the joint
-    angle, against central differences of abar."""
+    derivative skew(abar) phi, with phi from step 3's Jacobian pass, over
+    the root Euler angles and the joint angle, against central differences
+    of abar."""
     root, child = _body(role=DynamicsRole.FORWARD), _child()
     a_ref = (0.0, 0.0, 9.81)
     euler = np.array([0.35, -0.2, 0.6])
 
-    def child_geo(euler, angle):
+    def geometry(euler, angle):
         model = _free(
             root, child, euler=tuple(euler), angle=angle, acceleration=a_ref
         )
-        return step1_geometry(model).geo["c"]
+        return step1_geometry(model)
 
     def abar(euler, angle):
-        return child_geo(euler, angle).abar.evaluate({}).ravel()
+        return geometry(euler, angle).geo["c"].abar.evaluate({}).ravel()
 
-    rec = child_geo(euler, 0.4)
+    ctx = geometry(euler, 0.4)
+    rec = ctx.geo["c"]
     a0 = rec.abar.evaluate({}).ravel()
     p = rec.dcm.evaluate({})
     np.testing.assert_allclose(a0, p.T @ np.array(a_ref), atol=1e-12)
     # pose columns: root position (no effect), root Euler angles, joint angle
-    da = sp.skew(a0) @ rec.phi.evaluate({})
+    _, phi = _body_jacobians(ctx)["c"]
+    da = sp.skew(a0) @ phi.evaluate({})
     assert da.shape == (3, 7)
     np.testing.assert_allclose(da[:, :3], 0.0, atol=1e-14)
     h = 1e-7

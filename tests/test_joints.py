@@ -76,6 +76,13 @@ def test_axis_must_be_unit():
         _joint(np.array([1.0, 1.0, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_axis_must_be_finite(bad):
+    # abs(norm - 1) > tol is false for NaN, so finiteness is its own rule
+    with pytest.raises(JointError, match="axis entries must be finite"):
+        _joint(np.array([bad, 0.0, 0.0]))
+
+
 def test_revolute_dcm_is_rotation_about_axis():
     for axis in AXES:
         j = _joint(axis, angle=0.7)

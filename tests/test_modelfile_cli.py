@@ -670,6 +670,47 @@ def test_malformed_orientation_dcm_is_a_schema_error(tmp_path, capsys, dcm, mess
     assert message in err
 
 
+@pytest.mark.parametrize("entry", [".nan", ".inf", "-.inf"])
+def test_non_finite_joint_axis_is_a_schema_error(tmp_path, capsys, entry):
+    text = (MODELS / "two_link_arm.yaml").read_text()
+    elbow = "    axis: [1.0, 0.0, 0.0]\n    angle: t2\n"
+    assert text.count(elbow) == 1
+    bad = _write(tmp_path, text.replace(elbow, elbow.replace("1.0", entry, 1)))
+    assert cli.main(["equilibrium", str(bad)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err == (
+        "error: connections.elbow (line 46): joint 'elbow': "
+        "axis entries must be finite\n"
+    )
+
+
+@pytest.mark.parametrize("entry", [".nan", ".inf", "-.inf", "m1"])
+def test_non_finite_acceleration_is_a_schema_error(tmp_path, capsys, entry):
+    """A NaN, an infinity or a parameter in the frame acceleration is
+    rejected where it is read, with the field and its line."""
+    text = (MODELS / "two_link_arm.yaml").read_text()
+    accel = "value: [0.0, 0.0, 9.81]"
+    assert text.count(accel) == 1
+    bad = _write(tmp_path, text.replace(accel, f"value: [0.0, 0.0, {entry}]"))
+    assert cli.main(["equilibrium", str(bad)]) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert err == (
+        "error: boundary.acceleration (line 59): value must be 3 finite numbers\n"
+    )
+
+
+@pytest.mark.parametrize("name", ["two_link_arm.yaml", "balloon_planar.yaml"])
+def test_cli_equilibrium_builds_no_jacobian(name, capsys, monkeypatch):
+    def jacobians_not_allowed(*args, **kwargs):
+        raise AssertionError("equilibrium must not build the body Jacobians")
+
+    monkeypatch.setattr(assembly, "_body_jacobians", jacobians_not_allowed)
+    assert cli.main(["equilibrium", str(MODELS / name)]) == 0
+    assert capsys.readouterr().out.startswith(f"model: {name.split('.')[0]}\n")
+    with pytest.raises(AssertionError, match="must not build"):
+        assembly.assemble(load_model(MODELS / name))
+
+
 @pytest.mark.parametrize("pitch", [90.0, -90.0])
 def test_cli_child_at_gimbal_lock(tmp_path, capsys, pitch):
     """A grounded pendulum pitched to +/-90 deg about y linearizes; the

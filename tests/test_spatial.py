@@ -9,6 +9,7 @@ from scipy.spatial.transform import Rotation
 
 from mblft import lft
 from mblft import spatial as sp
+from mblft.bodies import DynamicsRole, RigidBody, direct_dynamics_at_port
 
 SAFE_ANGLE = st.floats(-1.2, 1.2)  # away from the +/- pi/2 gimbal zone
 
@@ -150,3 +151,101 @@ def test_skew_and_tau_lft_match_numeric():
             sp.tau_matrix(np.array([0.0, val, 1.0])),
             atol=1e-12,
         )
+
+
+# ---------------------------------------------------------------------------
+# numeric paths: input without Delta channels skips the LFT construction,
+# and must give the coefficients that construction gives, bit for bit
+# ---------------------------------------------------------------------------
+
+# signed zeros, integers and wide magnitudes, where a path that computes
+# differently would show
+ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1, -3, 1e-300, 7.5e12]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+COLUMN = st.lists(ENTRY, min_size=3, max_size=3)
+
+
+def _idle(x: lft.LftMatrix) -> lft.LftMatrix:
+    """``x`` with one Delta channel that couples to nothing: the general
+    construction then runs, and its A block is the value of ``x``."""
+    m = np.zeros((x.rows + 1, x.cols + 1))
+    m[: x.rows, : x.cols] = x.m
+    return lft.LftMatrix(m, x.rows, x.cols, (lft.Param("idle", 0.0, -1.0, 1.0),))
+
+
+def _lifted(entries) -> lft.LftMatrix:
+    """The general lift: the block of each entry's 1x1 lift."""
+    return lft.block([[lft.lift_scalar(e) for e in row] for row in entries])
+
+
+def _same(fast: lft.LftMatrix, general: np.ndarray) -> None:
+    assert fast.ndelta == 0
+    assert np.array_equal(fast.m, general)
+    # array_equal counts -0.0 == 0.0; the exported coefficients do not
+    assert np.array_equal(np.signbit(fast.m), np.signbit(general))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(COLUMN, min_size=1, max_size=4))
+def test_lift_matrix_of_numbers_equals_the_general_lift(rows):
+    _same(lft.lift_matrix(rows), _lifted(rows).m)
+    col = [r[0] for r in rows]
+    _same(sp.as_lft(col), _lifted([[v] for v in col]).m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(COLUMN)
+def test_skew_and_tau_of_a_constant_equal_the_general_construction(v):
+    col = sp.as_lft(v)
+    _same(sp.skew_lft(v), sp.skew_lft(_idle(col)).a)
+    _same(sp.tau_lft(v), sp.tau_lft(_idle(col)).a)
+    _same(sp.tau_lft(-col), sp.tau_lft(_idle(-col)).a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ENTRY, min_size=12, max_size=12))
+def test_constant_products_and_sums_equal_the_general_formulas(vals):
+    x = lft.constant(np.reshape(vals[:6], (2, 3)))
+    y = lft.constant(np.reshape(vals[6:], (3, 2)))
+    _same(x @ y, (_idle(x) @ _idle(y)).a)
+    _same(x @ y + x @ y, (_idle(x @ y) + _idle(x @ y)).a)
+    _same(x.T - y, (_idle(x.T) - _idle(y)).a)
+
+
+# body sizes whose D is symmetric to the 1e-12 that direct_dynamics_at_port
+# asks of it
+LENGTH = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 1]), st.floats(-10.0, 10.0)),
+    min_size=3,
+    max_size=3,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    LENGTH,
+    LENGTH,
+    st.floats(0.0, 50.0),
+    st.lists(st.floats(0.0, 5.0), min_size=3, max_size=3),
+)
+def test_direct_dynamics_of_a_constant_body_equals_the_general_construction(
+    cog, port, mass, diag
+):
+    body = RigidBody(
+        name="b",
+        mass=mass,
+        inertia_cog=np.diag(diag),
+        cog_offset=cog,
+        ports=(("p", port),),
+        dynamics_role=DynamicsRole.INVERSE,
+    )
+    for name in ("ref", "p"):
+        offset = np.asarray(body.port_position(name), dtype=object) - body.cog_offset
+        tau = sp.tau_lft(_idle(_lifted([[v] for v in offset])))
+        m = _idle(lft.constant([[body.mass]]))
+        d_cog = lft.blockdiag(
+            [lft.blockdiag([m, m, m]), _idle(_lifted(body.inertia_cog))]
+        )
+        _same(direct_dynamics_at_port(body, name), (tau.T @ d_cog @ tau).a)
