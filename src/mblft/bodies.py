@@ -235,22 +235,12 @@ def direct_dynamics_cog(body: RigidBody) -> lft.LftMatrix:
 
 def direct_dynamics_at_port(body: RigidBody, port: str = "ref") -> lft.LftMatrix:
     """The 6x6 mass/inertia operator D of a body at one of its ports,
-    transported from the CoG by the tau congruence.  BodyError unless the
-    numeric D at the nominal point (``_d_at_port_numeric``) is symmetric."""
+    transported from the CoG by the tau congruence.  D = tau^T D_cog tau is
+    symmetric wherever the CoG inertia is, and ``check_mass_properties``
+    holds that symmetric at the nominal point and at every box corner."""
     offset = np.asarray(body.port_position(port), dtype=object) - body.cog_offset
     tau = sp.tau_lft(list(offset))
-    mat = tau.T @ direct_dynamics_cog(body) @ tau
-    exprs = [body.mass, *body.inertia_cog.ravel(), *offset]
-    nom = _d_at_port_numeric(body, port, _nominal_point(exprs))
-    if np.max(np.abs(nom - nom.T)) > 1e-12:
-        raise BodyError(f"direct dynamics at {body.name}/{port} not symmetric")
-    return mat
-
-
-def _d_at_port_numeric(body: RigidBody, port: str, point) -> np.ndarray:
-    """Numeric D at a port and parameter point."""
-    o = body.port_position_value(port, point) - body.cog_offset_value(point)
-    return _d_numeric(o, body.mass_value(point), body.inertia_value(point))
+    return tau.T @ direct_dynamics_cog(body) @ tau
 
 
 def _d_numeric(offset, mass: float, inertia) -> np.ndarray:

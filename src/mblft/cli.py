@@ -29,8 +29,10 @@ Subcommands::
         linearization of the independent nonlinear model, at the nominal
         point and N random parameter points.
 
-Exit codes: 0 success, 2 model-file/schema error, 3 numerical error
-(trim failure, singularity, ill-posedness), 4 validation failure.
+Exit codes: 0 success, 2 model-file/schema error (a model-file number
+that is not a finite real among them), 3 numerical error of finite inputs
+(trim failure, singularity, ill-posedness, overflow, division by zero),
+4 validation failure.
 Output precision is controlled by the MBLFT_PRECISION environment
 variable (significant digits, default 15).  Given the same files, flags
 and seed, all outputs are byte-identical between runs.
@@ -52,6 +54,7 @@ from .assembly import (
     TrimError,
     assemble,
     modes,
+    sample_model,
     sample_point,
     step1_geometry,
     step2_wrenches,
@@ -79,6 +82,7 @@ _NUMERICAL_ERRORS = (
     lft.EvaluationError,
     lft.LftError,
     np.linalg.LinAlgError,
+    ArithmeticError,
 )
 
 
@@ -469,8 +473,6 @@ def cmd_validate(args) -> int:
     points = [("nominal", {})]
     for i in range(args.points):
         points.append((f"random_{i}", sample_point(lm.parameters, rng)))
-
-    from .assembly import sample_model  # local to keep module import light
 
     worst = 0.0
     lines = [f"model: {model.name} (order {lm.order})"]

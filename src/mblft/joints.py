@@ -1,7 +1,7 @@
 """Interconnection elements: rigid connections and revolute joints.
 
-This module holds the connection data and the joint DCM (numeric and
-LFT); their equilibrium relations and linearization are formulated in
+This module holds the connection data and the joint DCM as an LFT; their
+equilibrium relations and linearization are formulated in
 ``mblft.assembly`` (steps 1-3), which builds each joint's DCM once.
 
 A connection links a *parent* body B (frame R_b) to a *child* body A
@@ -34,7 +34,6 @@ __all__ = [
     "JointError",
     "RigidConnection",
     "RevoluteJoint",
-    "revolute_dcm",
     "revolute_dcm_lft",
 ]
 
@@ -104,11 +103,6 @@ class RevoluteJoint:
 # ---------------------------------------------------------------------------
 # Revolute joint
 # ---------------------------------------------------------------------------
-
-
-def revolute_dcm(joint: RevoluteJoint, theta: float) -> np.ndarray:
-    """Numeric P_a/b(theta)."""
-    return joint.zero_dcm @ sp.rotation_about_axis(joint.axis, theta)
 
 
 def revolute_dcm_lft(joint: RevoluteJoint) -> lft.LftMatrix:

@@ -16,8 +16,11 @@ Top-level sections::
     root:         ground or free root, with optional pose
     io:           input channels and output state selection (optional)
 
-Scalar ``value`` fields accept either a number or an arithmetic expression
-string over the declared (non-angle) parameter names, e.g. ``"1.0 * l6"``.
+Every number in the file is a finite real number that is not a boolean
+(``_number``); anything else is a ModelFileError naming the field and its
+line.  The scalar ``value`` fields of bodies and forces accept either such
+a number or an arithmetic expression string over the declared (non-angle)
+parameter names, e.g. ``"1.0 * l6"``.
 Angle-valued parameters (``angle: true``) are carried internally as
 tangent-substituted parameters and may only be referenced as joint angles.
 """
@@ -50,8 +53,8 @@ _UNITS = {
     "root_damping": ("N*s/m,N*m*s/rad",),
     "linear_density": ("kg/m",),
     "dimensionless": ("1", "-"),
+    "angle": ("deg", "rad"),
 }
-_ANGLE_UNITS = ("deg", "rad")
 
 
 class ModelFileError(ValueError):
@@ -118,13 +121,37 @@ def _check_unit(ctx, node, field_kind: str):
         raise _err(ctx, node, f"unit {unit!r} not accepted here; expected one of {expected}")
 
 
-def _angle_to_rad(ctx, node, value: float) -> float:
-    unit = node.get("unit")
-    if unit is None:
-        raise _err(ctx, node, "angles require an explicit unit: 'deg' or 'rad'")
-    if unit not in _ANGLE_UNITS:
-        raise _err(ctx, node, f"angle unit must be 'deg' or 'rad', got {unit!r}")
-    return math.radians(value) if unit == "deg" else float(value)
+def _number(ctx, node, field, value, what="a finite number") -> float:
+    """``value`` as a float: a finite real number that is not a bool.
+    Otherwise ModelFileError naming ``field`` and the line of ``node``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            value = float(value)
+        except OverflowError:  # an int beyond the float range
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise _err(ctx, node, f"{field} must be {what}")
+
+
+def _numbers(ctx, node, field, value, n) -> tuple:
+    """``value`` as a tuple of floats: a list of ``n`` ``_number``s."""
+    what = f"{n} finite numbers"
+    if not isinstance(value, list) or len(value) != n:
+        raise _err(ctx, node, f"{field} must be {what}")
+    return tuple(_number(ctx, node, field, v, what) for v in value)
+
+
+def _value(ctx, node, kind):
+    """The ``value`` of a ``{value, unit}`` node whose unit is one of
+    ``kind``'s; the caller reads it as a number, a list or an expression."""
+    _check_unit(ctx, _take(ctx, node, required=("value", "unit")), kind)
+    return node["value"]
+
+
+def _radians(node, angle: float) -> float:
+    """An angle in the ``unit`` of ``node`` (checked as an angle unit)."""
+    return math.radians(angle) if node["unit"] == "deg" else angle
 
 
 # ---------------------------------------------------------------------------
@@ -140,28 +167,34 @@ _BINOPS = {
 }
 
 
-def _parse_expr(ctx: str, text: str, params: dict):
-    """Parse an arithmetic expression over declared scalar parameters."""
+def _parse_expr(ctx, mark, field, text: str, params: dict):
+    """Parse an arithmetic expression over declared scalar parameters;
+    errors name ``field`` and the line of the mapping ``mark``."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as e:
-        raise ModelFileError(f"{ctx}: invalid expression {text!r}: {e.msg}") from None
+        raise _err(ctx, mark, f"{field}: invalid expression {text!r}: {e.msg}") from None
 
     def walk(node):
         if isinstance(node, ast.Expression):
             return walk(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return lft.as_expr(float(node.value))
+        if isinstance(node, ast.Constant):
+            literal = ast.get_source_segment(text, node)
+            return lft.as_expr(
+                _number(ctx, mark, f"literal {literal!r} in {field}", node.value)
+            )
         if isinstance(node, ast.Name):
             if node.id not in params:
-                raise ModelFileError(
-                    f"{ctx}: unknown parameter {node.id!r} in expression {text!r}"
+                raise _err(
+                    ctx, mark,
+                    f"{field}: unknown parameter {node.id!r} in expression {text!r}",
                 )
             p = params[node.id]
             if isinstance(p, lft.HalfTanParam):
-                raise ModelFileError(
-                    f"{ctx}: angle parameter {node.id!r} may only be used as a "
-                    "joint equilibrium angle, not inside expressions"
+                raise _err(
+                    ctx, mark,
+                    f"{field}: angle parameter {node.id!r} may only be used as a "
+                    "joint equilibrium angle, not inside expressions",
                 )
             return lft.as_expr(p)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
@@ -174,54 +207,55 @@ def _parse_expr(ctx: str, text: str, params: dict):
                     and isinstance(node.right.value, int)
                     and node.right.value >= 0
                 ):
-                    raise ModelFileError(
-                        f"{ctx}: exponent must be a non-negative integer "
-                        f"literal in {text!r}"
+                    raise _err(
+                        ctx, mark,
+                        f"{field}: exponent must be a non-negative integer "
+                        f"literal in {text!r}",
                     )
                 return walk(node.left) ** node.right.value
             return _BINOPS[type(node.op)](walk(node.left), walk(node.right))
-        raise ModelFileError(
-            f"{ctx}: unsupported construct {type(node).__name__} in "
-            f"expression {text!r} (use numbers, parameter names, + - * / **)"
+        raise _err(
+            ctx, mark,
+            f"{field}: unsupported construct {type(node).__name__} in "
+            f"expression {text!r} (use numbers, parameter names, + - * / **)",
         )
 
     return walk(tree)
 
 
-def _scalar(ctx, value, params):
-    """A number or expression string -> float | Expr."""
-    if isinstance(value, bool):
-        raise ModelFileError(f"{ctx}: expected a number or expression, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
+def _scalar(ctx, node, field, value, params):
+    """A ``_number`` or an expression string -> float | Expr."""
     if isinstance(value, str):
-        return _parse_expr(ctx, value, params)
-    raise ModelFileError(
-        f"{ctx}: expected a number or expression string, got {type(value).__name__}"
+        return _parse_expr(ctx, node, field, value, params)
+    return _number(ctx, node, field, value, "a finite number or an expression")
+
+
+def _vector3(ctx, node, value, params):
+    """The ``value`` of ``node``: a list of 3 ``_scalar``s."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise _err(ctx, node, "value must be a list of 3 entries")
+    return tuple(
+        _scalar(ctx, node, f"value[{i}]", v, params) for i, v in enumerate(value)
     )
 
 
-def _vector3(ctx, value, params):
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ModelFileError(f"{ctx}: expected a list of 3 entries")
-    return tuple(_scalar(f"{ctx}[{i}]", v, params) for i, v in enumerate(value))
-
-
-def _matrix33(ctx, value, params):
-    """Full 3x3 (list of 3 rows) or diagonal (list of 3 scalars)."""
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
-        raise ModelFileError(f"{ctx}: expected 3 rows or 3 diagonal entries")
-    if all(isinstance(r, (list, tuple)) for r in value):
+def _matrix33(ctx, node, value, params):
+    """The ``value`` of ``node``: 3 rows or 3 diagonal entries of
+    ``_scalar``s."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise _err(ctx, node, "value must be 3 rows or 3 diagonal entries")
+    if all(isinstance(r, list) for r in value):
         rows = []
         for i, r in enumerate(value):
             if len(r) != 3:
-                raise ModelFileError(f"{ctx}: row {i} must have 3 entries")
-            rows.append([_scalar(f"{ctx}[{i}][{j}]", v, params) for j, v in enumerate(r)])
+                raise _err(ctx, node, f"value row {i} must have 3 entries")
+            rows.append(
+                [_scalar(ctx, node, f"value[{i}][{j}]", v, params) for j, v in enumerate(r)]
+            )
         return np.array(rows, dtype=object)
-    diag = [_scalar(f"{ctx}[{i}]", v, params) for i, v in enumerate(value)]
     out = np.zeros((3, 3), dtype=object)
-    for i in range(3):
-        out[i, i] = diag[i]
+    for i, v in enumerate(value):
+        out[i, i] = _scalar(ctx, node, f"value[{i}]", v, params)
     return out
 
 
@@ -248,23 +282,18 @@ def _parse_parameters(section) -> dict:
         is_angle = spec.get("angle", False)
         if not isinstance(is_angle, bool):
             raise _err(ctx, spec, "'angle' must be a boolean")
-        for key in ("nominal", "lower", "upper"):
-            if not isinstance(spec[key], (int, float)) or isinstance(spec[key], bool):
-                raise _err(ctx, spec, f"{key!r} must be a number")
-        nominal, lower, upper = (float(spec[k]) for k in ("nominal", "lower", "upper"))
+        nominal, lower, upper = (
+            _number(ctx, spec, k, spec[k]) for k in ("nominal", "lower", "upper")
+        )
+        if is_angle:
+            _check_unit(ctx, spec, "angle")
+            nominal, lower, upper = (_radians(spec, v) for v in (nominal, lower, upper))
+        elif not isinstance(spec["unit"], str) or not spec["unit"]:
+            # non-angle units are free-form (kg, m, ...) but mandatory
+            raise _err(ctx, spec, "'unit' must be a non-empty string")
+        make = lft.HalfTanParam.from_angle if is_angle else lft.Param
         try:
-            if is_angle:
-                nominal = _angle_to_rad(ctx, spec, nominal)
-                lower = _angle_to_rad(ctx, spec, lower)
-                upper = _angle_to_rad(ctx, spec, upper)
-                params[name] = lft.HalfTanParam.from_angle(
-                    str(name), nominal, lower, upper, kind=kind
-                )
-            else:
-                # non-angle units are free-form (kg, m, ...) but mandatory
-                if not isinstance(spec["unit"], str) or not spec["unit"]:
-                    raise _err(ctx, spec, "'unit' must be a non-empty string")
-                params[name] = lft.Param(str(name), nominal, lower, upper, kind=kind)
+            params[name] = make(str(name), nominal, lower, upper, kind=kind)
         except ValueError as e:
             raise _err(ctx, spec, str(e)) from None
     return params
@@ -295,26 +324,21 @@ def _parse_bodies(section, params) -> tuple:
         if role not in ("forward", "inverse"):
             raise _err(ctx, entry, f"role must be 'forward' or 'inverse', got {role!r}")
 
-        mass_node = _take(f"{ctx}.mass", entry["mass"], required=("value", "unit"))
-        _check_unit(f"{ctx}.mass", mass_node, "mass")
-        mass = _scalar(f"{ctx}.mass.value", mass_node["value"], params)
-
-        in_node = _take(f"{ctx}.inertia", entry["inertia"], required=("value", "unit"))
-        _check_unit(f"{ctx}.inertia", in_node, "inertia")
-        inertia = _matrix33(f"{ctx}.inertia.value", in_node["value"], params)
-
-        cog_node = _take(f"{ctx}.cog", entry["cog"], required=("value", "unit"))
-        _check_unit(f"{ctx}.cog", cog_node, "length")
-        cog = _vector3(f"{ctx}.cog.value", cog_node["value"], params)
+        node, mctx = entry["mass"], f"{ctx}.mass"
+        mass = _scalar(mctx, node, "value", _value(mctx, node, "mass"), params)
+        node, ictx = entry["inertia"], f"{ctx}.inertia"
+        inertia = _matrix33(ictx, node, _value(ictx, node, "inertia"), params)
+        node, cctx = entry["cog"], f"{ctx}.cog"
+        cog = _vector3(cctx, node, _value(cctx, node, "length"), params)
 
         ports = []
         ports_node = entry.get("ports") or {}
         _need_mapping(f"{ctx}.ports", ports_node)
-        for pname, pnode in ports_node.items():
+        for pname, node in ports_node.items():
             pctx = f"{ctx}.ports.{pname}"
-            pnode = _take(pctx, pnode, required=("value", "unit"))
-            _check_unit(pctx, pnode, "length")
-            ports.append((str(pname), _vector3(f"{pctx}.value", pnode["value"], params)))
+            ports.append(
+                (str(pname), _vector3(pctx, node, _value(pctx, node, "length"), params))
+            )
 
         mask = entry.get("dof_mask")
         if mask is None:
@@ -393,45 +417,34 @@ def _parse_connections(section, params) -> tuple:
                 required=("type", "name", "parent", "child", "axis", "angle"),
                 optional=("shaft_inertia", "friction"),
             )
-            axis = entry["axis"]
-            if not isinstance(axis, list) or len(axis) != 3:
-                raise _err(ctx, entry, "axis must be a list of 3 numbers")
-
+            axis = _numbers(ctx, entry, "axis", entry["axis"], 3)
             anode = entry["angle"]
-            if isinstance(anode, str):
-                # reference to a declared angle parameter
-                if anode not in params or not isinstance(params[anode], lft.HalfTanParam):
-                    raise _err(
-                        ctx, entry,
-                        f"angle {anode!r} must name a parameter declared with "
-                        "'angle: true'",
-                    )
+            if isinstance(anode, dict):
+                actx = f"{ctx}.angle"
+                angle = _number(actx, anode, "value", _value(actx, anode, "angle"))
+                angle_eq = _radians(anode, angle)
+            elif isinstance(anode, str) and isinstance(params.get(anode), lft.HalfTanParam):
                 angle_eq = params[anode]
             else:
-                anode = _take(f"{ctx}.angle", anode, required=("value", "unit"))
-                if not isinstance(anode["value"], (int, float)):
-                    raise _err(ctx, anode, "angle value must be a number")
-                angle_eq = _angle_to_rad(f"{ctx}.angle", anode, float(anode["value"]))
-
-            shaft = DEFAULT_SHAFT_INERTIA
+                raise _err(
+                    ctx, entry,
+                    f"angle must be a {{value, unit}} mapping or name a parameter "
+                    f"declared with 'angle: true', got {anode!r}",
+                )
+            shaft, friction = DEFAULT_SHAFT_INERTIA, 0.0
             if "shaft_inertia" in entry:
-                snode = _take(f"{ctx}.shaft_inertia", entry["shaft_inertia"],
-                              required=("value", "unit"))
-                _check_unit(f"{ctx}.shaft_inertia", snode, "shaft_inertia")
-                shaft = float(snode["value"])
-            friction = 0.0
+                sctx, snode = f"{ctx}.shaft_inertia", entry["shaft_inertia"]
+                shaft = _number(sctx, snode, "value", _value(sctx, snode, "shaft_inertia"))
             if "friction" in entry:
-                fnode = _take(f"{ctx}.friction", entry["friction"],
-                              required=("value", "unit"))
-                _check_unit(f"{ctx}.friction", fnode, "friction")
-                friction = float(fnode["value"])
+                fctx, fnode = f"{ctx}.friction", entry["friction"]
+                friction = _number(fctx, fnode, "value", _value(fctx, fnode, "friction"))
             try:
                 conns.append(
                     RevoluteJoint(
                         name=str(entry["name"]),
                         parent_port=_parse_port_ref(f"{ctx}.parent", entry["parent"]),
                         child_port=_parse_port_ref(f"{ctx}.child", entry["child"]),
-                        axis=[float(v) for v in axis],
+                        axis=axis,
                         angle_eq=angle_eq,
                         shaft_inertia=shaft,
                         friction=friction,
@@ -448,12 +461,8 @@ def _parse_boundary(section, params, bodies):
     ctx = "boundary"
     section = _take(ctx, section, required=("acceleration",),
                     optional=("forces", "root_damping"))
-    anode = _take(f"{ctx}.acceleration", section["acceleration"],
-                  required=("value", "unit"))
-    _check_unit(f"{ctx}.acceleration", anode, "acceleration")
-    accel = _vector3(f"{ctx}.acceleration.value", anode["value"], params)
-    if not all(isinstance(v, float) and math.isfinite(v) for v in accel):
-        raise _err(f"{ctx}.acceleration", anode, "value must be 3 finite numbers")
+    actx, anode = f"{ctx}.acceleration", section["acceleration"]
+    accel = _numbers(actx, anode, "value", _value(actx, anode, "acceleration"), 3)
 
     ports = {b.name: {"ref", *dict(b.ports)} for b in bodies}
     forces = []
@@ -477,7 +486,7 @@ def _parse_boundary(section, params, bodies):
             if "value" not in fnode:
                 raise _err(fctx, fnode, "a force needs 'value' or 'balance_weight: true'")
             _check_unit(fctx, fnode, "force")
-            force = _vector3(f"{fctx}.value", fnode["value"], params)
+            force = _vector3(fctx, fnode, fnode["value"], params)
         forces.append(
             ExternalForce(body=body, port=port, force=force, balance_weight=balance)
         )
@@ -487,10 +496,7 @@ def _parse_boundary(section, params, bodies):
         dctx = f"{ctx}.root_damping"
         dnode = _take(dctx, section["root_damping"], required=("diag", "unit"))
         _check_unit(dctx, dnode, "root_damping")
-        diag = dnode["diag"]
-        if not isinstance(diag, list) or len(diag) != 6:
-            raise _err(dctx, dnode, "diag must be a list of 6 numbers")
-        damping = np.diag([float(v) for v in diag])
+        damping = np.diag(_numbers(dctx, dnode, "diag", dnode["diag"], 6))
     return accel, tuple(forces), damping
 
 
@@ -505,19 +511,13 @@ def _parse_root(section):
         raise _err(ctx, section, f"kind must be 'ground' or 'free', got {kind!r}")
     euler = (0.0, 0.0, 0.0)
     if "euler" in section:
-        enode = _take(f"{ctx}.euler", section["euler"], required=("value", "unit"))
-        v = enode["value"]
-        if not isinstance(v, list) or len(v) != 3:
-            raise _err(f"{ctx}.euler", enode, "value must be a list of 3 angles")
-        euler = tuple(_angle_to_rad(f"{ctx}.euler", enode, float(x)) for x in v)
+        ectx, enode = f"{ctx}.euler", section["euler"]
+        v = _numbers(ectx, enode, "value", _value(ectx, enode, "angle"), 3)
+        euler = tuple(_radians(enode, x) for x in v)
     position = (0.0, 0.0, 0.0)
     if "position" in section:
-        pnode = _take(f"{ctx}.position", section["position"], required=("value", "unit"))
-        _check_unit(f"{ctx}.position", pnode, "length")
-        v = pnode["value"]
-        if not isinstance(v, list) or len(v) != 3:
-            raise _err(f"{ctx}.position", pnode, "value must be a list of 3 numbers")
-        position = tuple(float(x) for x in v)
+        pctx, pnode = f"{ctx}.position", section["position"]
+        position = _numbers(pctx, pnode, "value", _value(pctx, pnode, "length"), 3)
     trim = section.get("accelerating_trim", False)
     if not isinstance(trim, bool):
         raise _err(ctx, section, "'accelerating_trim' must be a boolean")

@@ -28,7 +28,6 @@ __all__ = [
     "euler_from_dcm",
     "euler_rate_map",
     "tau_matrix",
-    "p2",
 ]
 
 GIMBAL_TOL = 1e-8
@@ -160,14 +159,6 @@ def euler_rate_map(angles) -> np.ndarray:
     g[..., 2, 0] = s2
     g[..., 2, 2] = 1.0
     return g
-
-
-def p2(d) -> np.ndarray:
-    m = np.asarray(d, dtype=float)
-    out = np.zeros((6, 6))
-    out[:3, :3] = m
-    out[3:, 3:] = m
-    return out
 
 
 # ---------------------------------------------------------------------------

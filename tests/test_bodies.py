@@ -21,7 +21,7 @@ from mblft.bodies import (
     BodyError,
     DynamicsRole,
     RigidBody,
-    _d_at_port_numeric,
+    _d_numeric,
     check_mass_properties,
     direct_dynamics_at_port,
     direct_dynamics_cog,
@@ -170,6 +170,27 @@ def test_d_at_port_symmetric_and_congruent(cx, cy, cz):
     assert np.min(np.linalg.eigvalsh(d_port)) > -1e-12
 
 
+@pytest.mark.parametrize("reach", [30.0, 100.0, 1e3])
+def test_far_cog_d_at_port_is_accepted_and_symmetric(reach):
+    """D's entries grow as mass x offset^2, so its symmetry holds to round-off
+    relative to its largest entry, not to an absolute bound: a CoG hundreds
+    of metres from a port is an ordinary body."""
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        b = RigidBody(
+            name="b",
+            mass=float(rng.uniform(1.0, 50.0)),
+            inertia_cog=np.diag(rng.uniform(0.0, 5.0, 3)),
+            cog_offset=tuple(rng.uniform(-reach, reach, 3)),
+            ports=(("p", tuple(rng.uniform(-reach, reach, 3))),),
+            dynamics_role=DynamicsRole.FORWARD,
+        )
+        for port in ("ref", "p"):
+            d = direct_dynamics_at_port(b, port).evaluate({})
+            eps = np.finfo(float).eps
+            assert np.max(np.abs(d - d.T)) <= 4 * eps * np.max(np.abs(d))
+
+
 def test_raw_param_entries_give_the_numeric_d_at_port():
     m = lft.Param("m", 2.0, 1.5, 2.5, "uncertain")
     ln = lft.Param("l", 0.5, 0.4, 0.6, "uncertain")
@@ -184,8 +205,11 @@ def test_raw_param_entries_give_the_numeric_d_at_port():
     for port in ("ref", "p"):
         d = direct_dynamics_at_port(b, port)
         for pt in ({"m": 1.5, "l": 0.4}, {"m": 2.0, "l": 0.5}, {"m": 2.5, "l": 0.6}):
+            offset = b.port_position_value(port, pt) - b.cog_offset_value(pt)
             np.testing.assert_allclose(
-                d.evaluate(pt), _d_at_port_numeric(b, port, pt), atol=1e-12
+                d.evaluate(pt),
+                _d_numeric(offset, b.mass_value(pt), b.inertia_value(pt)),
+                atol=1e-12,
             )
 
 

@@ -24,7 +24,6 @@ from mblft.joints import (
     JointError,
     RevoluteJoint,
     RigidConnection,
-    revolute_dcm,
     revolute_dcm_lft,
 )
 from mblft.oracle import FdConfig, NonlinearEvaluator, fd_linearize
@@ -45,6 +44,11 @@ def _joint(axis, angle=0.4, name="j", parent=("ground", "ref"), child="b"):
         axis=axis,
         angle_eq=angle,
     )
+
+
+def _dcm(joint, theta):
+    """Numeric P_a/b(theta) of a revolute joint."""
+    return joint.zero_dcm @ sp.rotation_about_axis(joint.axis, theta)
 
 
 def _link(name="b"):
@@ -87,7 +91,7 @@ def test_revolute_dcm_is_rotation_about_axis():
     for axis in AXES:
         j = _joint(axis, angle=0.7)
         np.testing.assert_allclose(
-            revolute_dcm(j, 0.7),
+            revolute_dcm_lft(j).evaluate({}),
             sp.rotation_about_axis(axis, 0.7),
             atol=1e-14,
         )
@@ -100,7 +104,7 @@ def test_revolute_dcm_lft_matches_numeric_with_varying_angle():
     for th in np.linspace(-1.2, 1.2, 9):
         np.testing.assert_allclose(
             g.evaluate({t.param.name: math.tan(th / 2)}),
-            revolute_dcm(j, th),
+            _dcm(j, th),
             atol=1e-12,
         )
 
@@ -167,7 +171,7 @@ def test_torque_balances_axial_load_component(seed):
     )
     eq = step2_wrenches(model, step1_geometry(model))
     body = model.body("b")
-    p = revolute_dcm(model.connections[0], angle)
+    p = _dcm(model.connections[0], angle)
     weight = -body.mass_value({}) * (p.T @ A_REF)
     moment = np.cross(body.cog_offset_value({}), weight) + np.cross(
         body.port_position_value("tip", {}), p.T @ force
@@ -184,7 +188,8 @@ def test_transmitted_wrench_is_frame_change_only():
         _joint(AXES[0], 0.9), forces=(ExternalForce("b", "tip", tuple(force)),)
     )
     eq = step2_wrenches(model, step1_geometry(model))
-    p2 = sp.p2(revolute_dcm(model.connections[0], 0.9))
+    p = _dcm(model.connections[0], 0.9)
+    p2 = np.block([[p, np.zeros((3, 3))], [np.zeros((3, 3)), p]])
     np.testing.assert_allclose(
         eq.root_reaction.evaluate({}).ravel(),
         p2 @ eq.joint_load["j"].evaluate({}).ravel(),
@@ -206,9 +211,7 @@ def test_child_euler_composition():
         ((0.0, 0.0, 0.0), np.array([0.0, 1.0, 0.0]), 90.0),
     ):
         j = _joint(axis, angle=math.radians(angle))
-        p_ai = sp.dcm_from_euler(theta_b) @ revolute_dcm(
-            j, math.radians(angle)
-        )
+        p_ai = sp.dcm_from_euler(theta_b) @ _dcm(j, math.radians(angle))
         np.testing.assert_allclose(
             _reported_dcm(_grounded(j, euler=theta_b)), p_ai, atol=1e-12
         )

@@ -1,5 +1,7 @@
 """Model-file schema validation and the command-line front end."""
+import copy
 import json
+import math
 import os
 import pathlib
 import stat
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mblft import assembly, cli, modelfile
-from mblft.modelfile import ModelFileError, load_model
+from mblft.modelfile import ModelFileError, load_model, parse_model
 from mblft.spatial import dcm_from_euler, rotation_about_axis
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
@@ -678,10 +680,7 @@ def test_non_finite_joint_axis_is_a_schema_error(tmp_path, capsys, entry):
     bad = _write(tmp_path, text.replace(elbow, elbow.replace("1.0", entry, 1)))
     assert cli.main(["equilibrium", str(bad)]) == cli.EXIT_SCHEMA
     err = capsys.readouterr().err
-    assert err == (
-        "error: connections.elbow (line 46): joint 'elbow': "
-        "axis entries must be finite\n"
-    )
+    assert err == "error: connections.elbow (line 46): axis must be 3 finite numbers\n"
 
 
 @pytest.mark.parametrize("entry", [".nan", ".inf", "-.inf", "m1"])
@@ -697,6 +696,88 @@ def test_non_finite_acceleration_is_a_schema_error(tmp_path, capsys, entry):
     assert err == (
         "error: boundary.acceleration (line 59): value must be 3 finite numbers\n"
     )
+
+
+# values that no model-file number may take: not finite (an int beyond the
+# float range included), not a real number, or not a single number
+_NOT_NUMBERS = [math.nan, math.inf, 10**400, None, "abc", True, [], [1.0], {"x": 1}]
+
+
+def _numeric_leaves(node, path=()):
+    """The paths of the int and float leaves of a loaded document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _numeric_leaves(value, path + (key,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _leaf_cases():
+    """(name, document, leaf path): every numeric leaf of the pendulum and
+    the arm, and the balloon's friction, root damping and root pose."""
+    for name in ("pendulum.yaml", "two_link_arm.yaml"):
+        doc = yaml.load((MODELS / name).read_text(), Loader=modelfile._Loader)
+        yield from ((name, doc, path) for path in _numeric_leaves(doc))
+    text = (MODELS / "balloon_planar.yaml").read_text()
+    root = "root:\n  kind: free\n"
+    assert text.count(root) == 1
+    text = text.replace(
+        root,
+        root + "  euler: {value: [0.0, 0.0, 0.0], unit: deg}\n"
+        "  position: {value: [0.0, 0.0, 0.0], unit: m}\n",
+    )
+    doc = yaml.load(text, Loader=modelfile._Loader)
+    parse_model(doc)
+    for path in _numeric_leaves(doc):
+        if path[-2:-1] == ("friction",) or path[:2] in (
+            ("boundary", "root_damping"), ("root", "euler"), ("root", "position")
+        ):
+            yield "balloon_planar.yaml", doc, path
+
+
+def test_every_number_that_is_not_a_finite_real_is_a_schema_error():
+    """Each numeric leaf set in turn to a value that is not a finite real
+    number is rejected as a ModelFileError naming a line, and nothing else
+    escapes the reader."""
+    cases = list(_leaf_cases())
+    assert len(cases) > 60
+    wrong = []
+    for name, doc, path in cases:
+        for bad in _NOT_NUMBERS:
+            mutated = copy.deepcopy(doc)
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = copy.deepcopy(bad)
+            try:
+                parse_model(mutated)
+            except ModelFileError as e:
+                if "(line " not in str(e):
+                    wrong.append((name, path, bad, str(e)))
+            except Exception as e:  # any other exception is a finding
+                wrong.append((name, path, bad, repr(e)))
+            else:
+                wrong.append((name, path, bad, "accepted"))
+    assert not wrong, wrong[:10]
+
+
+@pytest.mark.parametrize(
+    "name, old, new",
+    [
+        ("balloon_planar.yaml", "upper: 60.0,", "upper: 1.0e+300,"),
+        ("two_link_arm.yaml", "mass: {value: m1,", 'mass: {value: "1 / (m1 - m1)",'),
+    ],
+    ids=["overflow", "zero-division"],
+)
+def test_arithmetic_error_is_a_numerical_error(tmp_path, capsys, name, old, new):
+    """A finite input whose arithmetic overflows or divides by zero exits 3
+    with a message, not in a traceback."""
+    text = (MODELS / name).read_text()
+    assert text.count(old) == 1
+    bad = _write(tmp_path, text.replace(old, new))
+    assert cli.main(["equilibrium", str(bad)]) == cli.EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("name", ["two_link_arm.yaml", "balloon_planar.yaml"])

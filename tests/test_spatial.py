@@ -109,7 +109,7 @@ def test_tau_transport_duality():
 
 def test_p2_blockdiag_of_dcm():
     d = sp.dcm_from_euler(np.array([0.2, -0.4, 0.9]))
-    m = sp.p2(d)
+    m = sp.p2_lft(d).evaluate({})
     np.testing.assert_allclose(m[:3, :3], d, atol=1e-14)
     np.testing.assert_allclose(m[3:, 3:], d, atol=1e-14)
     np.testing.assert_allclose(m[:3, 3:], 0 * m[:3, 3:], atol=1e-14)
