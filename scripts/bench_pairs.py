@@ -15,13 +15,25 @@ line, ``unit_min_ms``, ``ref_ms`` (the median reference-kernel time),
 ``rounds``, the commit and the hash of ``src/mblft``.
 
 For every workload and gated metric it prints each side's median and
-quartiles (``statistics.quantiles(values, n=4)``) and how many pairs the
-change won, ties counting for neither side; a metric is won by the lower
-value, as every gated metric is.
+quartiles (``statistics.quantiles(values, n=4)``), how many pairs the
+change won, ties counting for neither side (a metric is won by the lower
+value, as every gated metric is), and a verdict, first that applies:
+
+- *gain*: the change is lower in at least 9 of 10 pairs, and its median
+  is below the parent's by more than the parent's quartile distance;
+- *regression*: the change's median is above the parent's by more than
+  the metric's ``bound`` in ``BENCHMARK.json``, a share of the parent's
+  median;
+- *unresolved*: the parent's quartile distance, as a share of its
+  median, is wider than the bound;
+- *within bound*: everything else.
+
+It refuses to run when both checkouts hold the same ``src/mblft``.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -32,6 +44,15 @@ ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SIDES = ("parent", "change")
 PAIRS = 10
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+
+
+def src_sha256(checkout: Path) -> str:
+    """The hash of ``src/mblft`` that ``perfbench/run.py`` records."""
+    src = hashlib.sha256()
+    for path in sorted((checkout / "src" / "mblft").glob("*.py")):
+        src.update(path.read_bytes())
+    return src.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -63,8 +84,22 @@ def _stats(values) -> dict:
             "values": values}
 
 
+def verdict(s: dict, bound: float) -> str:
+    """The verdict on one metric's summary (see the module docstring)."""
+    parent, change = s["parent"], s["change"]
+    spread = parent["q3"] - parent["q1"]
+    if 10 * s["change_wins"] >= 9 * s["pairs"] and parent["median"] - change["median"] > spread:
+        return "gain"
+    if change["median"] - parent["median"] > bound * parent["median"]:
+        return "regression"
+    if spread > bound * parent["median"]:
+        return "unresolved"
+    return "within bound"
+
+
 def summarize(runs: list) -> dict:
-    """Per gated metric: each side's median and quartiles, and pairs won."""
+    """Per gated metric: each side's median and quartiles, pairs won and
+    the verdict."""
     by_pair = {}
     for r in runs:
         by_pair.setdefault(r["pair"], {})[r["side"]] = r
@@ -79,6 +114,7 @@ def summarize(runs: list) -> dict:
             "parent_wins": sum(p < c for p, c in zip(vals["parent"], vals["change"])),
             "pairs": len(pairs),
         }
+        summary[name]["verdict"] = verdict(summary[name], BOUNDS[name])
     return summary
 
 
@@ -93,6 +129,8 @@ def main() -> int:
     args = p.parse_args()
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if src_sha256(checkouts["parent"]) == src_sha256(checkouts["change"]):
+        p.error(f"{checkouts['parent']} and {checkouts['change']} hold the same src/mblft")
     record = {"seconds": BENCHMARK["run_seconds"], "pairs": PAIRS, "workloads": {}}
     for workload in args.workloads:
         runs = []
@@ -115,7 +153,8 @@ def main() -> int:
                   f"[{s['parent']['q1']:.6g}, {s['parent']['q3']:.6g}]  "
                   f"change {s['change']['median']:.6g} "
                   f"[{s['change']['q1']:.6g}, {s['change']['q3']:.6g}]  "
-                  f"change lower in {s['change_wins']}/{s['pairs']}", flush=True)
+                  f"change lower in {s['change_wins']}/{s['pairs']}  {s['verdict']}",
+                  flush=True)
         record["workloads"][workload] = {"summary": summary, "runs": runs}
         if args.record:
             args.record.write_text(json.dumps(record, indent=1) + "\n")

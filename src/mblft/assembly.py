@@ -506,6 +506,19 @@ def _resolved_forces(model: MultibodyModel) -> list:
     return out
 
 
+def _transport_to_joint(tau_c: lft.LftMatrix, child: lft.LftMatrix) -> lft.LftMatrix:
+    """tau_c^T @ child: a child's reduced wrench moved to its joint point.
+
+    Reduced only when tau_c carries Delta channels.  A constant tau_c is
+    an invertible transport: it leaves the child's C and D as they are
+    and maps its B one to one, so it makes none of the child's channels
+    uncontrollable or unobservable, and a reduction would remove none (on
+    the shipped models it returns the product bit for bit).
+    """
+    out = tau_c.T @ child
+    return lft.reduce_lft(out) if tau_c.ndelta else out
+
+
 def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSolution:
     """Leaf-to-root pass: equilibrium interface wrenches and joint torques."""
     inbound: dict[str, lft.LftMatrix] = {}
@@ -525,7 +538,7 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
             cb = c.child_port[0]
             child_in = visit(cb)
             cg = ctx.conn[cb]
-            s_c = lft.reduce_lft(cg.tau_c.T @ child_in)
+            s_c = _transport_to_joint(cg.tau_c, child_in)
             if isinstance(c, RevoluteJoint):
                 joint_load[c.name] = s_c
                 torque[c.name] = lft.reduce_lft(
@@ -693,7 +706,7 @@ def step3_linearize(
         for c in tree.children.get(name, []):
             cb = c.child_port[0]
             cg = ctx.conn[cb]
-            s_w = lft.reduce_lft(cg.tau_c.T @ visit(cb))
+            s_w = _transport_to_joint(cg.tau_c, visit(cb))
             if isinstance(c, RevoluteJoint):
                 e_q = np.zeros((1, nq))
                 e_q[0, k + tree.joint_index[c.name]] = 1.0

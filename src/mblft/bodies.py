@@ -178,10 +178,21 @@ class RigidBody:
     # -- validation --------------------------------------------------------
     def _check_mass_properties(self):
         """The mass and inertia rules at the nominal point and at every box
-        corner of the mass and inertia parameters."""
+        corner of the mass and inertia parameters.  A value whose arithmetic
+        overflows or divides by zero at one of those points is a BodyError
+        that names the body, the quantity and the point, with the
+        ArithmeticError as its cause."""
         exprs = [self.mass] + [self.inertia_cog[i, j] for i in range(3) for j in range(3)]
         for pt in _scalar_grid(exprs):
-            check_mass_properties(self, pt, self.mass_value(pt), self.inertia_value(pt))
+            values = []
+            for what, value_at in (("mass", self.mass_value), ("inertia", self.inertia_value)):
+                try:
+                    values.append(value_at(pt))
+                except ArithmeticError as e:
+                    raise BodyError(
+                        f"body {self.name!r}: {what} cannot be evaluated at {pt}: {e}"
+                    ) from e
+            check_mass_properties(self, pt, *values)
 
     # -- accessors ---------------------------------------------------------
     def port_position(self, port: str) -> np.ndarray:

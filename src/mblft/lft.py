@@ -370,7 +370,8 @@ def _channel_scales(m: "LftMatrix") -> np.ndarray:
         col, row = w.sum(axis=0), w.sum(axis=1)
         moved = False
         for i in range(d + 1):
-            c, r = col[i], row[i]
+            # Python floats: arithmetic on numpy scalars costs more
+            c, r = col.item(i), row.item(i)
             if not (0.0 < c < math.inf and 0.0 < r < math.inf):
                 continue  # unbalanceable (or non-finite) node: leave it
             # s^4 = r / c balances node i
@@ -1030,6 +1031,24 @@ def rotation_about_axis(axis: np.ndarray, t: HalfTanParam) -> LftMatrix:
 _REDUCE_RTOL = 1e-12
 
 
+def _norm(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)`` of a float array, bit for bit: the same dot
+    product over the same memory order, without the checks it makes."""
+    v = x.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def _left_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The square left factor U and the singular values of ``x``.
+
+    The staircase never reads V^T, so the full one (the costly part of a
+    wide x's SVD) is not asked for when U is square without it; LAPACK's
+    gesdd computes U and the singular values the same way either way.
+    """
+    u, s, _ = np.linalg.svd(x, full_matrices=x.shape[0] > x.shape[1])
+    return u, s
+
+
 def _controllable_basis(
     a: np.ndarray, e: np.ndarray, tol: float
 ) -> tuple[np.ndarray, int]:
@@ -1037,50 +1056,22 @@ def _controllable_basis(
 
     Staircase form: the first k columns of Q span
     span{e, a e, a^2 e, ...}, with every rank decided against ``tol``.
+    When the first SVD decides the whole space (k = 0 or k = n), Q is
+    returned as it comes, without the change of basis of ``a``.
     """
     n = a.shape[0]
-    q, s, _ = np.linalg.svd(e, full_matrices=True)
-    k = new = int(np.sum(s > tol))
-    a = q.T @ a @ q
+    q, s = _left_svd(e)
+    k = new = np.count_nonzero(s > tol)
+    if 0 < k < n:
+        a = q.T @ a @ q
     while 0 < new and k < n:
-        u, s, _ = np.linalg.svd(a[k:, k - new : k], full_matrices=True)
-        new = int(np.sum(s > tol))
+        u, s = _left_svd(a[k:, k - new : k])
+        new = np.count_nonzero(s > tol)
         a[k:, :] = u.T @ a[k:, :]
         a[:, k:] = a[:, k:] @ u
         q[:, k:] = q[:, k:] @ u
         k += new
     return q, k
-
-
-def _uncontrollable_channels(
-    m: np.ndarray, r: int, c: int, idx: list[int]
-) -> list[int]:
-    """Make the channels ``idx`` controllable; return those to drop.
-
-    ``m`` is a coefficient matrix with r rows and c columns outside Delta
-    (its transposed view serves the observability side).  With the
-    parameter's channels seen as the states of a 1-D system in its delta,
-    the Krylov space of (D_jj, [C_j, D_j,rest]) is the controllable part.
-    Its basis replaces the channels in place, and the channels spanning
-    the orthogonal complement, which carry z = w = 0, are returned.  A
-    single channel needs no staircase: it is controllable exactly when
-    the 2-norm of its row outside D_jj, the one singular value the
-    staircase would compute, exceeds the tolerance, and it is kept or
-    dropped without a change of basis.
-    """
-    rows = [r + i for i in idx]
-    cols = [c + i for i in idx]
-    zrows = m[rows, :]
-    others = np.ones(zrows.shape[1], dtype=bool)
-    others[cols] = False
-    tol = _REDUCE_RTOL * max(np.linalg.norm(zrows), np.linalg.norm(m[:, cols]))
-    if len(idx) == 1:
-        return [] if np.linalg.norm(zrows[:, others]) > tol else idx
-    q, k = _controllable_basis(zrows[:, cols], zrows[:, others], tol)
-    if 0 < k < len(idx):
-        m[rows, :] = q.T @ zrows
-        m[:, cols] = m[:, cols] @ q
-    return idx[k:]
 
 
 def reduce_lft(m: LftMatrix) -> LftMatrix:
@@ -1101,6 +1092,15 @@ def reduce_lft(m: LftMatrix) -> LftMatrix:
     round-off, except where a parameter's coefficients span many decades
     and a channel below the tolerance still carries about 1e-9 of the
     value (p**-2 + 19683 / p keeps 1 channel, not 2).
+
+    Each pass gathers a parameter's rows and columns once.  The
+    observability step works on the transposed array, where its rows and
+    columns are the transposes of those two gathers, so it reads them
+    again only after the controllability step changed the basis.  A
+    single channel needs no staircase: it is controllable exactly when
+    the 2-norm of its row outside D_jj, the one singular value the
+    staircase would compute, exceeds the tolerance, and it is kept or
+    dropped without a change of basis.
     """
     r, c = m.rows, m.cols
     while m.ndelta:
@@ -1109,18 +1109,40 @@ def reduce_lft(m: LftMatrix) -> LftMatrix:
         # caller's array; a pass without drops changes nothing
         big, delta = m.m, m.delta
         for name in [p.name for p in m.params()]:
+            idx = [i for i, p in enumerate(delta) if p.name == name]
+            zrows = None  # not gathered yet, or stale after a change of basis
             for observe in (False, True):
-                idx = [i for i, p in enumerate(delta) if p.name == name]
-                if not idx:
+                n = len(idx)
+                rows, cols = [r + i for i in idx], [c + i for i in idx]
+                if zrows is None:
+                    zrows, zcols = big[rows, :], big[:, cols]
+                    tol = _REDUCE_RTOL * max(_norm(zrows), _norm(zcols))
+                # observability is controllability of the transpose, whose
+                # rows and columns of the parameter are zcols.T and zrows.T
+                if observe:
+                    view, vrows, vcols, zr = big.T, cols, rows, zcols.T
+                else:
+                    view, vrows, vcols, zr = big, rows, cols, zrows
+                others = np.ones(zr.shape[1], dtype=bool)
+                others[vcols] = False
+                if n == 1:
+                    k = int(_norm(zr[:, others]) > tol)
+                else:
+                    q, k = _controllable_basis(zr[:, vcols], zr[:, others], tol)
+                    if 0 < k < n:
+                        view[vrows, :] = q.T @ zr
+                        view[:, vcols] = view[:, vcols] @ q
+                if k == n:
+                    continue
+                # drop idx[k:]; the kept idx[:k] come first, so keep their places
+                keep = [i for i in range(len(delta)) if i not in idx[k:]]
+                sel_r = [*range(r), *[r + i for i in keep]]
+                sel_c = [*range(c), *[c + i for i in keep]]
+                big = big[np.ix_(sel_r, sel_c)]
+                delta = tuple(delta[i] for i in keep)
+                if k == 0:
                     break
-                view = (big.T, c, r) if observe else (big, r, c)
-                drop = _uncontrollable_channels(*view, idx)
-                if drop:
-                    keep = [i for i in range(len(delta)) if i not in drop]
-                    sel_r = [*range(r), *[r + i for i in keep]]
-                    sel_c = [*range(c), *[c + i for i in keep]]
-                    big = big[np.ix_(sel_r, sel_c)]
-                    delta = tuple(delta[i] for i in keep)
+                idx, zrows = idx[:k], None
         if len(delta) == m.ndelta:
             break
         m = LftMatrix(big, r, c, delta)

@@ -375,6 +375,8 @@ def _parse_bodies(section, params) -> tuple:
                 )
             )
         except ValueError as e:
+            if isinstance(e.__cause__, ArithmeticError):
+                raise  # finite numbers whose arithmetic fails: a numerical error
             raise _err(ctx, entry, str(e)) from None
     return tuple(bodies)
 

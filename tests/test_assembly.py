@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mblft import lft
+from mblft import assembly, lft
 from mblft.assembly import (
     AssemblyError,
     ExternalForce,
@@ -383,6 +383,42 @@ def test_shipped_delta_structure(name):
         assert set(counts) <= set(ceiling), (tag, counts)
         grown = {p: n for p, n in counts.items() if n > ceiling[p]}
         assert not grown, (tag, grown)
+
+
+@pytest.mark.parametrize(
+    "name", ["pendulum.yaml", "two_link_arm.yaml", "balloon_planar.yaml"]
+)
+def test_constant_transport_of_a_child_wrench_needs_no_reduction(name, monkeypatch):
+    """Steps 2 and 3 move each child's reduced wrench to its joint point
+    with tau_c^T and reduce the product only when tau_c carries Delta
+    channels.  For every constant tau_c of a shipped model, a reduction
+    of that product would return it unchanged, bit for bit."""
+    model = load_model(MODELS / name)
+    calls = []
+    transport = assembly._transport_to_joint
+
+    def recording(tau_c, child):
+        out = transport(tau_c, child)
+        calls.append((tau_c, child, out))
+        return out
+
+    monkeypatch.setattr(assembly, "_transport_to_joint", recording)
+    assemble(model)
+    monkeypatch.undo()
+    nq = model.tree.nq
+    # one call per connection in step 2 (6 x 1) and in step 3 (6 x 3nq)
+    widths = sorted(child.cols for _, child, _ in calls)
+    assert widths == [1] * len(model.connections) + [3 * nq] * len(model.connections)
+    assert any(not tau_c.ndelta for tau_c, _, _ in calls)
+    for tau_c, child, out in calls:
+        if tau_c.ndelta:
+            continue
+        product = tau_c.T @ child
+        assert out.delta == product.delta
+        np.testing.assert_array_equal(out.m, product.m)
+        red = lft.reduce_lft(product)
+        assert red.delta == product.delta
+        np.testing.assert_array_equal(red.m, product.m)
 
 
 def test_modes_frequency_and_damping():

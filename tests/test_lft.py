@@ -1,14 +1,18 @@
 """Core LFT algebra: construction, arithmetic closure, rotation factories,
 serialization, and the occurrence-reduction pass."""
 import math
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mblft import lft
+from mblft import assembly, lft
 from mblft import spatial as sp
+from mblft.modelfile import load_model
+
+MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 
 
 def _params(n=2):
@@ -592,9 +596,75 @@ def test_reduce_is_idempotent_and_exact_on_expression_trees(expr):
         assert abs(again.evaluate(pt)[0, 0] - want) <= tol
 
 
+def _reference_channel_scales(m):
+    """A frozen copy of the Osborne balancing of ``lft._channel_scales``:
+    node by node on numpy scalars, one pass over the nodes per sweep."""
+    d = m.ndelta
+    w = np.zeros((d + 1, d + 1))
+    w[:d, :d] = m.d**2
+    np.fill_diagonal(w, 0.0)
+    w[:d, d] = (m.c**2).sum(axis=1)
+    w[d, :d] = (m.b**2).sum(axis=0)
+    log2s = np.zeros(d + 1)
+    for _ in range(lft._BALANCE_SWEEPS):
+        col, row = w.sum(axis=0), w.sum(axis=1)
+        moved = False
+        for i in range(d + 1):
+            c, r = col[i], row[i]
+            if not (0.0 < c < math.inf and 0.0 < r < math.inf):
+                continue
+            k = round((math.log2(r) - math.log2(c)) / 4.0)
+            f = 4.0**k
+            if k == 0 or (
+                math.sqrt(c * f) + math.sqrt(r / f)
+                >= 0.95 * (math.sqrt(c) + math.sqrt(r))
+            ):
+                continue
+            col -= w[i, :] * (1.0 - 1.0 / f)
+            row += w[:, i] * (f - 1.0)
+            w[i, :] /= f
+            w[:, i] *= f
+            col[i], row[i] = c * f, r / f
+            log2s[i] += k
+            moved = True
+        if not moved:
+            break
+    return np.exp2(log2s[:d] - log2s[d])
+
+
+def _reference_balanced(m):
+    """``LftMatrix.balanced`` with the frozen channel scales."""
+    s = _reference_channel_scales(m)
+    r, c = m.rows, m.cols
+    big = m.m.copy()
+    big[:r, c:] = m.b * s[None, :]
+    big[r:, :c] = m.c / s[:, None]
+    big[r:, c:] = m.d * (s[None, :] / s[:, None])
+    return lft.LftMatrix(big, r, c, m.delta)
+
+
+def _reference_controllable_basis(a, e, tol):
+    """A frozen copy of the staircase of ``lft._controllable_basis``: full
+    SVD factors, ranks counted with ``np.sum``, ``q.T @ a @ q`` always."""
+    n = a.shape[0]
+    q, s, _ = np.linalg.svd(e, full_matrices=True)
+    k = new = int(np.sum(s > tol))
+    a = q.T @ a @ q
+    while 0 < new and k < n:
+        u, s, _ = np.linalg.svd(a[k:, k - new : k], full_matrices=True)
+        new = int(np.sum(s > tol))
+        a[k:, :] = u.T @ a[k:, :]
+        a[:, k:] = a[:, k:] @ u
+        q[:, k:] = q[:, k:] @ u
+        k += new
+    return q, k
+
+
 def _reference_reduce(m):
     """reduce_lft spelled out on LftMatrix objects, with a staircase (SVD)
-    for every parameter and side and the observability side on ``m.T``."""
+    for every parameter and side and the observability side on ``m.T``.
+    It calls no code of ``lft.reduce_lft`` or ``LftMatrix.balanced``, so a
+    change inside either cannot pass unseen."""
 
     def controllable_part(m, name):
         idx = [i for i, p in enumerate(m.delta) if p.name == name]
@@ -608,7 +678,9 @@ def _reference_reduce(m):
         tol = lft._REDUCE_RTOL * max(
             np.linalg.norm(zrows), np.linalg.norm(m.m[:, cols])
         )
-        q, k = lft._controllable_basis(zrows[:, cols], zrows[:, others], tol)
+        q, k = _reference_controllable_basis(
+            zrows[:, cols], zrows[:, others], tol
+        )
         if k == len(idx):
             return m
         big = m.m.copy()
@@ -622,7 +694,7 @@ def _reference_reduce(m):
         )
 
     while m.ndelta:
-        m = m.balanced()
+        m = _reference_balanced(m)
         before = m.ndelta
         for name in [p.name for p in m.params()]:
             m = controllable_part(m, name)
@@ -658,6 +730,35 @@ def test_reduce_matches_reference_bit_for_bit(seed):
         got, want = lft.reduce_lft(h), _reference_reduce(h)
         assert got.delta == want.delta
         np.testing.assert_array_equal(got.m, want.m)
+
+
+@pytest.mark.parametrize(
+    "name", ["pendulum.yaml", "two_link_arm.yaml", "balloon_planar.yaml"]
+)
+def test_assembly_reductions_match_reference_bit_for_bit(name, monkeypatch):
+    """Every reduce_lft call of a shipped model's assemble returns what the
+    frozen reference returns for its input, bit for bit, and its input
+    balances with the reference's channel scales."""
+    calls = []
+    reduce = lft.reduce_lft
+
+    def recording(m):
+        out = reduce(m)
+        calls.append((m, out))
+        return out
+
+    monkeypatch.setattr(lft, "reduce_lft", recording)
+    assembly.assemble(load_model(MODELS / name))
+    monkeypatch.undo()
+    assert calls
+    for h, got in calls:
+        want = _reference_reduce(h)
+        assert got.delta == want.delta
+        np.testing.assert_array_equal(got.m, want.m)
+        if h.ndelta:
+            np.testing.assert_array_equal(
+                lft._channel_scales(h), _reference_channel_scales(h)
+            )
 
 
 def test_reduce_collapses_linear_duplicates():

@@ -763,21 +763,24 @@ def test_every_number_that_is_not_a_finite_real_is_a_schema_error():
 
 
 @pytest.mark.parametrize(
-    "name, old, new",
+    "name, old, new, message",
     [
-        ("balloon_planar.yaml", "upper: 60.0,", "upper: 1.0e+300,"),
-        ("two_link_arm.yaml", "mass: {value: m1,", 'mass: {value: "1 / (m1 - m1)",'),
+        ("balloon_planar.yaml", "upper: 60.0,", "upper: 1.0e+300,",
+         "error: body 'link6': inertia cannot be evaluated at {'l6': 1e+300}: "),
+        ("two_link_arm.yaml", "mass: {value: m1,", 'mass: {value: "1 / (m1 - m1)",',
+         "error: body 'link1': mass cannot be evaluated at {'J1': 0.2, 'm1': 3.0}: "),
     ],
     ids=["overflow", "zero-division"],
 )
-def test_arithmetic_error_is_a_numerical_error(tmp_path, capsys, name, old, new):
+def test_arithmetic_error_is_a_numerical_error(tmp_path, capsys, name, old, new, message):
     """A finite input whose arithmetic overflows or divides by zero exits 3
-    with a message, not in a traceback."""
+    with a message that names the body, the quantity and the point, not
+    in a traceback."""
     text = (MODELS / name).read_text()
     assert text.count(old) == 1
     bad = _write(tmp_path, text.replace(old, new))
     assert cli.main(["equilibrium", str(bad)]) == cli.EXIT_NUMERICAL
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(message)
 
 
 @pytest.mark.parametrize("name", ["two_link_arm.yaml", "balloon_planar.yaml"])
