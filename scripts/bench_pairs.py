@@ -12,7 +12,9 @@ the change.  The parent
 can be any checkout of the other commit, a ``git worktree`` included.  Each
 run is recorded with its result line (the gated metrics) and, from its report
 line, ``unit_min_ms``, ``ref_ms`` (the median reference-kernel time),
-``rounds``, the commit and the hash of ``src/mblft``.
+``rounds``, the commit and the hash of ``src/mblft``, and with
+``src_dirty``: whether the checkout's ``src/mblft`` differs from that
+commit, as a change measured before it is committed does.
 
 For every workload and gated metric it prints each side's median and
 quartiles (``statistics.quantiles(values, n=4)``), how many pairs the
@@ -55,6 +57,17 @@ def src_sha256(checkout: Path) -> str:
     return src.hexdigest()
 
 
+def src_dirty(checkout: Path) -> bool | None:
+    """Whether ``src/mblft`` in ``checkout`` differs from its ``HEAD`` (an
+    edited, new or deleted file); None for a checkout without git, for
+    which ``perfbench/run.py`` records no commit."""
+    if not (checkout / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "status", "--porcelain", "--", "src/mblft"],
+                          cwd=checkout, capture_output=True, text=True, timeout=60)
+    return proc.stdout != "" if proc.returncode == 0 else None
+
+
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run in ``checkout``, as recorded."""
     proc = subprocess.run(
@@ -74,6 +87,7 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
         "ref_ms": report["report"]["ref_ms"]["value"],
         "rounds": report["rounds"],
         "commit": report["env"]["commit"],
+        "src_dirty": src_dirty(checkout),
         "src_sha256": report["env"]["src_sha256"],
     }
 

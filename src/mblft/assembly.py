@@ -573,6 +573,9 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
 # ---------------------------------------------------------------------------
 
 
+_EXPORT_FORMAT = "mblft-linear-model"
+
+
 @dataclass(frozen=True)
 class LinearLftModel:
     """Parameter-dependent linear state-space model in LFT form."""
@@ -602,9 +605,11 @@ class LinearLftModel:
             info["kind"] = self.parameters[name].kind
         return out
 
-    def to_export_dict(self) -> dict:
+    def to_export_dict(self, strict_bounds: bool = False) -> dict:
+        """The JSON export that ``read_export`` reads; ``strict_bounds``
+        marks it so that sampling rejects out-of-bounds points."""
         return {
-            "format": "mblft-linear-model",
+            "format": _EXPORT_FORMAT,
             "version": 1,
             "euler_sequence": "xyz-intrinsic",
             "state_names": list(self.state_names),
@@ -624,7 +629,34 @@ class LinearLftModel:
             "C": self.c.to_dict(),
             "D": self.d.to_dict(),
             "equilibrium": self.equilibrium.report(),
+            "strict_bounds": bool(strict_bounds),
         }
+
+
+class ExportError(ValueError):
+    """A decoded document that is not a whole version-1 export."""
+
+
+def read_export(export) -> tuple:
+    """The matrices (A, B, C, D), nominal point, signal names and strict
+    flag of a decoded ``to_export_dict``; anything else raises ExportError."""
+    if not isinstance(export, dict) or export.get("format") != _EXPORT_FORMAT:
+        raise ExportError("not a linear-model export")
+    version = export.get("version")
+    if type(version) is not int or version != 1:
+        raise ExportError(f"unsupported export version {version!r}")
+    try:
+        mats = tuple(lft.LftMatrix.from_dict(export[tag]) for tag in "ABCD")
+        nominal = {name: p["nominal"] for name, p in export["parameters"].items()}
+        names = {
+            key: [str(n) for n in export[key]]
+            for key in ("state_names", "input_names", "output_names")
+        }
+    except (KeyError, TypeError, ValueError, AttributeError, lft.LftError) as e:
+        raise ExportError(
+            f"malformed linear-model export ({type(e).__name__}: {e})"
+        ) from None
+    return mats, nominal, names, bool(export.get("strict_bounds"))
 
 
 def _body_jacobians(ctx: GeometryContext) -> dict:
@@ -841,38 +873,49 @@ def assemble(model: MultibodyModel, reduce: bool = True) -> LinearLftModel:
 # ---------------------------------------------------------------------------
 
 
-def _check_point_names(point: Mapping, declared, index: int = 0) -> None:
-    """Raise EvaluationError if ``point`` names a parameter that is not
-    ``declared``; ``index`` is the point's position in its sequence."""
-    unknown = point.keys() - declared
+def full_point(nominal: Mapping, point: Mapping, index: int = 0) -> dict:
+    """``point`` with every parameter it leaves out at its ``nominal``
+    value.  A name ``nominal`` does not declare raises EvaluationError;
+    ``index`` is the point's position in its sequence."""
+    unknown = point.keys() - nominal.keys()
     if unknown:
         raise lft.EvaluationError(
-            f"unknown parameter(s) {sorted(unknown)!r}; known: {sorted(declared)}",
+            f"unknown parameter(s) {sorted(unknown)!r}; known: {sorted(nominal)}",
             index,
         )
+    return {**nominal, **point}
+
+
+def evaluate_points(mats: tuple, points: list, strict: bool = False) -> tuple:
+    """The matrices ``mats`` stacked over the longest prefix of the full
+    ``points`` where all of them evaluate (``strict``: and every value is in
+    its bounds), and the EvaluationError of the point after it, or None.
+    That error is the one a point-by-point loop over ``mats`` raises first:
+    each failure cuts the prefix at the failing point, and it is evaluated
+    again."""
+    mode = "error" if strict else "ignore"
+    err = None
+    while True:
+        try:
+            return tuple(m.evaluate(points, out_of_bounds=mode) for m in mats), err
+        except lft.EvaluationError as exc:
+            points, err = points[: exc.index], exc
 
 
 def sample_model(lm: LinearLftModel, point, strict: bool = False):
     """Numeric (A, B, C, D) of the LFT model at a parameter point, or
     stacked over a sequence of points (see ``LftMatrix.evaluate``).
-    Parameters a point leaves out take their nominal values; a point that
-    names a parameter the model does not declare raises EvaluationError."""
-    mode = "error" if strict else "ignore"
+    Parameters a point leaves out take their nominal values
+    (``full_point``).  A failure raises the EvaluationError of the earliest
+    point at which any of the four matrices fails."""
     nominal = {name: p.nominal for name, p in lm.parameters.items()}
-    if isinstance(point, Mapping):
-        _check_point_names(point, nominal)
-        full = {**nominal, **point}
-    else:
-        full = []
-        for i, pt in enumerate(point):
-            _check_point_names(pt, nominal, i)
-            full.append({**nominal, **pt})
-    return (
-        lm.a.evaluate(full, out_of_bounds=mode),
-        lm.b.evaluate(full, out_of_bounds=mode),
-        lm.c.evaluate(full, out_of_bounds=mode),
-        lm.d.evaluate(full, out_of_bounds=mode),
-    )
+    one = isinstance(point, Mapping)
+    points = [point] if one else point
+    full = [full_point(nominal, pt, i) for i, pt in enumerate(points)]
+    num, err = evaluate_points((lm.a, lm.b, lm.c, lm.d), full, strict)
+    if err is not None:
+        raise err
+    return tuple(m[0] for m in num) if one else num
 
 
 def modes(a: np.ndarray) -> list:

@@ -51,9 +51,13 @@ from json.encoder import encode_basestring_ascii as _json_str
 from . import lft
 from .assembly import (
     AssemblyError,
+    ExportError,
     TrimError,
     assemble,
+    evaluate_points,
+    full_point,
     modes,
+    read_export,
     sample_model,
     sample_point,
     step1_geometry,
@@ -293,9 +297,7 @@ def cmd_linearize(args) -> int:
     _precision()  # an invalid MBLFT_PRECISION fails before any work
     model = load_model(args.model)
     lm = assemble(model, reduce=not args.no_reduce)
-    export = lm.to_export_dict()
-    export["strict_bounds"] = bool(args.strict_bounds)
-    _atomic_write(args.output, _json_text(export))
+    _atomic_write(args.output, _json_text(lm.to_export_dict(args.strict_bounds)))
     print("\n".join([f"model: {model.name}"] + _occurrence_table(lm)))
     print(f"wrote: {args.output}")
     return EXIT_OK
@@ -348,64 +350,24 @@ def _load_points(path: str) -> list:
     return data
 
 
-def _evaluate_prefix(mats: dict, points: list, mode: str) -> tuple:
-    """The matrices at the longest prefix of ``points`` where all of them
-    evaluate, and the error at the point after it (None if there is none).
-
-    The error is the one a point-by-point loop over A, B, C, D would raise
-    first: each failure shortens the prefix to the failing point, and the
-    prefix is evaluated again."""
-    err = None
-    while True:
-        try:
-            return {
-                tag: m.evaluate(points, out_of_bounds=mode) for tag, m in mats.items()
-            }, err
-        except lft.EvaluationError as exc:
-            points, err = points[: exc.index], exc
-
-
-def _read_export(path: str) -> tuple:
-    """The matrices, nominal point and signal names of a version-1 export;
-    a file that is not one is a schema error."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            export = json.load(fh)
-    except (UnicodeDecodeError, IsADirectoryError) as e:
-        raise ModelFileError(f"{path}: not a linear-model export ({e})") from None
-    if not isinstance(export, dict) or export.get("format") != "mblft-linear-model":
-        raise ModelFileError(f"{path}: not a linear-model export")
-    version = export.get("version")
-    if type(version) is not int or version != 1:
-        raise ModelFileError(f"{path}: unsupported export version {version!r}")
-    try:
-        mats = {tag: lft.LftMatrix.from_dict(export[tag]) for tag in "ABCD"}
-        nominal = {name: p["nominal"] for name, p in export["parameters"].items()}
-        names = {
-            key: [str(n) for n in export[key]]
-            for key in ("state_names", "input_names", "output_names")
-        }
-    except (KeyError, TypeError, ValueError, AttributeError, lft.LftError) as e:
-        raise ModelFileError(
-            f"{path}: malformed linear-model export ({type(e).__name__}: {e})"
-        ) from None
-    return mats, nominal, names, bool(export.get("strict_bounds"))
-
-
 def cmd_sample(args) -> int:
     prec = _precision()
-    mats, nominal, names, strict = _read_export(args.export)
-    known = set(nominal)
-    mode = "error" if strict else "ignore"
+    path = args.export
+    try:  # a file that is not a version-1 export is a schema error
+        with open(path, "r", encoding="utf-8") as fh:
+            mats, nominal, names, strict = read_export(json.load(fh))
+    except (UnicodeDecodeError, IsADirectoryError) as e:
+        raise ModelFileError(f"{path}: not a linear-model export ({e})") from None
+    except ExportError as e:
+        raise ModelFileError(f"{path}: {e}") from None
 
     points = _parse_grid(args.grid) if args.grid else _load_points(args.point_file)
-    for pt in points:
-        unknown = set(pt) - known
-        if unknown:
-            raise ModelFileError(
-                f"unknown parameter(s) {sorted(unknown)!r}; "
-                f"known: {sorted(known)}"
-            )
+    full = []
+    for i, pt in enumerate(points):
+        try:
+            full.append(full_point(nominal, pt, i))
+        except lft.EvaluationError as e:
+            raise ModelFileError(str(e)) from None
         for name, value in pt.items():
             # a JSON number: float() alone would also take "0.6" and true
             try:
@@ -422,14 +384,14 @@ def cmd_sample(args) -> int:
     except FileExistsError:
         raise ModelFileError(f"{args.output}: exists and is not a directory") from None
     csv_rows = ["re,im,freq_hz,damping"]
-    for start in range(0, len(points), lft.EVAL_BLOCK):
-        block = [{**nominal, **pt} for pt in points[start : start + lft.EVAL_BLOCK]]
-        num, err = _evaluate_prefix(mats, block, mode)
-        for j, (full, md) in enumerate(zip(block, modes(num["A"]))):
+    for start in range(0, len(full), lft.EVAL_BLOCK):
+        block = full[start : start + lft.EVAL_BLOCK]
+        num, err = evaluate_points(mats, block, strict)
+        for j, (pt, md) in enumerate(zip(block, modes(num[0]))):
             payload = {
-                "point": {k: full[k] for k in sorted(full)},
+                "point": {k: pt[k] for k in sorted(pt)},
                 **names,
-                **{tag: num[tag][j] for tag in "ABCD"},
+                **{tag: m[j] for tag, m in zip("ABCD", num)},
                 "poles": [
                     {"re": lam.real, "im": lam.imag, "freq_hz": f, "damping": z}
                     for lam, f, z in md

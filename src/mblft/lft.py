@@ -14,7 +14,6 @@ spread = (upper - lower) / 2.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -56,7 +55,7 @@ _COND_LIMIT = 1e13
 EVAL_BLOCK = 64
 # Slack of the out-of-bounds test, in the parameter's own units.
 _BOUNDS_TOL = 1e-9
-_OUT_OF_BOUNDS = ("ignore", "warn", "error")
+_OUT_OF_BOUNDS = ("ignore", "error")
 # Cap on the sweeps of the channel balancing (it converges in a few).
 _BALANCE_SWEEPS = 50
 
@@ -412,7 +411,7 @@ class _EvalPlan(NamedTuple):
 class LftMatrix:
     """A rows x cols matrix-valued rational function of parameters."""
 
-    __slots__ = ("m", "rows", "cols", "delta", "_balanced", "_plan")
+    __slots__ = ("m", "rows", "cols", "delta", "_plan")
 
     def __init__(self, m: np.ndarray, rows: int, cols: int, delta: tuple[Param, ...]):
         m = np.asarray(m, dtype=float)
@@ -426,7 +425,6 @@ class LftMatrix:
         self.rows = rows
         self.cols = cols
         self.delta = tuple(delta)
-        self._balanced = None
         self._plan = None
 
     # -- structure ---------------------------------------------------------
@@ -490,10 +488,10 @@ class LftMatrix:
         error) and gives a rows x cols array; a sequence of such mappings
         gives a (points, rows, cols) array, solved in blocks of
         ``EVAL_BLOCK`` points with one batched solve per block.  A value
-        outside its parameter's bounds is accepted (``"ignore"``), warned
-        about (``"warn"``) or rejected (``"error"``).  The first point that
-        misses a parameter, is rejected or is ill-posed raises an
-        ``EvaluationError`` whose ``index`` is its position.
+        outside its parameter's bounds is accepted (``"ignore"``) or
+        rejected (``"error"``).  The first point that misses a parameter,
+        is rejected or is ill-posed raises an ``EvaluationError`` whose
+        ``index`` is its position.
         """
         if out_of_bounds not in _OUT_OF_BOUNDS:
             raise ValueError(
@@ -503,10 +501,11 @@ class LftMatrix:
         if point is None or isinstance(point, Mapping):
             return self._evaluate_block([point or {}], 0, out_of_bounds)[0]
         points = list(point)
-        starts = range(0, len(points), EVAL_BLOCK) or [0]
+        if len(points) <= EVAL_BLOCK:
+            return self._evaluate_block(points, 0, out_of_bounds)
         return np.concatenate([
             self._evaluate_block(points[i : i + EVAL_BLOCK], i, out_of_bounds)
-            for i in starts
+            for i in range(0, len(points), EVAL_BLOCK)
         ])
 
     def _evaluate_block(self, points: list, base: int, mode: str) -> np.ndarray:
@@ -526,19 +525,16 @@ class LftMatrix:
         else:
             stop = k
         x = np.array(vals, dtype=float).reshape(len(vals), width)[:, plan.channel]
-        if mode != "ignore":
-            outside = ~((plan.lower <= x) & (x <= plan.upper))
-            if mode == "error" and outside.any():
-                stop = int(np.argmax(outside.any(axis=1)))
+        if mode == "error":
+            outside = ~((plan.lower <= x) & (x <= plan.upper)).all(axis=1)
+            if outside.any():
+                stop = int(np.argmax(outside))
                 x = x[:stop]
         deltas = (x - plan.center) / plan.spread
         deltas[:, plan.fixed] = 0.0
         sol, cond = _solve_with_cond(plan.dm, plan.rhs, deltas)
         ill = ~(cond <= _COND_LIMIT)  # a NaN (from a NaN value) fails too
         fail = int(np.argmax(ill)) if ill.any() else stop
-        if mode == "warn":
-            for i in np.flatnonzero(outside[:fail].any(axis=1)):
-                self._check_point(points[i], mode, base + int(i))
         if fail < k:
             # raises for a missing or rejected value, as in channel order
             self._check_point(points[fail], mode, base + fail)
@@ -551,27 +547,25 @@ class LftMatrix:
 
     def _check_point(self, point: Mapping, mode: str, index: int) -> None:
         """The checks of one point's channels, in channel order: raise for a
-        missing parameter or a rejected value, warn for a value under
-        ``"warn"``.  Only points that fail a batched check come here."""
+        missing parameter or a rejected value.  Only points that fail a
+        batched check come here."""
         for p in self.delta:
             if p.name not in point:
                 raise EvaluationError(
                     f"parameter {p.name!r} missing from point", index
                 )
             v = float(point[p.name])
-            if mode != "ignore" and not (
+            if mode == "error" and not (
                 p.lower - _BOUNDS_TOL <= v <= p.upper + _BOUNDS_TOL
             ):
-                msg = (
+                raise EvaluationError(
                     f"parameter {p.name!r} value {v} outside "
-                    f"[{p.lower}, {p.upper}]"
+                    f"[{p.lower}, {p.upper}]",
+                    index,
                 )
-                if mode == "error":
-                    raise EvaluationError(msg, index)
-                warnings.warn(msg)
 
     def _eval_plan(self) -> "_EvalPlan":
-        """Per-matrix set-up of ``evaluate``, built once, as ``_balanced``."""
+        """Per-matrix set-up of ``evaluate``, built once."""
         if self._plan is None:
             names = list(dict.fromkeys(p.name for p in self.delta))
             spread = np.array([p.spread for p in self.delta])
@@ -616,14 +610,12 @@ class LftMatrix:
         it (up to the radix of the balancing) independent of how the
         channels happen to be scaled.
         """
-        if self._balanced is None:
-            s = _channel_scales(self)
-            self._balanced = (
-                self.b * s[None, :],
-                self.c / s[:, None],
-                self.d * (s[None, :] / s[:, None]),
-            )
-        return self._balanced
+        s = _channel_scales(self)
+        return (
+            self.b * s[None, :],
+            self.c / s[:, None],
+            self.d * (s[None, :] / s[:, None]),
+        )
 
     def balanced(self) -> "LftMatrix":
         """The same LFT with its Delta channels balanced exactly."""

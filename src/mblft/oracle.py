@@ -49,8 +49,8 @@ from mblft.assembly import (
     GROUND,
     MultibodyModel,
     TrimError,
-    _check_point_names,
     _resolved_forces,
+    full_point,
 )
 from mblft.bodies import (
     _d_numeric,
@@ -310,10 +310,7 @@ class NonlinearEvaluator:
 
     def __init__(self, model: MultibodyModel, point=None):
         plan = self._plan = _plan(model)
-        point = point or {}
-        _check_point_names(point, plan.nominal)
-        full = {**plan.nominal, **point}
-        self.point = full
+        full = self.point = full_point(plan.nominal, point or {})
         self.model = model
         tree = plan.tree
         self.nq, self.k, self.nu_in = tree.nq, tree.k, plan.nu_in

@@ -214,6 +214,27 @@ def test_sampling_rejects_undeclared_parameter_names(arm_lm):
     assert err.value.index == 2
 
 
+def test_sampling_reports_the_earliest_failing_point():
+    """A = 1/(k-3) fails at k = 3 and B = 1/(k-2) at k = 2: over the points
+    k = 2, k = 3 the error is B's at index 0, the one a point-by-point loop
+    over A, B, C, D raises first, not A's at index 1."""
+    k = lft.Param("k", 2.5, 1.0, 4.0, "uncertain")
+    one = lft.constant([[1.0]])
+    lm = assembly.LinearLftModel(
+        a=lft.lift_scalar(1 / (lft.Ref(k) - 3)),
+        b=lft.lift_scalar(1 / (lft.Ref(k) - 2)),
+        c=one, d=one,
+        state_names=("x",), input_names=("u",), output_names=("x",),
+        parameters={"k": k}, equilibrium=None,
+    )
+    with pytest.raises(lft.EvaluationError, match="ill-posed") as err:
+        sample_model(lm, [{"k": 2.0}, {"k": 3.0}])
+    assert err.value.index == 0
+    a, b, c, d = sample_model(lm, [{"k": 1.0}, {}])
+    np.testing.assert_array_equal(a[:, 0, 0], [-0.5, -2.0])
+    np.testing.assert_array_equal(b[:, 0, 0], [-1.0, 2.0])
+
+
 def test_balloon_keel_sweep_matches_frozen_reassembly():
     # criterion 6's keel-length grid, which reaches the edges of the box
     balloon = load_model(MODELS / "balloon_planar.yaml")

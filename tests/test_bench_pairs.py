@@ -1,6 +1,9 @@
 """The pairing and summary of scripts/bench_pairs.py."""
 import importlib.util
+import json
 import pathlib
+import shutil
+import subprocess
 
 import pytest
 
@@ -97,3 +100,41 @@ def test_refuses_two_checkouts_of_the_same_source(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr("sys.argv", argv + [str(other)])
     with pytest.raises(RuntimeError, match="ran"):
         bp.main()
+
+
+def _git(root, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                   cwd=root, check=True, capture_output=True)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_each_run_records_whether_its_source_differs_from_its_commit(
+        tmp_path, monkeypatch):
+    """A checkout whose src/mblft is edited, or has a new file, after its
+    commit is recorded as dirty, so that the commit recorded for its runs
+    is not taken for the code that ran; a checkout without git records
+    None."""
+    bp = _load()
+    root = _checkout(tmp_path / "repo", "x = 1\n")
+    _git(root, "init", "-q")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "x")
+    report = {"report": {"unit_min_ms": {"value": 1.0}, "ref_ms": {"value": 2.0}},
+              "rounds": 3, "env": {"commit": "abc", "src_sha256": "def"}}
+    run = subprocess.run
+
+    def fake_run(argv, **kwargs):
+        if argv[0] == "git":
+            return run(argv, **kwargs)
+        out = json.dumps(report) + "\n" + json.dumps({"metrics": {}}) + "\n"
+        return subprocess.CompletedProcess(argv, 0, out, "")
+
+    monkeypatch.setattr(bp.subprocess, "run", fake_run)
+    assert bp.run_once(root, "build", 1)["src_dirty"] is False
+    (root / "src" / "mblft" / "lft.py").write_text("x = 2\n")
+    assert bp.run_once(root, "build", 1)["src_dirty"] is True
+    _git(root, "checkout", "-q", "--", "src/mblft")
+    (root / "src" / "mblft" / "new.py").write_text("y = 1\n")
+    assert bp.run_once(root, "build", 1)["src_dirty"] is True
+    plain = _checkout(tmp_path / "plain", "x = 1\n")
+    assert bp.run_once(plain, "build", 1)["src_dirty"] is None

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mblft import assembly, cli, modelfile
+from mblft import assembly, cli, lft, modelfile
 from mblft.modelfile import ModelFileError, load_model, parse_model
 from mblft.spatial import dcm_from_euler, rotation_about_axis
 
@@ -374,6 +374,72 @@ def test_cli_strict_bounds_keeps_the_points_before_the_failure(tmp_path, capsys)
     assert cli.main(sample + [str(tmp_path / "ok")]) == 0
     for name in ("point_0000.json", "point_0001.json"):
         assert (outdir / name).read_bytes() == (tmp_path / "ok" / name).read_bytes()
+
+
+def test_cli_strict_bounds_failure_in_a_later_block(tmp_path, capsys):
+    """A point out of bounds in the second block of the batched solve: the
+    files before it are those of a run on the export without the mark, no
+    poles.csv is written, and the exit code is 3."""
+    strict, loose = tmp_path / "strict.json", tmp_path / "loose.json"
+    args = ["linearize", str(MODELS / "two_link_arm.yaml"), "-o"]
+    assert cli.main(args + [str(strict), "--strict-bounds"]) == 0
+    assert cli.main(args + [str(loose)]) == 0
+    # m1 = 3.2, above its bound of 3.15, from point 90 on
+    grid = ["--grid", "m1=2.9:3.2:4,t_t1=0.45:1.0:30", "-o"]
+    outdir = tmp_path / "strict"
+    assert cli.main(["sample", str(strict)] + grid + [str(outdir)]) == cli.EXIT_NUMERICAL
+    assert "parameter 'm1' value 3.2 outside [2.85, 3.15]" in capsys.readouterr().err
+    names = sorted(p.name for p in outdir.iterdir())
+    assert names == [f"point_{i:04d}.json" for i in range(90)]
+    assert lft.EVAL_BLOCK < 90 <= 2 * lft.EVAL_BLOCK
+    assert cli.main(["sample", str(loose)] + grid + [str(tmp_path / "loose")]) == 0
+    for name in names:
+        assert (outdir / name).read_bytes() == (tmp_path / "loose" / name).read_bytes()
+
+
+def test_cli_sample_over_several_blocks_matches_one_point_runs(tmp_path):
+    """150 arm points, three blocks of the batched solve: each point file is
+    the file of a run on that point alone, and poles.csv joins their rows."""
+    export = tmp_path / "arm.json"
+    args = ["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(export)]
+    assert cli.main(args) == 0
+    grid = "t_t1=0.45:1.0:10,t_t2=0.45:2.4:15"
+    outdir = tmp_path / "grid"
+    assert cli.main(["sample", str(export), "--grid", grid, "-o", str(outdir)]) == 0
+    points = cli._parse_grid(grid)
+    assert len(points) == 150 > 2 * lft.EVAL_BLOCK
+    assert len(list(outdir.iterdir())) == 151
+    ptfile, one = tmp_path / "pt.json", tmp_path / "one"
+    rows = ["re,im,freq_hz,damping"]
+    for i, pt in enumerate(points):
+        ptfile.write_text(json.dumps(pt))
+        assert cli.main(
+            ["sample", str(export), "--point-file", str(ptfile), "-o", str(one)]
+        ) == 0
+        got = (outdir / f"point_{i:04d}.json").read_bytes()
+        assert got == (one / "point_0000.json").read_bytes(), i
+        rows += (one / "poles.csv").read_text().splitlines()[1:]
+    assert (outdir / "poles.csv").read_text() == "\n".join(rows) + "\n"
+
+
+# a point's names are checked before its values, and point by point
+@pytest.mark.parametrize("points, message", [
+    ([{"t_t1": 0.5}, {"nope": 1.0}], "unknown parameter(s) ['nope']; known: "
+     "['J1', 'L2', 'm1', 'm3', 'rho1', 't_t1', 't_t2']"),
+    ([{"t_t1": "0.6", "nope": 1.0}], "unknown parameter(s) ['nope']"),
+    ([{"t_t1": "0.6"}, {"nope": 1.0}], "parameter 't_t1': '0.6' is not a number"),
+])
+def test_cli_sample_rejects_an_undeclared_parameter(tmp_path, capsys, points, message):
+    export = tmp_path / "arm.json"
+    args = ["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(export)]
+    assert cli.main(args) == 0
+    ptfile = tmp_path / "pts.json"
+    ptfile.write_text(json.dumps(points))
+    outdir = tmp_path / "out"
+    sample = ["sample", str(export), "--point-file", str(ptfile), "-o", str(outdir)]
+    assert cli.main(sample) == cli.EXIT_SCHEMA
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_cli_sample_nan_value_keeps_the_points_before_it(tmp_path, capsys):
