@@ -13,7 +13,6 @@ from mblft.assembly import (
     MultibodyModel,
     RootSpec,
     assemble,
-    freeze_model,
     modes,
     sample_model,
     sample_point,
@@ -36,7 +35,6 @@ __all__ = [
     "MultibodyModel",
     "RootSpec",
     "assemble",
-    "freeze_model",
     "modes",
     "sample_model",
     "sample_point",

@@ -31,6 +31,7 @@ where G holds the (constant) equilibrium kinematics diag(I, Gamma^-1).
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -57,7 +58,6 @@ __all__ = [
     "assemble",
     "sample_model",
     "modes",
-    "freeze_model",
     "sample_point",
 ]
 
@@ -183,17 +183,12 @@ class MultibodyModel:
         raise AssemblyError(f"unknown body {name!r}")
 
     @property
-    def root_body(self) -> RigidBody:
-        fwd = [b for b in self.bodies if b.dynamics_role is DynamicsRole.FORWARD]
-        if self.root.kind == GROUND:
-            if fwd:
-                raise AssemblyError(
-                    "a grounded model must use inverse-role bodies only"
-                )
-            raise AssemblyError("grounded model has no root body")
-        if len(fwd) != 1:
-            raise AssemblyError("a free-root model needs exactly one forward body")
-        return fwd[0]
+    def root_body(self) -> RigidBody | None:
+        """A free root's one forward-role body; None for a grounded model."""
+        return next(
+            (b for b in self.bodies if b.dynamics_role is DynamicsRole.FORWARD),
+            None,
+        )
 
     def _validate_tree(self):
         names = [b.name for b in self.bodies]
@@ -210,6 +205,11 @@ class MultibodyModel:
             elif self.root.kind != GROUND:
                 raise AssemblyError("ground parent in a free-root model")
             self.body(c.child_port[0]).port_position(c.child_port[1])
+        forward = [b for b in self.bodies if b.dynamics_role is DynamicsRole.FORWARD]
+        if self.root.kind == GROUND and forward:
+            raise AssemblyError("a grounded model must use inverse-role bodies only")
+        if self.root.kind != GROUND and len(forward) != 1:
+            raise AssemblyError("a free-root model needs exactly one forward body")
         tree = self.tree
         missing = set(names) - {c.child_port[0] for c in self.connections}
         missing.discard(tree.root)
@@ -317,12 +317,6 @@ class MultibodyModel:
                 add(v)
         return reg
 
-    def total_mass_expr(self):
-        total = lft.as_expr(0.0)
-        for b in self.bodies:
-            total = total + lft.as_expr(b.mass)
-        return total
-
 
 # ---------------------------------------------------------------------------
 # Step 1: geometry at equilibrium
@@ -394,7 +388,7 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
 
     geo: dict[str, _BodyGeo] = {}
     conn: dict[str, _ConnGeo] = {}
-    root_body = None if tree.root == GROUND else model.root_body
+    root_body = model.root_body
     dcm_root = lft.constant(dcm0)
     d_root, loads_root = _body_terms(root_body, dcm_root, forces)
     geo[tree.root] = _BodyGeo(
@@ -456,10 +450,6 @@ class EquilibriumSolution:
     def torque_nominal(self, joint: str) -> float:
         return float(self.torque[joint].nominal[0, 0])
 
-    def w_aj(self, joint: str) -> lft.LftMatrix:
-        """Equilibrium wrench W_A/J = -S_c (child side on the joint)."""
-        return -self.joint_load[joint]
-
     def _euler(self, body: str) -> np.ndarray:
         """Equilibrium Euler angles of a body: a free root's as given, a
         child's from its DCM, with t3 = 0 where its pitch is at gimbal lock
@@ -495,10 +485,12 @@ class EquilibriumSolution:
 
 
 def _resolved_forces(model: MultibodyModel) -> list:
+    """The model's external forces, a balance weight's force resolved to
+    (total mass) * (frame acceleration)."""
     out = []
     for f in model.external_forces:
         if f.balance_weight:
-            total = model.total_mass_expr()
+            total = sum((lft.as_expr(b.mass) for b in model.bodies), lft.as_expr(0.0))
             vec = [total * float(a) for a in model.acceleration]
             out.append(ExternalForce(f.body, f.port, tuple(vec), False))
         else:
@@ -637,26 +629,80 @@ class ExportError(ValueError):
     """A decoded document that is not a whole version-1 export."""
 
 
+def is_json_number(value) -> bool:
+    """Whether a decoded JSON value is a number: an int or a float, not a
+    bool or a string such as "0.6", and within the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)  # an integer past the float range overflows
+    except OverflowError:
+        return False
+    return True
+
+
+def _export_value(value, where: str, kind: str):
+    """``value`` if it is a JSON ``kind``: "number" (``is_json_number``),
+    "integer" or "boolean"; ExportError naming ``where`` otherwise."""
+    if kind == "number":
+        ok = is_json_number(value)
+    else:
+        ok = type(value) is (int if kind == "integer" else bool)
+    if not ok:
+        raise ExportError(
+            f"malformed linear-model export: {where} must be a JSON {kind}, "
+            f"got {value!r}"
+        )
+    return value
+
+
+def _export_matrix(data, tag: str) -> lft.LftMatrix:
+    """``LftMatrix.from_dict`` of the export's matrix ``tag``, once its
+    counts are integers and its coefficients and bounds numbers."""
+    for key in ("rows", "cols"):
+        _export_value(data[key], f"{tag}.{key}", "integer")
+    for i, entry in enumerate(data["delta_structure"]):
+        where = f"{tag}.delta_structure[{i}].repetitions"
+        _export_value(entry["repetitions"], where, "integer")
+    for i, q in enumerate(data["parameters"]):
+        for key in ("nominal", "lower", "upper"):
+            _export_value(q[key], f"{tag}.parameters[{i}].{key}", "number")
+    rows = data["coefficients"]
+    # the writer writes floats: look for the culprit only if another type is there
+    if set(map(type, itertools.chain.from_iterable(rows))) != {float}:
+        for i, row in enumerate(rows):
+            for j, v in enumerate(row):
+                _export_value(v, f"{tag}.coefficients[{i}][{j}]", "number")
+    return lft.LftMatrix.from_dict(data)
+
+
 def read_export(export) -> tuple:
     """The matrices (A, B, C, D), nominal point, signal names and strict
-    flag of a decoded ``to_export_dict``; anything else raises ExportError."""
+    flag of a decoded ``to_export_dict``; anything else, a number, count or
+    strict flag of another JSON type included, raises ExportError."""
     if not isinstance(export, dict) or export.get("format") != _EXPORT_FORMAT:
         raise ExportError("not a linear-model export")
     version = export.get("version")
     if type(version) is not int or version != 1:
         raise ExportError(f"unsupported export version {version!r}")
     try:
-        mats = tuple(lft.LftMatrix.from_dict(export[tag]) for tag in "ABCD")
-        nominal = {name: p["nominal"] for name, p in export["parameters"].items()}
+        mats = tuple(_export_matrix(export[tag], tag) for tag in "ABCD")
+        nominal = {
+            name: _export_value(p["nominal"], f"parameters.{name}.nominal", "number")
+            for name, p in export["parameters"].items()
+        }
         names = {
             key: [str(n) for n in export[key]]
             for key in ("state_names", "input_names", "output_names")
         }
+    except ExportError:
+        raise
     except (KeyError, TypeError, ValueError, AttributeError, lft.LftError) as e:
         raise ExportError(
             f"malformed linear-model export ({type(e).__name__}: {e})"
         ) from None
-    return mats, nominal, names, bool(export.get("strict_bounds"))
+    strict = export.get("strict_bounds", False)
+    return mats, nominal, names, _export_value(strict, "strict_bounds", "boolean")
 
 
 def _body_jacobians(ctx: GeometryContext) -> dict:
@@ -729,11 +775,7 @@ def step3_linearize(
             for fbar, tau_p in rec.loads:
                 load_k = lft.vstack([sp.skew_lft(fbar) @ phi, z3])
                 w = w - mck(stiffness=tau_p.T @ load_k)
-            if (
-                model.root.kind == "free"
-                and rec.body is model.root_body
-                and model.root_damping is not None
-            ):
+            if rec.body is model.root_body and model.root_damping is not None:
                 w = w + mck(damping=lft.constant(model.root_damping) @ jhat)
         for c in tree.children.get(name, []):
             cb = c.child_port[0]
@@ -869,7 +911,7 @@ def assemble(model: MultibodyModel, reduce: bool = True) -> LinearLftModel:
 
 
 # ---------------------------------------------------------------------------
-# Sampling, modes, freezing
+# Sampling and modes
 # ---------------------------------------------------------------------------
 
 
@@ -893,11 +935,10 @@ def evaluate_points(mats: tuple, points: list, strict: bool = False) -> tuple:
     That error is the one a point-by-point loop over ``mats`` raises first:
     each failure cuts the prefix at the failing point, and it is evaluated
     again."""
-    mode = "error" if strict else "ignore"
     err = None
     while True:
         try:
-            return tuple(m.evaluate(points, out_of_bounds=mode) for m in mats), err
+            return tuple(m.evaluate(points, strict) for m in mats), err
         except lft.EvaluationError as exc:
             points, err = points[: exc.index], exc
 
@@ -939,81 +980,6 @@ def _modes_of(lams: np.ndarray) -> list:
         out.append((complex(lam), mag / (2.0 * np.pi), zeta))
     out.sort(key=lambda t: (abs(t[0].imag), t[0].real))
     return out
-
-
-def _freeze_scalar(v, point):
-    return lft.as_expr(v).value(point)
-
-
-def freeze_model(model: MultibodyModel, point) -> MultibodyModel:
-    """Copy of the model with every parameter fixed at the given point."""
-    full = {name: p.nominal for name, p in model.parameters().items()}
-    full.update(point)
-    bodies = []
-    for b in model.bodies:
-        bodies.append(
-            RigidBody(
-                name=b.name,
-                mass=_freeze_scalar(b.mass, full),
-                inertia_cog=[
-                    [_freeze_scalar(b.inertia_cog[i, j], full) for j in range(3)]
-                    for i in range(3)
-                ],
-                cog_offset=[_freeze_scalar(v, full) for v in b.cog_offset],
-                ports=tuple(
-                    (n, [_freeze_scalar(v, full) for v in pos])
-                    for n, pos in b.ports
-                ),
-                dynamics_role=b.dynamics_role,
-                dof_mask=b.dof_mask,
-            )
-        )
-    conns = []
-    for c in model.connections:
-        if isinstance(c, RevoluteJoint):
-            angle = c.angle_eq
-            if isinstance(angle, lft.HalfTanParam):
-                angle = angle.angle_of(full[angle.param.name])
-            conns.append(
-                RevoluteJoint(
-                    name=c.name,
-                    parent_port=c.parent_port,
-                    child_port=c.child_port,
-                    axis=c.axis,
-                    angle_eq=float(angle),
-                    zero_dcm=c.zero_dcm,
-                    shaft_inertia=c.shaft_inertia,
-                    friction=c.friction,
-                )
-            )
-        else:
-            conns.append(c)
-    forces = tuple(
-        ExternalForce(
-            f.body,
-            f.port,
-            tuple(
-                _freeze_scalar(v, full)
-                for v in np.asarray(f.force, dtype=object).reshape(3)
-            )
-            if not f.balance_weight
-            else f.force,
-            f.balance_weight,
-        )
-        for f in model.external_forces
-    )
-    return MultibodyModel(
-        name=model.name,
-        bodies=tuple(bodies),
-        connections=tuple(conns),
-        acceleration=model.acceleration,
-        root=model.root,
-        external_forces=forces,
-        root_damping=model.root_damping,
-        inputs=model.inputs,
-        outputs=model.outputs,
-        accelerating_trim=model.accelerating_trim,
-    )
 
 
 def sample_point(parameters: dict, rng) -> dict:

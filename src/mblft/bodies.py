@@ -46,11 +46,6 @@ class DynamicsRole(Enum):
     INVERSE = "inverse"
 
 
-def _nominal_point(exprs) -> dict[str, float]:
-    """The nominal value of each parameter in the given exprs."""
-    return {p.name: p.nominal for e in exprs for p in lft.as_expr(e).params()}
-
-
 def _scalar_grid(exprs) -> list[dict[str, float]]:
     """Nominal point plus all parameter-box corners of the given exprs."""
     params: dict[str, lft.Param] = {}
@@ -160,7 +155,7 @@ class RigidBody:
         if len(set(names)) != len(names):
             raise BodyError(f"body {self.name!r}: duplicate port names")
         for n, p in ports:
-            nominal = _nominal_point(p)
+            nominal = {q.name: q.nominal for v in p for q in lft.as_expr(v).params()}
             check_port_position(
                 self, n, [lft.as_expr(v).value(nominal) for v in p], nominal
             )
@@ -204,19 +199,8 @@ class RigidBody:
                 return p
         raise BodyError(f"body {self.name!r} has no port {port!r}")
 
-    def port_position_value(self, port: str, point) -> np.ndarray:
-        return np.array(
-            [lft.as_expr(v).value(point) for v in self.port_position(port)],
-            dtype=float,
-        )
-
     def port_position_lft(self, port: str) -> lft.LftMatrix:
         return sp.as_lft(list(self.port_position(port)))
-
-    def cog_offset_value(self, point) -> np.ndarray:
-        return np.array(
-            [lft.as_expr(v).value(point) for v in self.cog_offset], dtype=float
-        )
 
     def mass_value(self, point) -> float:
         return lft.as_expr(self.mass).value(point)

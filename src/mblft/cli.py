@@ -52,10 +52,10 @@ from . import lft
 from .assembly import (
     AssemblyError,
     ExportError,
-    TrimError,
     assemble,
     evaluate_points,
     full_point,
+    is_json_number,
     modes,
     read_export,
     sample_model,
@@ -77,14 +77,11 @@ EXIT_VALIDATION = 4
 VALIDATION_TOL = 1e-4
 
 _NUMERICAL_ERRORS = (
-    TrimError,
-    AssemblyError,
+    AssemblyError,  # TrimError among them
     BodyError,
     JointError,
     GimbalLockError,
-    lft.WellPosednessError,
-    lft.EvaluationError,
-    lft.LftError,
+    lft.LftError,  # WellPosednessError and EvaluationError among them
     np.linalg.LinAlgError,
     ArithmeticError,
 )
@@ -369,15 +366,8 @@ def cmd_sample(args) -> int:
         except lft.EvaluationError as e:
             raise ModelFileError(str(e)) from None
         for name, value in pt.items():
-            # a JSON number: float() alone would also take "0.6" and true
-            try:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise TypeError
-                float(value)  # an integer past the float range overflows
-            except (TypeError, OverflowError):
-                raise ModelFileError(
-                    f"parameter {name!r}: {value!r} is not a number"
-                ) from None
+            if not is_json_number(value):
+                raise ModelFileError(f"parameter {name!r}: {value!r} is not a number")
 
     try:
         os.makedirs(args.output, exist_ok=True)

@@ -55,7 +55,6 @@ _COND_LIMIT = 1e13
 EVAL_BLOCK = 64
 # Slack of the out-of-bounds test, in the parameter's own units.
 _BOUNDS_TOL = 1e-9
-_OUT_OF_BOUNDS = ("ignore", "error")
 # Cap on the sweeps of the channel balancing (it converges in a few).
 _BALANCE_SWEEPS = 50
 
@@ -148,12 +147,11 @@ class HalfTanParam:
         upper: float,
         kind: str = "varying",
         variant: str = "half",
-        param_name: str | None = None,
     ) -> "HalfTanParam":
         """Build from an angle range in radians."""
         div = 2.0 if variant == "half" else 4.0
         p = Param(
-            param_name or f"t_{name}",
+            f"t_{name}",
             float(np.tan(nominal / div)),
             float(np.tan(lower / div)),
             float(np.tan(upper / div)),
@@ -164,10 +162,6 @@ class HalfTanParam:
     def angle_of(self, t_value: float) -> float:
         div = 2.0 if self.variant == "half" else 4.0
         return div * float(np.arctan(t_value))
-
-    def t_of(self, angle: float) -> float:
-        div = 2.0 if self.variant == "half" else 4.0
-        return float(np.tan(angle / div))
 
     @property
     def angle_nominal(self) -> float:
@@ -479,8 +473,8 @@ class LftMatrix:
 
     def evaluate(
         self,
-        point: Mapping[str, float] | Iterable[Mapping[str, float]] | None = None,
-        out_of_bounds: str = "ignore",
+        point: Mapping[str, float] | Iterable[Mapping[str, float]],
+        strict: bool = False,
     ) -> np.ndarray:
         """Numeric value at a parameter point, or stacked over points.
 
@@ -488,27 +482,22 @@ class LftMatrix:
         error) and gives a rows x cols array; a sequence of such mappings
         gives a (points, rows, cols) array, solved in blocks of
         ``EVAL_BLOCK`` points with one batched solve per block.  A value
-        outside its parameter's bounds is accepted (``"ignore"``) or
-        rejected (``"error"``).  The first point that misses a parameter,
-        is rejected or is ill-posed raises an ``EvaluationError`` whose
-        ``index`` is its position.
+        outside its parameter's bounds is accepted, or rejected if
+        ``strict``.  The first point that misses a parameter, is rejected
+        or is ill-posed raises an ``EvaluationError`` whose ``index`` is its
+        position.
         """
-        if out_of_bounds not in _OUT_OF_BOUNDS:
-            raise ValueError(
-                f"out_of_bounds must be one of {_OUT_OF_BOUNDS}, "
-                f"got {out_of_bounds!r}"
-            )
-        if point is None or isinstance(point, Mapping):
-            return self._evaluate_block([point or {}], 0, out_of_bounds)[0]
+        if isinstance(point, Mapping):
+            return self._evaluate_block([point], 0, strict)[0]
         points = list(point)
         if len(points) <= EVAL_BLOCK:
-            return self._evaluate_block(points, 0, out_of_bounds)
+            return self._evaluate_block(points, 0, strict)
         return np.concatenate([
-            self._evaluate_block(points[i : i + EVAL_BLOCK], i, out_of_bounds)
+            self._evaluate_block(points[i : i + EVAL_BLOCK], i, strict)
             for i in range(0, len(points), EVAL_BLOCK)
         ])
 
-    def _evaluate_block(self, points: list, base: int, mode: str) -> np.ndarray:
+    def _evaluate_block(self, points: list, base: int, strict: bool) -> np.ndarray:
         k = len(points)
         if self.ndelta == 0:
             return np.repeat(self.a[None], k, axis=0)
@@ -525,7 +514,7 @@ class LftMatrix:
         else:
             stop = k
         x = np.array(vals, dtype=float).reshape(len(vals), width)[:, plan.channel]
-        if mode == "error":
+        if strict:
             outside = ~((plan.lower <= x) & (x <= plan.upper)).all(axis=1)
             if outside.any():
                 stop = int(np.argmax(outside))
@@ -537,7 +526,7 @@ class LftMatrix:
         fail = int(np.argmax(ill)) if ill.any() else stop
         if fail < k:
             # raises for a missing or rejected value, as in channel order
-            self._check_point(points[fail], mode, base + fail)
+            self._check_point(points[fail], strict, base + fail)
             raise EvaluationError(
                 "ill-posed LFT at requested point "
                 f"(balanced cond {cond[fail]:.2e})",
@@ -545,7 +534,7 @@ class LftMatrix:
             )
         return self.a + (plan.b * deltas[:, None, :]) @ sol
 
-    def _check_point(self, point: Mapping, mode: str, index: int) -> None:
+    def _check_point(self, point: Mapping, strict: bool, index: int) -> None:
         """The checks of one point's channels, in channel order: raise for a
         missing parameter or a rejected value.  Only points that fail a
         batched check come here."""
@@ -555,7 +544,7 @@ class LftMatrix:
                     f"parameter {p.name!r} missing from point", index
                 )
             v = float(point[p.name])
-            if mode == "error" and not (
+            if strict and not (
                 p.lower - _BOUNDS_TOL <= v <= p.upper + _BOUNDS_TOL
             ):
                 raise EvaluationError(

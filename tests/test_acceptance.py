@@ -15,13 +15,14 @@ from mblft import lft
 from mblft import cli
 from mblft.assembly import (
     assemble,
-    freeze_model,
     sample_model,
     sample_point,
 )
 from mblft.joints import RevoluteJoint
 from mblft.modelfile import load_model
 from mblft.oracle import FdConfig, NonlinearEvaluator, fd_linearize
+
+from _frozen import freeze_model
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 G = 9.81
@@ -220,7 +221,8 @@ def test_criterion_5_trim_residual_and_torque_balance():
             if not isinstance(conn, RevoluteJoint):
                 continue
             cm = float(eq.torque[conn.name].nominal[0, 0])
-            load = np.asarray(eq.w_aj(conn.name).nominal).ravel()
+            # W_A/J = -S_c: the child side's wrench on the joint
+            load = -eq.joint_load[conn.name].nominal.ravel()
             worst_bal = max(worst_bal, abs(cm + float(conn.r6 @ load)))
     ok = worst_nom <= 1e-9 and worst_rand <= 1e-8 and worst_bal <= 1e-10
     _report(

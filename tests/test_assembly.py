@@ -1,4 +1,5 @@
 """Whole-model assembly: equilibrium, linearization, sampling, reduction."""
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,6 @@ from mblft.assembly import (
     RootSpec,
     TrimError,
     assemble,
-    freeze_model,
     modes,
     sample_model,
     sample_point,
@@ -25,6 +25,8 @@ from mblft.assembly import (
 from mblft.bodies import DynamicsRole, RigidBody
 from mblft.joints import RevoluteJoint
 from mblft.modelfile import load_model
+
+from _frozen import freeze_model
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODELS = ROOT / "models"
@@ -483,6 +485,24 @@ def test_root_pose_must_be_3_vectors(kwargs, message):
 def test_acceleration_must_be_finite(bad):
     with pytest.raises(AssemblyError, match="acceleration entries must be finite"):
         _pendulum(accel=(0.0, bad, G))
+
+
+def test_grounded_model_with_a_forward_body_rejected():
+    """Every body of a grounded model is inverse-role: a forward body, whose
+    role and DOF mask the grounded assembly would ignore, is rejected."""
+    m = _pendulum()
+    bob = dataclasses.replace(
+        m.bodies[0], dynamics_role=DynamicsRole.FORWARD, dof_mask=(5,)
+    )
+    with pytest.raises(
+        AssemblyError, match="a grounded model must use inverse-role bodies only"
+    ):
+        MultibodyModel(
+            name="bad",
+            bodies=(bob,),
+            connections=m.connections,
+            acceleration=m.acceleration,
+        )
 
 
 def test_two_parents_rejected():

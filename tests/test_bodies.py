@@ -44,6 +44,11 @@ def _body(mass=2.0, cog=(0.1, -0.2, 0.5), role=DynamicsRole.INVERSE):
     )
 
 
+def _values(exprs, point) -> np.ndarray:
+    """Numeric values of Scalar entries (a port position, a CoG offset)."""
+    return np.array([lft.as_expr(v).value(point) for v in exprs], dtype=float)
+
+
 def _child():
     return RigidBody(
         name="c",
@@ -163,7 +168,7 @@ def test_d_at_port_symmetric_and_congruent(cx, cy, cz):
     d_cog = direct_dynamics_cog(b).evaluate({})
     d_port = direct_dynamics_at_port(b, "p").evaluate({})
     np.testing.assert_allclose(d_port, d_port.T, atol=1e-12)
-    offset = b.port_position_value("p", {}) - b.cog_offset_value({})
+    offset = _values(b.port_position("p"), {}) - _values(b.cog_offset, {})
     tau = sp.tau_matrix(offset)
     np.testing.assert_allclose(d_port, tau.T @ d_cog @ tau, atol=1e-12)
     # positive semidefinite
@@ -205,7 +210,7 @@ def test_raw_param_entries_give_the_numeric_d_at_port():
     for port in ("ref", "p"):
         d = direct_dynamics_at_port(b, port)
         for pt in ({"m": 1.5, "l": 0.4}, {"m": 2.0, "l": 0.5}, {"m": 2.5, "l": 0.6}):
-            offset = b.port_position_value(port, pt) - b.cog_offset_value(pt)
+            offset = _values(b.port_position(port), pt) - _values(b.cog_offset, pt)
             np.testing.assert_allclose(
                 d.evaluate(pt),
                 _d_numeric(offset, b.mass_value(pt), b.inertia_value(pt)),
@@ -230,7 +235,7 @@ def test_newton_euler_matches_first_principles():
     j = b.inertia_value({})
     # acceleration of the reference port a = vdot + omega x v; that of the
     # CoG adds alpha x r + w x (w x r), with r = reference port -> CoG
-    r = b.cog_offset_value({})
+    r = _values(b.cog_offset, {})
     alpha = nudot[3:]
     a_port = nudot[:3] + np.cross(omega, v)
     a_cog = a_port + np.cross(alpha, r) + np.cross(omega, np.cross(omega, r))

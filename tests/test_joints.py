@@ -173,9 +173,9 @@ def test_torque_balances_axial_load_component(seed):
     body = model.body("b")
     p = _dcm(model.connections[0], angle)
     weight = -body.mass_value({}) * (p.T @ A_REF)
-    moment = np.cross(body.cog_offset_value({}), weight) + np.cross(
-        body.port_position_value("tip", {}), p.T @ force
-    )
+    cog = np.array([lft.as_expr(v).value({}) for v in body.cog_offset])
+    tip = np.array([lft.as_expr(v).value({}) for v in body.port_position("tip")])
+    moment = np.cross(cog, weight) + np.cross(tip, p.T @ force)
     assert abs(eq.torque_nominal("j") + float(axis @ moment)) <= 1e-12
 
 

@@ -78,9 +78,9 @@ def test_out_of_bounds_strict_raises():
     p = lft.Param("k", 2.0, 1.0, 3.0, "uncertain")
     g = lft.from_param(p)
     with pytest.raises(lft.EvaluationError):
-        g.evaluate({"k": 5.0}, out_of_bounds="error")
+        g.evaluate({"k": 5.0}, strict=True)
     np.testing.assert_allclose(
-        g.evaluate({"k": 5.0}, out_of_bounds="ignore"), [[5.0]]
+        g.evaluate({"k": 5.0}, strict=False), [[5.0]]
     )
 
 
@@ -95,17 +95,6 @@ def test_missing_parameter_raises():
     p = lft.Param("k", 2.0, 1.0, 3.0, "uncertain")
     with pytest.raises(lft.EvaluationError):
         lft.from_param(p).evaluate({})
-
-
-@pytest.mark.parametrize("occ", [0, 1])
-def test_unknown_out_of_bounds_mode_rejected(occ):
-    p = lft.Param("k", 2.0, 1.0, 3.0, "uncertain")
-    g = _random_lft(np.random.default_rng(0), 2, 2, [p], occ=occ)
-    for mode in ("eror", "warn"):
-        for point in ({"k": 5.0}, [{"k": 2.0}, {"k": 5.0}]):
-            with pytest.raises(ValueError, match=repr(mode)):
-                g.evaluate(point, out_of_bounds=mode)
-    assert g.evaluate({"k": 5.0}, out_of_bounds="ignore").shape == (2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +120,8 @@ def _batch_lft(rng, kind, rescale):
     return (_rescale_channels(g, rng) if rescale else g), params
 
 
-def _per_point(g, points, mode="ignore"):
-    return np.array([g.evaluate(pt, out_of_bounds=mode) for pt in points]).reshape(
+def _per_point(g, points):
+    return np.array([g.evaluate(pt) for pt in points]).reshape(
         (len(points),) + g.shape
     )
 
@@ -150,7 +139,7 @@ def test_batched_evaluate_equals_per_point_bit_for_bit(seed, kind, rescale, n):
     rng = np.random.default_rng(seed)
     g, params = _batch_lft(rng, kind, rescale)
     points = [_point(params, rng) for _ in range(n)]
-    got = g.evaluate(points, out_of_bounds="error")
+    got = g.evaluate(points, strict=True)
     assert got.shape == (n,) + g.shape
     assert np.array_equal(got, _per_point(g, points))
     assert np.array_equal(g.evaluate(iter(points)), got)
@@ -201,14 +190,14 @@ def test_batched_evaluate_raises_at_the_first_failing_point(seed, rescale, n, da
         _faulty(points, *later)
     _faulty(points, k, fault)
     with pytest.raises(lft.EvaluationError) as one:
-        g.evaluate(points[k], out_of_bounds="error")
+        g.evaluate(points[k], strict=True)
     assert one.value.index == 0
     with pytest.raises(lft.EvaluationError) as many:
-        g.evaluate(points, out_of_bounds="error")
+        g.evaluate(points, strict=True)
     assert str(many.value) == str(one.value)
     assert many.value.index == k
     assert np.array_equal(
-        g.evaluate(points[:k], out_of_bounds="error"), _per_point(g, points[:k])
+        g.evaluate(points[:k], strict=True), _per_point(g, points[:k])
     )
 
 
@@ -454,7 +443,7 @@ def test_reflected_and_scalar_operators():
         np.testing.assert_allclose(got.evaluate({"p": 2.0}), [[want]])
     t = lft.HalfTanParam.from_angle("th", 0.3, -1.0, 1.0, variant="quarter")
     assert t.angle_nominal == pytest.approx(0.3)
-    assert t.t_of(0.3) == pytest.approx(t.param.nominal)
+    assert np.tan(0.3 / 4.0) == pytest.approx(t.param.nominal)
 
 
 @pytest.mark.parametrize("variant", ["half", "quarter"])

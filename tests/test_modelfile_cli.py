@@ -611,6 +611,24 @@ def test_force_on_unknown_port_rejected(tmp_path):
         load_model(_write(tmp_path, text))
 
 
+@pytest.mark.parametrize("mask", ["", "\n    dof_mask: [wz]"], ids=["all-dof", "wz"])
+@pytest.mark.parametrize("command", ["equilibrium", "linearize"])
+def test_grounded_model_with_a_forward_body_rejected(tmp_path, capsys, mask, command):
+    """The arm is grounded, so a forward-role link (with or without a DOF
+    mask, which the grounded assembly would ignore) is a schema error."""
+    text = (MODELS / "two_link_arm.yaml").read_text()
+    old = "name: link1\n    role: inverse"
+    assert old in text
+    bad = _write(tmp_path, text.replace(old, "name: link1\n    role: forward" + mask))
+    args = [command, str(bad)]
+    if command == "linearize":
+        args += ["-o", str(tmp_path / "out.json")]
+    assert cli.main(args) == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert "error: model: a grounded model must use inverse-role bodies only" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_duplicate_connection_name_rejected(tmp_path, capsys):
     text = (MODELS / "two_link_arm.yaml").read_text()
     assert text.count("name: elbow") == 1
@@ -651,6 +669,75 @@ def test_cli_sample_malformed_export_is_a_schema_error(tmp_path, capsys):
         assert rc == cli.EXIT_SCHEMA, doc
         assert str(bad) in capsys.readouterr().err
         assert not outdir.exists()
+
+
+@pytest.fixture(scope="module")
+def arm_export(tmp_path_factory) -> dict:
+    path = tmp_path_factory.mktemp("arm") / "arm.json"
+    assert cli.main(["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _set_parameter_nominal(doc):
+    doc["parameters"]["m1"]["nominal"] = "abc"
+    return "parameters.m1.nominal"
+
+
+def _set_strict_bounds(doc):
+    doc["strict_bounds"] = "false"
+    return "strict_bounds"
+
+
+def _set_rows(doc):
+    doc["A"]["rows"] = float(doc["A"]["rows"])
+    return "A.rows"
+
+
+def _set_coefficient_string(doc):
+    doc["A"]["coefficients"][0][1] = str(doc["A"]["coefficients"][0][1])
+    return "A.coefficients[0][1]"
+
+
+def _set_coefficient_bool(doc):
+    doc["B"]["coefficients"][1][0] = True
+    return "B.coefficients[1][0]"
+
+
+def _set_repetitions_bool(doc):
+    i = next(i for i, e in enumerate(doc["A"]["delta_structure"]) if e["repetitions"] == 1)
+    doc["A"]["delta_structure"][i]["repetitions"] = True
+    return f"A.delta_structure[{i}].repetitions"
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _set_parameter_nominal,
+        _set_strict_bounds,
+        _set_rows,
+        _set_coefficient_string,
+        _set_coefficient_bool,
+        _set_repetitions_bool,
+    ],
+)
+def test_cli_sample_export_value_of_another_json_type(tmp_path, capsys, arm_export, edit):
+    """An export whose number is a string or a bool, whose count is a float
+    or a bool, or whose strict flag is not a JSON boolean exits 2 with a
+    message naming the file and the value's place, and writes nothing.
+    (The string nominal ended in a traceback, the string "false" sampled
+    strictly, and the others were read as numbers.)"""
+    doc = copy.deepcopy(arm_export)
+    where = edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    outdir = tmp_path / "out"
+    rc = cli.main(
+        ["sample", str(bad), "--grid", "t_t1=0.5:0.6:2,m1=100:101:2", "-o", str(outdir)]
+    )
+    assert rc == cli.EXIT_SCHEMA
+    err = capsys.readouterr().err
+    assert f"error: {bad}: malformed linear-model export: {where} must be a JSON" in err
+    assert not outdir.exists()
 
 
 @pytest.mark.parametrize("flag", ["--points", "--seed"])

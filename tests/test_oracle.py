@@ -12,13 +12,14 @@ from mblft.assembly import (
     MultibodyModel,
     RootSpec,
     TrimError,
-    freeze_model,
 )
 from mblft.bodies import BodyError, DynamicsRole, RigidBody
 from mblft.joints import RevoluteJoint, RigidConnection
 from mblft.modelfile import load_model
 from mblft.oracle import FdConfig, NonlinearEvaluator, fd_linearize
 from mblft.spatial import GimbalLockError, rot_z
+
+from _frozen import freeze_model
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
 G = 9.81
@@ -470,18 +471,19 @@ def test_evaluator_applies_the_body_rules_at_the_point(point):
 
 
 def test_evaluator_builds_no_frozen_model(monkeypatch):
-    """Evaluators of one model object never copy the model, and build its
-    plan, which reads the parameter registry, once between them."""
-    from mblft import assembly, oracle
+    """Evaluators of one model object never build a model (no frozen copy),
+    and build its plan, which reads the parameter registry, once between
+    them."""
+    from mblft import oracle
 
     model = load_model(MODELS / "two_link_arm.yaml")
-    calls = {"freeze": 0, "parameters": 0, "plan": 0}
-    freeze, parameters = assembly.freeze_model, MultibodyModel.parameters
+    calls = {"model": 0, "parameters": 0, "plan": 0}
+    post_init, parameters = MultibodyModel.__post_init__, MultibodyModel.parameters
     plan_init = oracle._Plan.__init__
 
-    def counted_freeze(*args):
-        calls["freeze"] += 1
-        return freeze(*args)
+    def counted_post_init(self):
+        calls["model"] += 1
+        post_init(self)
 
     def counted_parameters(self):
         calls["parameters"] += 1
@@ -491,13 +493,12 @@ def test_evaluator_builds_no_frozen_model(monkeypatch):
         calls["plan"] += 1
         plan_init(self, *args)
 
-    monkeypatch.setattr(assembly, "freeze_model", counted_freeze)
-    monkeypatch.setattr(oracle, "freeze_model", counted_freeze, raising=False)
+    monkeypatch.setattr(MultibodyModel, "__post_init__", counted_post_init)
     monkeypatch.setattr(MultibodyModel, "parameters", counted_parameters)
     monkeypatch.setattr(oracle._Plan, "__init__", counted_plan)
     for m1 in (3.1, 2.9, 3.0, 3.05, 2.95):
         fd_linearize(NonlinearEvaluator(model, {"m1": m1, "t_t2": 0.8}))
-    assert calls == {"freeze": 0, "parameters": 1, "plan": 1}
+    assert calls == {"model": 0, "parameters": 1, "plan": 1}
 
 
 def test_evaluator_rejects_undeclared_parameter_names():
