@@ -17,12 +17,11 @@ The linearized equations of motion are accumulated as
 
     M d(nu)/dt + C nu + K chi + B_hat u = 0,
 
-with [M | C | K] one Param-valued LftMatrix, carried from the leaves to
-the root. B_hat follows by virtual work from the body Jacobians jhat
-that step 3 builds in its own root-to-leaf pass: a torque input has -1
-on its joint's row, and a wrench input at port p of body b has
--(tau(-p) jhat_b)^T in its columns. They are
-realized as
+with [M | C | K] one Param-valued LftMatrix, from step 3's spatial
+operators over the bodies in tree order (see ``_spatial_operators``).
+B_hat follows by virtual work from the body Jacobians J_b: a torque
+input has -1 on its joint's row, and a wrench input at port p of body b
+has -(tau(-p) J_b)^T in its columns. They are realized as
 
     A = [[-M^-1 [C K]], [G, 0]],   B = [[-M^-1 B_hat], [0]],
 
@@ -326,12 +325,11 @@ class MultibodyModel:
 @dataclass
 class _BodyGeo:
     """Equilibrium LFTs of one body, shared by steps 2 and 3 (its
-    Jacobians are step 3's, see ``_body_jacobians``)."""
+    Jacobians are step 3's, see ``_spatial_operators``)."""
 
     body: object  # RigidBody or None for ground
     dcm: lft.LftMatrix  # body frame -> R
     abar: lft.LftMatrix  # 3 x 1 frame acceleration in body frame
-    pos: lft.LftMatrix  # 3 x 1 reference-port position in R
     d: lft.LftMatrix | None  # 6 x 6 direct dynamics at the reference port
     loads: list  # (fbar, tau_lft(-p)) of each external force on the body
 
@@ -375,10 +373,11 @@ def _body_terms(body, dcm: lft.LftMatrix, forces: list) -> tuple:
 
 
 def step1_geometry(model: MultibodyModel) -> GeometryContext:
-    """Root-to-leaf pass: equilibrium orientations, positions and frame
-    accelerations, and the per-body and per-connection LFTs that steps 2
-    and 3 share.  The body Jacobians are left to step 3, so that
-    ``mblft equilibrium`` does not pay for them."""
+    """Root-to-leaf pass: equilibrium orientations and frame accelerations,
+    and the per-body and per-connection LFTs that steps 2 and 3 share.  The
+    body Jacobians are left to step 3, so that ``mblft equilibrium`` does
+    not pay for them, and body positions to the report, which needs them
+    at nominal only."""
     forces = _resolved_forces(model)
     tree = model.tree
     euler0 = np.asarray(model.root.euler, dtype=float)
@@ -395,7 +394,6 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
         body=root_body,
         dcm=dcm_root,
         abar=lft.constant(dcm0.T @ a_r),
-        pos=lft.constant(np.asarray(model.root.position, float).reshape(3, 1)),
         d=d_root,
         loads=loads_root,
     )
@@ -421,9 +419,7 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
         )
         dcm = lft.reduce_lft(parent.dcm @ p_ab)
         abar = lft.reduce_lft(p_ab.T @ parent.abar)
-        jp = parent.pos + parent.dcm @ qpos
-        pos = lft.reduce_lft(jp - dcm @ cpos)
-        geo[cb] = _BodyGeo(body, dcm, abar, pos, *_body_terms(body, dcm, forces))
+        geo[cb] = _BodyGeo(body, dcm, abar, *_body_terms(body, dcm, forces))
 
     return GeometryContext(model=model, geo=geo, conn=conn, gamma0=gamma0)
 
@@ -435,48 +431,57 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
 
 @dataclass
 class EquilibriumSolution:
-    """Equilibrium geometry, loads, and driving torques (Param-valued)."""
+    """Equilibrium geometry and loads (Param-valued)."""
 
     geometry: GeometryContext
     inbound: dict  # body name -> 6x1 LftMatrix (frame j, at ref port)
     joint_load: dict  # joint name -> 6x1 LftMatrix S_c (child frame, at joint)
-    torque: dict  # joint name -> 1x1 LftMatrix equilibrium C_m
     root_reaction: lft.LftMatrix  # 6x1: ground reaction or free-root residual
 
     @property
     def model(self) -> MultibodyModel:
         return self.geometry.model
 
-    def torque_nominal(self, joint: str) -> float:
-        return float(self.torque[joint].nominal[0, 0])
-
-    def _euler(self, body: str) -> np.ndarray:
+    def _euler(self, body: str, dcm: np.ndarray) -> np.ndarray:
         """Equilibrium Euler angles of a body: a free root's as given, a
-        child's from its DCM, with t3 = 0 where its pitch is at gimbal lock
-        (only a free root's state needs angles away from lock)."""
+        child's from its nominal DCM, with t3 = 0 where its pitch is at
+        gimbal lock (only a free root's state needs angles away from lock)."""
         root = self.model.root
         if root.kind == "free" and body == self.model.root_body.name:
             return np.asarray(root.euler, dtype=float)
-        dcm = self.geometry.geo[body].dcm.nominal
         return sp.euler_from_dcm(dcm, lock_ok=True)
 
     def report(self) -> dict:
-        g = self.geometry
+        """The equilibrium at the nominal point only, so no value here has
+        an LFT of its own: each body's reference-port position follows from
+        the nominal DCMs and port positions, and each joint's torque (the
+        driving C_m that holds it) is r6 . (nominal joint load)."""
+        model, g = self.model, self.geometry
+        nominal = {name: p.nominal for name, p in model.parameters().items()}
+
+        def port(body: str, name: str) -> np.ndarray:
+            entries = model.body(body).port_position(name)
+            return np.array([lft.as_expr(v).value(nominal) for v in entries])
+
+        dcm = {name: rec.dcm.nominal for name, rec in g.geo.items()}
+        pos = {model.tree.root: np.asarray(model.root.position, dtype=float)}
+        for c in model.tree.order:
+            (pb, pp), (cb, cp) = c.parent_port, c.child_port
+            joint = pos[pb] if pb == GROUND else pos[pb] + dcm[pb] @ port(pb, pp)
+            pos[cb] = joint - dcm[cb] @ port(cb, cp)
         bodies = {
             name: {
-                "euler_deg": list(np.degrees(self._euler(name))),
-                "position": list(rec.pos.nominal.ravel()),
+                "euler_deg": list(np.degrees(self._euler(name, dcm[name]))),
+                "position": list(pos[name]),
             }
-            for name, rec in g.geo.items()
+            for name in g.geo
             if name != GROUND
         }
-        joints = {
-            name: {
-                "torque": self.torque_nominal(name),
-                "load": list(self.joint_load[name].nominal.ravel()),
-            }
-            for name in self.torque
-        }
+        joints = {}
+        for name, s_c in self.joint_load.items():
+            load = s_c.nominal.ravel()
+            r6 = model.tree.joints[model.tree.joint_index[name]].r6
+            joints[name] = {"torque": float(r6 @ load), "load": list(load)}
         return {
             "bodies": bodies,
             "joints": joints,
@@ -499,7 +504,8 @@ def _resolved_forces(model: MultibodyModel) -> list:
 
 
 def _transport_to_joint(tau_c: lft.LftMatrix, child: lft.LftMatrix) -> lft.LftMatrix:
-    """tau_c^T @ child: a child's reduced wrench moved to its joint point.
+    """tau_c^T @ child: a child's reduced wrench moved to its joint point,
+    in step 2 (step 3 moves wrenches by its operator E instead).
 
     Reduced only when tau_c carries Delta channels.  A constant tau_c is
     an invertible transport: it leaves the child's C and D as they are
@@ -515,7 +521,6 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
     """Leaf-to-root pass: equilibrium interface wrenches and joint torques."""
     inbound: dict[str, lft.LftMatrix] = {}
     joint_load: dict[str, lft.LftMatrix] = {}
-    torque: dict[str, lft.LftMatrix] = {}
     tree = model.tree
 
     def visit(name: str) -> lft.LftMatrix:
@@ -533,9 +538,6 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
             s_c = _transport_to_joint(cg.tau_c, child_in)
             if isinstance(c, RevoluteJoint):
                 joint_load[c.name] = s_c
-                torque[c.name] = lft.reduce_lft(
-                    lft.constant(c.r6.reshape(1, 6)) @ s_c
-                )
             ibar = ibar + cg.tau_q.T @ (cg.p2 @ s_c)
         ibar = lft.reduce_lft(ibar)
         if name != GROUND:
@@ -547,7 +549,6 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
         geometry=ctx,
         inbound=inbound,
         joint_load=joint_load,
-        torque=torque,
         root_reaction=root_in,
     )
     if model.root.kind == "free" and not model.accelerating_trim:
@@ -705,135 +706,174 @@ def read_export(export) -> tuple:
     return mats, nominal, names, _export_value(strict, "strict_bounds", "boolean")
 
 
-def _body_jacobians(ctx: GeometryContext) -> dict:
-    """Step 3's root-to-leaf pass: body name (or GROUND) -> (jhat, phi), the
-    6 x nq acceleration/velocity Jacobian and the 3 x nq infinitesimal-
-    rotation map of the body, in its own frame, from step 1's connection
-    LFTs."""
+@dataclass
+class _Operators:
+    """Step 3's spatial operators, over the bodies in tree order."""
+
+    index: dict  # body name -> its row block below: a free root, then tree order
+    jac: lft.LftMatrix  # 6n x nq: each body's Jacobian J_b
+    q: lft.LftMatrix  # 3n x 2nq: each body's [Phi_b | Y_b]
+
+
+def _spatial_operators(ctx: GeometryContext) -> _Operators:
+    """The body Jacobians J = (I - E)^-1 S and [Phi | Y] = (I - R)^-1 Z, from
+    step 1's connection LFTs (Rodriguez, Jain & Kreutz-Delgado, 1991).
+
+    J_b is body b's 6 x nq acceleration/velocity Jacobian at its reference
+    port, Phi_b its 3 x nq infinitesimal-rotation map and Y_b =
+    skew(abar_b) Phi_b, all in its own frame.  E holds tau_c P2^T tau_q and
+    R holds P_ab^T at (child, parent).  S holds jhat0 at a free root and
+    tau_c r6 e_nu at each revolute child; Z holds [phi0 | skew(abar0) phi0]
+    and [axis e_nu | -skew(axis) abar_c e_nu].  Their block rows are the
+    root-to-leaf recursions J_c = tau_c (P2^T tau_q J_p + r6 e_nu) and,
+    since skew(P^T a) = P^T skew(a) P, Y_c = P^T Y_p - skew(axis) abar_c
+    e_nu.  An LFT's inverse keeps its channels, so each connection's
+    channels enter each operator once.
+    """
     tree = ctx.model.tree
-    nq, k, mask = tree.nq, tree.k, tree.mask
-    jhat0 = np.zeros((6, nq))
-    for col, dof in enumerate(mask):
-        jhat0[dof, col] = 1.0
-    phi0 = np.zeros((3, nq))
-    # phi maps *pose* coordinates; root pose columns share the nu layout
-    for col, dof in enumerate(mask):
-        if dof >= 3:
-            phi0[:, col] = ctx.gamma0[:, dof - 3]
-    out = {tree.root: (lft.constant(jhat0), lft.constant(phi0))}
+    nq = tree.nq
+    bodies = [] if tree.root == GROUND else [tree.root]
+    bodies += [c.child_port[0] for c in tree.order]
+    n = len(bodies)
+    index = {name: i for i, name in enumerate(bodies)}
+    # I - E and I - R, filled below the diagonal
+    e_grid = [[np.eye(6) * (i == j) for j in range(n)] for i in range(n)]
+    r_grid = [[np.eye(3) * (i == j) for j in range(n)] for i in range(n)]
+    s_rows = [np.zeros((6, nq))] * n
+    z_rows = [np.zeros((3, 2 * nq))] * n
+    if tree.root != GROUND:
+        jhat0, phi0 = _root_maps(ctx)
+        abar0 = ctx.geo[tree.root].abar.a
+        s_rows[0] = jhat0
+        z_rows[0] = np.hstack([phi0, sp.skew(abar0) @ phi0])
     for c in tree.order:
         cb = c.child_port[0]
-        cg = ctx.conn[cb]
-        jhat, phi = out[c.parent_port[0]]
-        j_joint = cg.p2.T @ (cg.tau_q @ jhat)
-        phi = cg.p_ab.T @ phi
+        i, cg = index[cb], ctx.conn[cb]
+        j = index.get(c.parent_port[0])
+        if j is not None:  # a child of the ground has no parent block
+            e_grid[i][j] = -(cg.tau_c @ (cg.p2.T @ cg.tau_q))
+            r_grid[i][j] = -cg.p_ab.T
         if isinstance(c, RevoluteJoint):
-            e_nu = np.zeros((1, nq))
-            e_nu[0, k + tree.joint_index[c.name]] = 1.0
-            j_joint = j_joint + lft.constant(
-                c.r6.reshape(6, 1)
-            ) @ lft.constant(e_nu)
-            phi = phi + lft.constant(c.axis.reshape(3, 1)) @ lft.constant(e_nu)
-        out[cb] = (lft.reduce_lft(cg.tau_c @ j_joint), lft.reduce_lft(phi))
-    return out
+            e_nu = _joint_row(tree, c)
+            s_rows[i] = cg.tau_c @ lft.constant(c.r6.reshape(6, 1) @ e_nu)
+            y_seed = lft.constant(-sp.skew(c.axis)) @ ctx.geo[cb].abar
+            z_rows[i] = lft.hstack(
+                [c.axis.reshape(3, 1) @ e_nu, y_seed @ lft.constant(e_nu)]
+            )
+    jac = lft.block(e_grid).inv() @ lft.vstack(s_rows)
+    q = lft.block(r_grid).inv() @ lft.vstack(z_rows)
+    return _Operators(index, lft.reduce_lft(jac), lft.reduce_lft(q))
+
+
+def _joint_row(tree: TreeLayout, joint: RevoluteJoint) -> np.ndarray:
+    """The 1 x nq unit row of a joint's generalized coordinate."""
+    e = np.zeros((1, tree.nq))
+    e[0, tree.k + tree.joint_index[joint.name]] = 1.0
+    return e
+
+
+def _root_maps(ctx: GeometryContext) -> tuple:
+    """A free root's jhat0 (6 x nq) and phi0 (3 x nq): its unmasked DOFs,
+    and the Euler-rate map on its rotation pose columns (phi maps pose
+    coordinates, whose root columns share the nu layout)."""
+    tree = ctx.model.tree
+    jhat0 = np.zeros((6, tree.nq))
+    phi0 = np.zeros((3, tree.nq))
+    for col, dof in enumerate(tree.mask):
+        jhat0[dof, col] = 1.0
+        if dof >= 3:
+            phi0[:, col] = ctx.gamma0[:, dof - 3]
+    return jhat0, phi0
 
 
 def step3_linearize(
     model: MultibodyModel, eq: EquilibriumSolution, reduce: bool = True
 ) -> LinearLftModel:
-    """Assemble the linearized LFT state-space model around the equilibrium."""
+    """Assemble the linearized LFT state-space model around the equilibrium.
+
+    An interface wrench W = M nudot + C nu + K chi is carried as one LFT,
+    its 6 x 3nq coefficients over the columns [M | C | K].  Each body's
+    own wrench is L_b = D_b [J_b | 0 | [Y_b; 0]] plus its root damping,
+    load stiffness and the stiffness of its revolute children's turning
+    loads; its inbound wrench sums L over its subtree through E^T, so the
+    system rows are W_sys = S^T (I - E)^-T L = J^T L, plus the joints'
+    shaft and friction terms.
+    """
     ctx = eq.geometry
     tree = model.tree
     nq, k, mask = tree.nq, tree.k, tree.mask
     if nq == 0:
         raise AssemblyError("model has no degrees of freedom")
     nu_in = len(tree.input_names)
-    jac = _body_jacobians(ctx)
+    ops = _spatial_operators(ctx)
+    index, n = ops.index, len(ops.index)
 
-    # An interface wrench W = M nudot + C nu + K chi is carried as one LFT,
-    # its 6 x 3nq coefficients over the columns [M | C | K].  Each transport
-    # then multiplies every coefficient once, and each body's or joint's
-    # channels enter once.
-    joint_rows: dict[str, lft.LftMatrix] = {}
-    z3 = lft.zeros(3, nq)
-    z6 = lft.zeros(6, nq)
+    # [J | 0 | [Y; 0]], the columns that every body's D multiplies once
+    y6 = lft.constant(np.kron(np.eye(n), np.eye(6, 3))) @ ops.q.submatrix(
+        range(3 * n), range(nq, 2 * nq)
+    )
+    x = lft.hstack([ops.jac, lft.zeros(6 * n, nq), y6])
+    d = lft.blockdiag([ctx.geo[name].d for name in index])
 
-    def mck(mass=None, damping=None, stiffness=None) -> lft.LftMatrix:
-        """[M | C | K] from the given column blocks, zeros elsewhere."""
-        return lft.hstack(
-            [z6 if x is None else x for x in (mass, damping, stiffness)]
-        )
-
-    def visit(name: str) -> lft.LftMatrix:
+    # the rest of L: root damping, and stiffness from loads that turn with
+    # their body and from each revolute child's load turning with its joint
+    damping = [np.zeros((6, nq))] * n
+    stiff = [lft.zeros(6, nq)] * n
+    for name, i in index.items():
         rec = ctx.geo[name]
-        jhat, phi = jac[name]
-        if name == GROUND:
-            w = lft.zeros(6, 3 * nq)
-        else:
-            k_part = lft.vstack([sp.skew_lft(rec.abar) @ phi, z3])
-            w = rec.d @ lft.hstack([jhat, z6, k_part])
-            for fbar, tau_p in rec.loads:
-                load_k = lft.vstack([sp.skew_lft(fbar) @ phi, z3])
-                w = w - mck(stiffness=tau_p.T @ load_k)
-            if rec.body is model.root_body and model.root_damping is not None:
-                w = w + mck(damping=lft.constant(model.root_damping) @ jhat)
-        for c in tree.children.get(name, []):
-            cb = c.child_port[0]
-            cg = ctx.conn[cb]
-            s_w = _transport_to_joint(cg.tau_c, visit(cb))
-            if isinstance(c, RevoluteJoint):
-                e_q = np.zeros((1, nq))
-                e_q[0, k + tree.joint_index[c.name]] = 1.0
-                # joint torque-balance row
-                r_parent = c.axis_in_parent.reshape(1, 3)
-                omega_rows = jhat.submatrix([3, 4, 5], list(range(nq)))
-                shaft_m = lft.constant(c.shaft_inertia * e_q) + lft.constant(
-                    c.shaft_inertia * r_parent
-                ) @ omega_rows
-                row_w = lft.hstack(
-                    [shaft_m, lft.constant(c.friction * e_q), lft.zeros(1, nq)]
-                ) + lft.constant(c.r6.reshape(1, 6)) @ s_w
-                joint_rows[c.name] = lft.reduce_lft(row_w)
-                # the transported load turns with the joint angle
-                rskew = lft.constant(
-                    np.block(
-                        [
-                            [sp.skew(c.axis), np.zeros((3, 3))],
-                            [np.zeros((3, 3)), sp.skew(c.axis)],
-                        ]
-                    )
-                )
-                stiff = (rskew @ eq.joint_load[c.name]) @ lft.constant(e_q)
-                s_w = s_w + mck(stiffness=stiff)
-            w = w + cg.tau_q.T @ (cg.p2 @ s_w)
-        return lft.reduce_lft(w)
+        if rec.body is model.root_body and model.root_damping is not None:
+            damping[i] = model.root_damping @ _root_maps(ctx)[0]
+        phi = ops.q.submatrix(range(3 * i, 3 * i + 3), range(nq))
+        for fbar, tau_p in rec.loads:
+            load_k = lft.vstack([sp.skew_lft(fbar) @ phi, lft.zeros(3, nq)])
+            stiff[i] = stiff[i] - tau_p.T @ load_k
+    for c in tree.joints:
+        i = index.get(c.parent_port[0])
+        if i is None:  # the ground's wrench enters no row
+            continue
+        cg = ctx.conn[c.child_port[0]]
+        rskew = np.kron(np.eye(2), sp.skew(c.axis))
+        turned = (lft.constant(rskew) @ eq.joint_load[c.name]) @ lft.constant(
+            _joint_row(tree, c)
+        )
+        stiff[i] = stiff[i] + cg.tau_q.T @ (cg.p2 @ turned)
+    extra = lft.block(
+        [[np.zeros((6, nq)), damping[i], stiff[i]] for i in range(n)]
+    )
+    own = lft.reduce_lft(d @ x + extra)
 
-    root_w = visit(tree.root)
-
-    # system rows: masked root rows then joint rows in tree order, which is
-    # the column order of every body's Jacobian jhat
-    rows_w = []
-    if model.root.kind == "free":
-        rows_w.append(root_w.submatrix(list(mask), range(3 * nq)))
-    rows_w += [joint_rows[c.name] for c in tree.joints]
-    w_sys = lft.reduce_lft(lft.vstack(rows_w))
+    # shaft inertia (its own rate and its parent's angular acceleration
+    # about the axis) and friction on each joint's row
+    shaft_const = np.zeros((nq, 3 * nq))
+    shaft_sel = np.zeros((nq, 6 * n))
+    for c in tree.joints:
+        row = k + tree.joint_index[c.name]
+        shaft_const[row, row] = c.shaft_inertia
+        shaft_const[row, nq + row] = c.friction
+        j = index.get(c.parent_port[0])
+        if j is not None:
+            shaft_sel[row, 6 * j + 3 : 6 * j + 6] = c.shaft_inertia * c.axis_in_parent
+    shaft = lft.hstack(
+        [lft.constant(shaft_sel) @ ops.jac, lft.zeros(nq, 2 * nq)]
+    ) + lft.constant(shaft_const)
+    w_sys = lft.reduce_lft(ops.jac.T @ own + shaft)
 
     # B_hat by virtual work: a torque input acts on its joint's row, and a
     # wrench input at port p of body b through the velocity Jacobian of p,
-    # (tau(-p) jhat_b)^T; the input enters W with a minus sign
+    # (tau(-p) J_b)^T; the input enters W with a minus sign
     b_const = np.zeros((nq, nu_in))
-    b_sys = lft.zeros(nq, nu_in)
+    gains = [lft.zeros(6, nu_in)] * n
     for spec, col in tree.input_cols.items():
         if spec[0] == "torque":
             b_const[k + tree.joint_index[spec[1]], col] = -1.0
         else:
             sel = np.zeros((6, nu_in))
             sel[:, col : col + 6] = np.eye(6)
-            body = ctx.geo[spec[1]].body
-            gain = sp.tau_lft(-body.port_position_lft(spec[2])).T
-            b_sys = b_sys - jac[spec[1]][0].T @ (gain @ lft.constant(sel))
-    b_sys = lft.reduce_lft(b_sys + lft.constant(b_const))
-    rows = range(w_sys.rows)
+            i = index[spec[1]]
+            gain = sp.tau_lft(-ctx.geo[spec[1]].body.port_position_lft(spec[2])).T
+            gains[i] = gains[i] + gain @ lft.constant(sel)
+    b_sys = lft.reduce_lft(lft.constant(b_const) - ops.jac.T @ lft.vstack(gains))
+    rows = range(nq)
     m_sys = lft.reduce_lft(w_sys.submatrix(rows, range(nq)))
     ck_sys = lft.reduce_lft(w_sys.submatrix(rows, range(nq, 3 * nq)))
     if np.linalg.cond(m_sys.nominal) > 1e13:

@@ -335,7 +335,8 @@ def _load_points(path: str) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (UnicodeDecodeError, IsADirectoryError) as e:
+    # ValueError: not UTF-8, not JSON, or an integer past Python's digit limit
+    except (ValueError, IsADirectoryError) as e:
         raise ModelFileError(f"{path}: not a JSON point file ({e})") from None
     if isinstance(data, dict):
         data = [data]
@@ -352,9 +353,11 @@ def cmd_sample(args) -> int:
     path = args.export
     try:  # a file that is not a version-1 export is a schema error
         with open(path, "r", encoding="utf-8") as fh:
-            mats, nominal, names, strict = read_export(json.load(fh))
-    except (UnicodeDecodeError, IsADirectoryError) as e:
+            export = json.load(fh)
+    except (ValueError, IsADirectoryError) as e:
         raise ModelFileError(f"{path}: not a linear-model export ({e})") from None
+    try:
+        mats, nominal, names, strict = read_export(export)
     except ExportError as e:
         raise ModelFileError(f"{path}: {e}") from None
 
@@ -503,7 +506,6 @@ def main(argv=None) -> int:
         IsADirectoryError,
         NotADirectoryError,
         PermissionError,
-        json.JSONDecodeError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

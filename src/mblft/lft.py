@@ -698,7 +698,19 @@ class LftMatrix:
         """Inverse of a square LFT matrix (requires invertible A block)."""
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
-        n, d = self.rows, self.ndelta
+        n = self.rows
+        if not np.triu(self.a, 1).any() and (np.diag(self.a) == 1.0).all():
+            # unit lower triangular, as a tree's I - E in tree order: the
+            # Neumann series of the strict part ends after at most n terms,
+            # and it keeps the exact zeros that a pivoted solve would fill
+            # with round-off
+            strict = np.tril(self.a, -1)
+            x = term = np.hstack([np.eye(n), self.b])
+            while term.any():
+                term = -strict @ term
+                x = x + term
+            ainv, ainv_b = np.split(x, [n], axis=1)
+            return self._inverse(ainv, ainv_b, self.c @ ainv)
         # A^-1 B and C A^-1 come from solves: multiplying by an explicit
         # A^-1 loses accuracy in proportion to cond(A) wherever the LFT is
         # evaluated away from delta = 0.
@@ -711,6 +723,11 @@ class LftMatrix:
             raise WellPosednessError(
                 "nominal coefficient block singular; LFT inverse undefined"
             ) from exc
+        return self._inverse(ainv, ainv_b, c_ainv)
+
+    def _inverse(self, ainv, ainv_b, c_ainv) -> "LftMatrix":
+        """The inverse from A^-1, A^-1 B and C A^-1, checked well-posed."""
+        n, d = self.rows, self.ndelta
         m = np.zeros((n + d, n + d))
         m[:n, :n] = ainv
         m[:n, n:] = -ainv_b

@@ -216,20 +216,19 @@ def test_criterion_5_trim_residual_and_torque_balance():
                 ),
             )
 
-        eq = lm.equilibrium
-        for conn in model.connections:
-            if not isinstance(conn, RevoluteJoint):
-                continue
-            cm = float(eq.torque[conn.name].nominal[0, 0])
-            # W_A/J = -S_c: the child side's wrench on the joint
-            load = -eq.joint_load[conn.name].nominal.ravel()
-            worst_bal = max(worst_bal, abs(cm + float(conn.r6 @ load)))
+        # with every input at 0, a joint's residual row is the torque
+        # that must drive it to hold the equilibrium
+        r0 = ev.residual(np.zeros(2 * ev.nq), np.zeros(ev.nu_in), np.zeros(ev.nq))
+        tree = model.tree
+        for name, info in lm.equilibrium.report()["joints"].items():
+            row = tree.k + tree.joint_index[name]
+            worst_bal = max(worst_bal, abs(info["torque"] - float(r0[row])))
     ok = worst_nom <= 1e-9 and worst_rand <= 1e-8 and worst_bal <= 1e-10
     _report(
         5,
         "all shipped models: nonlinear residual <= 1e-9 at nominal and "
-        "<= 1e-8 at 20 random points; equilibrium torques cancel the "
-        "axial load moment to 1e-10",
+        "<= 1e-8 at 20 random points; equilibrium torques equal the "
+        "oracle's zero-input joint residual to 1e-10",
         ok,
         f"nominal {worst_nom:.2e}, random {worst_rand:.2e}, "
         f"balance {worst_bal:.2e}",

@@ -26,6 +26,7 @@ from mblft.bodies import DynamicsRole, RigidBody
 from mblft.joints import RevoluteJoint
 from mblft.modelfile import load_model
 
+from _chain import write_chain
 from _frozen import freeze_model
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -162,10 +163,10 @@ def test_arm_equilibrium_torques(arm_lm):
     -(m2 rho2 + m3 L2) g.  The shoulder sees the same lever arms (link1 is
     vertical, so it adds no moment).
     """
-    eq = arm_lm.equilibrium
+    joints = arm_lm.equilibrium.report()["joints"]
     expected = -(2.0 * 0.5 + 5.0 * 1.0) * G
-    assert abs(eq.torque_nominal("elbow") - expected) <= 1e-9
-    assert abs(eq.torque_nominal("shoulder") - expected) <= 1e-9
+    assert abs(joints["elbow"]["torque"] - expected) <= 1e-9
+    assert abs(joints["shoulder"]["torque"] - expected) <= 1e-9
 
 
 def test_arm_root_reaction_supports_total_weight(arm_lm):
@@ -408,12 +409,21 @@ def test_shipped_delta_structure(name):
         assert not grown, (tag, grown)
 
 
+def test_chain_delta_size(tmp_path):
+    """Each joint's and link's channels enter the 8-link chain's A and B
+    about once per operator (spatial operators in step 3): A within 2x of
+    its per-parameter lower bound of 134 channels, and B at most 50."""
+    lm = assemble(load_model(write_chain(tmp_path, 8)))
+    assert lm.a.ndelta <= 268
+    assert lm.b.ndelta <= 50
+
+
 @pytest.mark.parametrize(
     "name", ["pendulum.yaml", "two_link_arm.yaml", "balloon_planar.yaml"]
 )
 def test_constant_transport_of_a_child_wrench_needs_no_reduction(name, monkeypatch):
-    """Steps 2 and 3 move each child's reduced wrench to its joint point
-    with tau_c^T and reduce the product only when tau_c carries Delta
+    """Step 2 moves each child's reduced wrench to its joint point with
+    tau_c^T and reduces the product only when tau_c carries Delta
     channels.  For every constant tau_c of a shipped model, a reduction
     of that product would return it unchanged, bit for bit."""
     model = load_model(MODELS / name)
@@ -428,10 +438,8 @@ def test_constant_transport_of_a_child_wrench_needs_no_reduction(name, monkeypat
     monkeypatch.setattr(assembly, "_transport_to_joint", recording)
     assemble(model)
     monkeypatch.undo()
-    nq = model.tree.nq
-    # one call per connection in step 2 (6 x 1) and in step 3 (6 x 3nq)
-    widths = sorted(child.cols for _, child, _ in calls)
-    assert widths == [1] * len(model.connections) + [3 * nq] * len(model.connections)
+    # one call per connection, all in step 2 (6 x 1)
+    assert [child.shape for _, child, _ in calls] == [(6, 1)] * len(model.connections)
     assert any(not tau_c.ndelta for tau_c, _, _ in calls)
     for tau_c, child, out in calls:
         if tau_c.ndelta:

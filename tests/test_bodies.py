@@ -11,7 +11,7 @@ from mblft import spatial as sp
 from mblft.assembly import (
     MultibodyModel,
     RootSpec,
-    _body_jacobians,
+    _spatial_operators,
     assemble,
     sample_model,
     step1_geometry,
@@ -272,9 +272,9 @@ def test_equilibrium_wrench_is_d_times_a6():
 
 def test_acceleration_terms_derivative_against_fd():
     """Step 1's frame acceleration abar = P^T a of a body and its pose
-    derivative skew(abar) phi, with phi from step 3's Jacobian pass, over
-    the root Euler angles and the joint angle, against central differences
-    of abar."""
+    derivative skew(abar) phi, with phi from step 3's spatial operators,
+    over the root Euler angles and the joint angle, against central
+    differences of abar; the operators' own Y = skew(abar) phi equals it."""
     root, child = _body(role=DynamicsRole.FORWARD), _child()
     a_ref = (0.0, 0.0, 9.81)
     euler = np.array([0.35, -0.2, 0.6])
@@ -294,9 +294,12 @@ def test_acceleration_terms_derivative_against_fd():
     p = rec.dcm.evaluate({})
     np.testing.assert_allclose(a0, p.T @ np.array(a_ref), atol=1e-12)
     # pose columns: root position (no effect), root Euler angles, joint angle
-    _, phi = _body_jacobians(ctx)["c"]
-    da = sp.skew(a0) @ phi.evaluate({})
+    ops = _spatial_operators(ctx)
+    i = ops.index["c"]
+    phi_y = ops.q.evaluate({})[3 * i : 3 * i + 3]
+    da = sp.skew(a0) @ phi_y[:, :7]
     assert da.shape == (3, 7)
+    np.testing.assert_allclose(phi_y[:, 7:], da, atol=1e-12)
     np.testing.assert_allclose(da[:, :3], 0.0, atol=1e-14)
     h = 1e-7
     for col in range(3, 7):

@@ -270,6 +270,27 @@ def test_inverse_commutes_with_evaluation(seed):
     )
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1))
+def test_unit_lower_triangular_inverse_keeps_exact_zeros(seed):
+    """A unit lower-triangular nominal block, as a tree's I - E in tree
+    order, is inverted by its finite Neumann series: the values are the
+    inverse's, and the identity rows of a root stay exactly so, with no
+    coupling to any channel."""
+    rng = np.random.default_rng(seed)
+    params = _params(2)
+    z, i2 = np.zeros((2, 2)), np.eye(2)
+    low = [_random_lft(rng, 2, 2, params, occ=1) for _ in range(3)]
+    g = lft.block([[i2, z, z], [low[0], i2, z], [low[1], low[2], i2]])
+    inv = g.inv()
+    pt = _point(params, rng)
+    np.testing.assert_allclose(
+        inv.evaluate(pt), np.linalg.inv(g.evaluate(pt)), atol=1e-10
+    )
+    assert np.array_equal(inv.a[:2], np.hstack([i2, z, z]))
+    assert not inv.b[:2].any()
+
+
 def _random_block(rng, rows, cols, params):
     """A constant array, a constant LFT, or a sparse or dense parameter LFT."""
     kind = rng.integers(0, 4)

@@ -759,6 +759,32 @@ def test_cli_sample_point_file_not_utf8(tmp_path, capsys):
     assert "not a JSON point file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["point file", "export"])
+def test_cli_sample_integer_past_the_digit_limit(tmp_path, capsys, target):
+    """A JSON integer of 5,000 digits, past Python's integer conversion
+    limit, in a point file or an export exits 2 with a message naming the
+    file, not in a traceback."""
+    export = tmp_path / "pend.json"
+    assert cli.main(["linearize", str(MODELS / "pendulum.yaml"), "-o", str(export)]) == 0
+    ptfile = tmp_path / "pts.json"
+    ptfile.write_text("{}")
+    huge = "1" * 5000
+    if target == "export":
+        bad = export
+        bad.write_text(export.read_text().replace('"version": 1', f'"version": {huge}', 1))
+        assert huge in bad.read_text()
+    else:
+        bad = ptfile
+        bad.write_text(f'[{{"x": {huge}}}]')
+    capsys.readouterr()
+    rc = cli.main(
+        ["sample", str(export), "--point-file", str(ptfile), "-o", str(tmp_path / "out")]
+    )
+    assert rc == cli.EXIT_SCHEMA
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not a ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sample_output_that_is_a_file(tmp_path, capsys):
     """``sample -o FILE``, where FILE is an existing regular file, exits 2
     with a message naming FILE and writes no file."""
@@ -941,7 +967,7 @@ def test_cli_equilibrium_builds_no_jacobian(name, capsys, monkeypatch):
     def jacobians_not_allowed(*args, **kwargs):
         raise AssertionError("equilibrium must not build the body Jacobians")
 
-    monkeypatch.setattr(assembly, "_body_jacobians", jacobians_not_allowed)
+    monkeypatch.setattr(assembly, "_spatial_operators", jacobians_not_allowed)
     assert cli.main(["equilibrium", str(MODELS / name)]) == 0
     assert capsys.readouterr().out.startswith(f"model: {name.split('.')[0]}\n")
     with pytest.raises(AssertionError, match="must not build"):

@@ -19,6 +19,7 @@ from mblft.modelfile import load_model
 from mblft.oracle import FdConfig, NonlinearEvaluator, fd_linearize
 from mblft.spatial import GimbalLockError, rot_z
 
+from _chain import write_chain
 from _frozen import freeze_model
 
 MODELS = pathlib.Path(__file__).resolve().parents[1] / "models"
@@ -651,6 +652,35 @@ def test_arm_lft_matches_oracle_over_its_box():
     assert len(box) == 7 and len(points) == 17
     assert worst <= 1e-6
     assert elapsed <= 2.0, f"{elapsed:.2f} s"
+
+
+def test_chain_lft_matches_oracle_over_its_box(tmp_path):
+    """The 4-link chain's assembled A and B equal the oracle's
+    finite-difference linearization to 1e-6 at the nominal point, 8
+    interior points and 8 vertices of its 8-parameter box."""
+    from mblft.assembly import assemble, sample_model
+
+    model = load_model(write_chain(tmp_path, 4))
+    lm = assemble(model)
+    rng = np.random.default_rng(2028)
+    box = lm.parameters
+    corners = rng.choice(2 ** len(box), size=8, replace=False)
+    points = [{}]
+    points += [{n: float(rng.uniform(p.lower, p.upper)) for n, p in box.items()}
+               for _ in range(8)]
+    points += [
+        {n: float(p.upper if (c >> i) & 1 else p.lower)
+         for i, (n, p) in enumerate(box.items())}
+        for c in corners
+    ]
+    worst = 0.0
+    for pt in points:
+        a, b, _, _ = sample_model(lm, pt)
+        a_fd, b_fd = fd_linearize(NonlinearEvaluator(model, pt), FdConfig())
+        worst = max(worst, np.linalg.norm(a - a_fd) / np.linalg.norm(a_fd),
+                    np.linalg.norm(b - b_fd) / np.linalg.norm(b_fd))
+    assert len(box) == 8 and len(points) == 17
+    assert worst <= 1e-6
 
 
 BALLOON_WRENCH_INPUTS = """
