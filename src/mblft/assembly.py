@@ -25,7 +25,8 @@ has -(tau(-p) J_b)^T in its columns. They are realized as
 
     A = [[-M^-1 [C K]], [G, 0]],   B = [[-M^-1 B_hat], [0]],
 
-where G holds the (constant) equilibrium kinematics diag(I, Gamma^-1).
+where G holds the (constant) equilibrium kinematics diag(I, Gamma^-1),
+and M^-1 [C K] and M^-1 B_hat are left divisions of [M | C | K] and [M | B_hat].
 """
 
 from __future__ import annotations
@@ -727,8 +728,8 @@ def _spatial_operators(ctx: GeometryContext) -> _Operators:
     and [axis e_nu | -skew(axis) abar_c e_nu].  Their block rows are the
     root-to-leaf recursions J_c = tau_c (P2^T tau_q J_p + r6 e_nu) and,
     since skew(P^T a) = P^T skew(a) P, Y_c = P^T Y_p - skew(axis) abar_c
-    e_nu.  An LFT's inverse keeps its channels, so each connection's
-    channels enter each operator once.
+    e_nu.  A left division of [I - E | S] or [I - R | Z] keeps its channels,
+    so each connection's channels enter each operator once.
     """
     tree = ctx.model.tree
     nq = tree.nq
@@ -760,8 +761,8 @@ def _spatial_operators(ctx: GeometryContext) -> _Operators:
             z_rows[i] = lft.hstack(
                 [c.axis.reshape(3, 1) @ e_nu, y_seed @ lft.constant(e_nu)]
             )
-    jac = lft.block(e_grid).inv() @ lft.vstack(s_rows)
-    q = lft.block(r_grid).inv() @ lft.vstack(z_rows)
+    jac = lft.hstack([lft.block(e_grid), lft.vstack(s_rows)]).left_divide()
+    q = lft.hstack([lft.block(r_grid), lft.vstack(z_rows)]).left_divide()
     return _Operators(index, lft.reduce_lft(jac), lft.reduce_lft(q))
 
 
@@ -873,12 +874,9 @@ def step3_linearize(
             gain = sp.tau_lft(-ctx.geo[spec[1]].body.port_position_lft(spec[2])).T
             gains[i] = gains[i] + gain @ lft.constant(sel)
     b_sys = lft.reduce_lft(lft.constant(b_const) - ops.jac.T @ lft.vstack(gains))
-    rows = range(nq)
-    m_sys = lft.reduce_lft(w_sys.submatrix(rows, range(nq)))
-    ck_sys = lft.reduce_lft(w_sys.submatrix(rows, range(nq, 3 * nq)))
+    m_sys = lft.reduce_lft(w_sys.submatrix(range(nq), range(nq)))
     if np.linalg.cond(m_sys.nominal) > 1e13:
         raise AssemblyError("singular generalized mass matrix")
-    minv = m_sys.inv()
 
     # kinematics chi_dot = G nu
     g = np.zeros((nq, nq))
@@ -892,10 +890,11 @@ def step3_linearize(
         g[:k, :k] = full[np.ix_(list(mask), list(mask))]
     g[k:, k:] = np.eye(nq - k)
 
-    a = lft.block([[-(minv @ ck_sys)], [lft.constant(g), lft.zeros(nq, nq)]])
-    b = lft.vstack([-(minv @ b_sys), lft.zeros(nq, nu_in)])
-    a = a.sorted_by_kind()
-    b = b.sorted_by_kind()
+    # B divides by the reduced M alone: [W_sys | B_hat] would bring A's
+    # channels into B, for B's reduction to remove again nearer its tolerance
+    a = lft.block([[-w_sys.left_divide()], [lft.constant(g), lft.zeros(nq, nq)]])
+    b = lft.vstack([-lft.hstack([m_sys, b_sys]).left_divide(), lft.zeros(nq, nu_in)])
+    a, b = a.sorted_by_kind(), b.sorted_by_kind()
     if reduce:
         a = lft.reduce_lft(a)
         b = lft.reduce_lft(b)

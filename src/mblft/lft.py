@@ -300,10 +300,6 @@ def as_expr(x: Scalar) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _nominal_deltas(delta: tuple[Param, ...]) -> np.ndarray:
-    return np.array([p.normalize(p.nominal) for p in delta])
-
-
 def _solve_with_cond(
     dm: np.ndarray, rhs: np.ndarray, deltas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -581,9 +577,8 @@ class LftMatrix:
         if self.ndelta == 0:
             return
         plan = self._eval_plan()
-        _, cond = _solve_with_cond(
-            plan.dm, plan.rhs, _nominal_deltas(self.delta)[None, :]
-        )
+        nominal = np.array([[p.normalize(p.nominal) for p in self.delta]])
+        _, cond = _solve_with_cond(plan.dm, plan.rhs, nominal)
         if not cond[0] <= _COND_LIMIT:
             raise WellPosednessError(
                 "LFT is ill-posed at the nominal parameter point "
@@ -694,48 +689,53 @@ class LftMatrix:
         m[c:, r:] = self.d.T
         return LftMatrix(m, c, r, self.delta)
 
-    def inv(self) -> "LftMatrix":
-        """Inverse of a square LFT matrix (requires invertible A block)."""
-        if self.rows != self.cols:
-            raise ValueError("inverse requires a square matrix")
-        n = self.rows
-        if not np.triu(self.a, 1).any() and (np.diag(self.a) == 1.0).all():
+    def left_divide(self) -> "LftMatrix":
+        """M^-1 N for this LFT read as [M | N], M its first ``rows`` columns,
+        on the same Delta channels and checked well-posed at the nominal
+        point.  With A = [A1 A2] and C = [C1 C2] split alike, M X = N gives
+
+            X = A1^-1 A2 + B' Delta (I - D' Delta)^-1 C',
+            B' = -A1^-1 B,  C' = C1 A1^-1 A2 - C2,  D' = D - C1 A1^-1 B.
+        """
+        n, w = self.rows, self.cols - self.rows
+        if w < 0:
+            raise ValueError("left division requires at least as many columns as rows")
+        a1, a2 = np.split(self.a, [n], axis=1)
+        c1, c2 = np.split(self.c, [n], axis=1)
+        x = np.hstack([a2, self.b])
+        if not np.triu(a1, 1).any() and (np.diag(a1) == 1.0).all():
             # unit lower triangular, as a tree's I - E in tree order: the
             # Neumann series of the strict part ends after at most n terms,
             # and it keeps the exact zeros that a pivoted solve would fill
             # with round-off
-            strict = np.tril(self.a, -1)
-            x = term = np.hstack([np.eye(n), self.b])
+            strict = np.tril(a1, -1)
+            term = x
             while term.any():
                 term = -strict @ term
                 x = x + term
-            ainv, ainv_b = np.split(x, [n], axis=1)
-            return self._inverse(ainv, ainv_b, self.c @ ainv)
-        # A^-1 B and C A^-1 come from solves: multiplying by an explicit
-        # A^-1 loses accuracy in proportion to cond(A) wherever the LFT is
-        # evaluated away from delta = 0.
-        try:
-            ainv, ainv_b = np.split(
-                np.linalg.solve(self.a, np.hstack([np.eye(n), self.b])), [n], axis=1
-            )
-            c_ainv = np.linalg.solve(self.a.T, self.c.T).T
-        except np.linalg.LinAlgError as exc:
-            raise WellPosednessError(
-                "nominal coefficient block singular; LFT inverse undefined"
-            ) from exc
-        return self._inverse(ainv, ainv_b, c_ainv)
-
-    def _inverse(self, ainv, ainv_b, c_ainv) -> "LftMatrix":
-        """The inverse from A^-1, A^-1 B and C A^-1, checked well-posed."""
-        n, d = self.rows, self.ndelta
-        m = np.zeros((n + d, n + d))
-        m[:n, :n] = ainv
-        m[:n, n:] = -ainv_b
-        m[n:, :n] = c_ainv
-        m[n:, n:] = self.d - self.c @ ainv_b
-        out = LftMatrix(m, n, n, self.delta)
+            x_a, x_b = np.split(x, [w], axis=1)
+            c_x_a = c1 @ x_a
+        else:
+            # A1^-1 [A2 B] and C1 A1^-1 come from solves: multiplying by an
+            # explicit A1^-1 loses accuracy in proportion to cond(A1)
+            # wherever the LFT is evaluated away from delta = 0
+            try:
+                x_a, x_b = np.split(np.linalg.solve(a1, x), [w], axis=1)
+                c_x_a = np.linalg.solve(a1.T, c1.T).T @ a2
+            except np.linalg.LinAlgError as exc:
+                raise WellPosednessError(
+                    "nominal coefficient block singular; LFT inverse undefined"
+                ) from exc
+        m = np.block([[x_a, -x_b], [c_x_a - c2, self.d - c1 @ x_b]])
+        out = LftMatrix(m, n, w, self.delta)
         out.check_wellposed()
         return out
+
+    def inv(self) -> "LftMatrix":
+        """Inverse of a square LFT matrix G: the left division of [G | I]."""
+        if self.rows != self.cols:
+            raise ValueError("inverse requires a square matrix")
+        return hstack([self, eye(self.rows)]).left_divide()
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "LftMatrix":
         rows = list(rows)

@@ -409,6 +409,15 @@ def test_shipped_delta_structure(name):
         assert not grown, (tag, grown)
 
 
+@pytest.mark.parametrize("name", sorted(_DELTA_CEILING))
+def test_unreduced_a_has_the_reduced_counts(name):
+    """Step 3 forms -M^-1 [C K] as one left division of the reduced W_sys,
+    on W_sys's own channels, so A needs no reduction to reach its counts."""
+    model = load_model(MODELS / name)
+    raw = assemble(model, reduce=False).a
+    assert dict(raw.delta_structure) == dict(assemble(model).a.delta_structure)
+
+
 def test_chain_delta_size(tmp_path):
     """Each joint's and link's channels enter the 8-link chain's A and B
     about once per operator (spatial operators in step 3): A within 2x of

@@ -273,22 +273,90 @@ def test_inverse_commutes_with_evaluation(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1))
 def test_unit_lower_triangular_inverse_keeps_exact_zeros(seed):
-    """A unit lower-triangular nominal block, as a tree's I - E in tree
-    order, is inverted by its finite Neumann series: the values are the
-    inverse's, and the identity rows of a root stay exactly so, with no
-    coupling to any channel."""
+    """The left division of [I - E | S] with a unit lower-triangular nominal
+    block, as a tree's I - E in tree order, takes the finite Neumann
+    series: the values are the solve's, and a root's rows stay exactly its
+    rows of S, with no coupling to any channel."""
     rng = np.random.default_rng(seed)
     params = _params(2)
     z, i2 = np.zeros((2, 2)), np.eye(2)
     low = [_random_lft(rng, 2, 2, params, occ=1) for _ in range(3)]
     g = lft.block([[i2, z, z], [low[0], i2, z], [low[1], low[2], i2]])
-    inv = g.inv()
+    s = rng.standard_normal((6, 3))
+    x = lft.hstack([g, s]).left_divide()
     pt = _point(params, rng)
     np.testing.assert_allclose(
-        inv.evaluate(pt), np.linalg.inv(g.evaluate(pt)), atol=1e-10
+        x.evaluate(pt), np.linalg.solve(g.evaluate(pt), s), atol=1e-10
     )
-    assert np.array_equal(inv.a[:2], np.hstack([i2, z, z]))
-    assert not inv.b[:2].any()
+    assert np.array_equal(x.a[:2], s[:2])
+    assert not x.b[:2].any()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 4), st.integers(0, 3))
+def test_left_division_solves_on_the_inputs_channels(seed, n, w):
+    """[M | N].left_divide() evaluates to M(p)^-1 N(p) at points of the box,
+    on exactly the Delta channels of [M | N]."""
+    rng = np.random.default_rng(seed)
+    params = _params(2)
+    g = _dense_lft(rng, n, n + w, params, occ=int(rng.integers(1, 3)))
+    m = g.m.copy()
+    m[:n, :n] += 8.0 * np.eye(n)  # M(p) stays far from singular on the box
+    g = lft.LftMatrix(m, n, n + w, g.delta)
+    x = g.left_divide()
+    assert x.shape == (n, w) and x.delta == g.delta
+    for _ in range(3):
+        pt = _point(params, rng)
+        v = g.evaluate(pt)
+        np.testing.assert_allclose(
+            x.evaluate(pt), np.linalg.solve(v[:, :n], v[:, n:]), atol=1e-10
+        )
+
+
+def _reference_inv(g):
+    """A frozen copy of ``LftMatrix.inv`` as it was before it became the
+    left division of [G | I]: the Neumann series for a unit lower-triangular
+    nominal block, solves otherwise, then the inverse's four blocks."""
+    n, d = g.rows, g.ndelta
+    if not np.triu(g.a, 1).any() and (np.diag(g.a) == 1.0).all():
+        strict = np.tril(g.a, -1)
+        x = term = np.hstack([np.eye(n), g.b])
+        while term.any():
+            term = -strict @ term
+            x = x + term
+        ainv, ainv_b = np.split(x, [n], axis=1)
+        c_ainv = g.c @ ainv
+    else:
+        ainv, ainv_b = np.split(
+            np.linalg.solve(g.a, np.hstack([np.eye(n), g.b])), [n], axis=1
+        )
+        c_ainv = np.linalg.solve(g.a.T, g.c.T).T
+    m = np.zeros((n + d, n + d))
+    m[:n, :n] = ainv
+    m[:n, n:] = -ainv_b
+    m[n:, :n] = c_ainv
+    m[n:, n:] = g.d - g.c @ ainv_b
+    return lft.LftMatrix(m, n, n, g.delta)
+
+
+@pytest.mark.parametrize("unit_lower", [False, True])
+def test_inverse_matches_the_frozen_inverse_bit_for_bit(unit_lower):
+    """``inv`` as the left division of [G | I] returns the frozen inverse's
+    coefficients byte for byte, in both branches."""
+    params = _params(2)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6))
+        g = _dense_lft(rng, n, n, params, occ=int(rng.integers(1, 3)))
+        m = g.m.copy()
+        if unit_lower:
+            m[:n, :n] = np.tril(m[:n, :n], -1) + np.eye(n)
+        else:
+            m[:n, :n] += 4.0 * np.eye(n)
+        g = lft.LftMatrix(m, n, n, g.delta)
+        got, want = g.inv(), _reference_inv(g)
+        assert got.delta == want.delta
+        assert got.m.tobytes() == want.m.tobytes(), seed
 
 
 def _random_block(rng, rows, cols, params):
@@ -792,6 +860,12 @@ def test_wellposedness_error_at_singular_nominal():
 
 
 def test_inverse_rejects_singular_nominal():
+    """A singular nominal M fails the left division of [M | N] as it fails
+    ``inv``, with a ``WellPosednessError`` (exit code 3)."""
     p = lft.Param("k", 1.0, 0.0, 2.0, "uncertain")
-    with pytest.raises(lft.WellPosednessError):
-        (lft.eye(1) - lft.from_param(p)).inv()
+    g = lft.eye(1) - lft.from_param(p)
+    for divide in (g.inv, lft.hstack([g, lft.constant([[2.0, 3.0]])]).left_divide):
+        with pytest.raises(
+            lft.WellPosednessError, match="nominal coefficient block singular"
+        ):
+            divide()
