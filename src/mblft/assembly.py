@@ -339,7 +339,7 @@ class _BodyGeo:
 class _ConnGeo:
     """LFTs of one connection, shared by steps 1-3."""
 
-    p_ab: lft.LftMatrix  # P_a/b, reduced: child frame -> parent frame
+    p_ab: lft.LftMatrix  # P_a/b: child frame -> parent frame
     p2: lft.LftMatrix  # p2_lft(P_a/b): child-frame 6-vectors -> parent frame
     tau_c: lft.LftMatrix  # tau_lft(cpos): joint point -> child reference port
     tau_q: lft.LftMatrix  # tau_lft(-qpos): parent reference port -> joint point
@@ -378,7 +378,14 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
     and the per-body and per-connection LFTs that steps 2 and 3 share.  The
     body Jacobians are left to step 3, so that ``mblft equilibrium`` does
     not pay for them, and body positions to the report, which needs them
-    at nominal only."""
+    at nominal only.
+
+    Nothing here is reduced.  A DCM or frame acceleration down the tree
+    takes each joint's angle channels once, through that joint's own
+    rotation, and a reduction of them removed no channel on the shipped
+    models or on generated chains.  Wherever one could, steps 2 and 3
+    reduce every LFT that carries these channels into A and B; the report
+    reads the DCMs at nominal only."""
     forces = _resolved_forces(model)
     tree = model.tree
     euler0 = np.asarray(model.root.euler, dtype=float)
@@ -414,12 +421,11 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
             p_ab = revolute_dcm_lft(c)
         else:
             p_ab = lft.constant(c.fixed_dcm)
-        p_ab = lft.reduce_lft(p_ab)
         conn[cb] = _ConnGeo(
             p_ab, sp.p2_lft(p_ab), sp.tau_lft(cpos), sp.tau_lft(-qpos)
         )
-        dcm = lft.reduce_lft(parent.dcm @ p_ab)
-        abar = lft.reduce_lft(p_ab.T @ parent.abar)
+        dcm = parent.dcm @ p_ab
+        abar = p_ab.T @ parent.abar
         geo[cb] = _BodyGeo(body, dcm, abar, *_body_terms(body, dcm, forces))
 
     return GeometryContext(model=model, geo=geo, conn=conn, gamma0=gamma0)
@@ -454,9 +460,12 @@ class EquilibriumSolution:
 
     def report(self) -> dict:
         """The equilibrium at the nominal point only, so no value here has
-        an LFT of its own: each body's reference-port position follows from
-        the nominal DCMs and port positions, and each joint's torque (the
-        driving C_m that holds it) is r6 . (nominal joint load)."""
+        an LFT of its own.  Every DCM, joint load and the root reaction are
+        read from one evaluation of their block diagonal, with one
+        evaluation plan and one gated solve.  Each body's reference-port
+        position follows from the nominal DCMs and port positions, and each
+        joint's torque (the driving C_m that holds it) is r6 . (nominal
+        joint load)."""
         model, g = self.model, self.geometry
         nominal = {name: p.nominal for name, p in model.parameters().items()}
 
@@ -464,7 +473,14 @@ class EquilibriumSolution:
             entries = model.body(body).port_position(name)
             return np.array([lft.as_expr(v).value(nominal) for v in entries])
 
-        dcm = {name: rec.dcm.nominal for name, rec in g.geo.items()}
+        blocks = [rec.dcm for rec in g.geo.values()]
+        blocks += [*self.joint_load.values(), self.root_reaction]
+        value = lft.blockdiag(blocks).evaluate(nominal)
+        parts, row, col = [], 0, 0
+        for b in blocks:
+            parts.append(value[row : row + b.rows, col : col + b.cols])
+            row, col = row + b.rows, col + b.cols
+        dcm = dict(zip(g.geo, parts))
         pos = {model.tree.root: np.asarray(model.root.position, dtype=float)}
         for c in model.tree.order:
             (pb, pp), (cb, cp) = c.parent_port, c.child_port
@@ -479,14 +495,14 @@ class EquilibriumSolution:
             if name != GROUND
         }
         joints = {}
-        for name, s_c in self.joint_load.items():
-            load = s_c.nominal.ravel()
+        for name, load in zip(self.joint_load, parts[len(g.geo) : -1]):
+            load = load.ravel()
             r6 = model.tree.joints[model.tree.joint_index[name]].r6
             joints[name] = {"torque": float(r6 @ load), "load": list(load)}
         return {
             "bodies": bodies,
             "joints": joints,
-            "root_reaction": list(self.root_reaction.nominal.ravel()),
+            "root_reaction": list(parts[-1].ravel()),
         }
 
 
@@ -519,7 +535,11 @@ def _transport_to_joint(tau_c: lft.LftMatrix, child: lft.LftMatrix) -> lft.LftMa
 
 
 def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSolution:
-    """Leaf-to-root pass: equilibrium interface wrenches and joint torques."""
+    """Leaf-to-root pass: equilibrium interface wrenches and joint torques.
+
+    Each body's inbound wrench is reduced before its parent uses it.  The
+    root's is not: only its nominal value is read, by the report and the
+    free-root trim check, and no later step carries its channels."""
     inbound: dict[str, lft.LftMatrix] = {}
     joint_load: dict[str, lft.LftMatrix] = {}
     tree = model.tree
@@ -540,7 +560,8 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
             if isinstance(c, RevoluteJoint):
                 joint_load[c.name] = s_c
             ibar = ibar + cg.tau_q.T @ (cg.p2 @ s_c)
-        ibar = lft.reduce_lft(ibar)
+        if name != tree.root:
+            ibar = lft.reduce_lft(ibar)
         if name != GROUND:
             inbound[name] = ibar
         return ibar

@@ -781,7 +781,7 @@ class LftMatrix:
         return {
             "rows": self.rows,
             "cols": self.cols,
-            "coefficients": [[float(v) for v in row] for row in self.m],
+            "coefficients": self.m.tolist(),
             "delta_structure": [
                 {"param": n, "repetitions": k} for n, k in self.delta_structure
             ],
@@ -902,15 +902,45 @@ def _as_lft(x) -> LftMatrix:
     return x if isinstance(x, LftMatrix) else constant(x)
 
 
+class _Array(NamedTuple):
+    """A constant array in a block grid, with the members of an LftMatrix
+    that ``block`` and ``blockdiag`` read, so that no LFT is built for it."""
+
+    m: np.ndarray
+    rows: int
+    cols: int
+    delta: tuple = ()
+
+
+def _block_part(x) -> "LftMatrix | _Array":
+    """An LFT as it is; anything else as ``constant`` reads it."""
+    if isinstance(x, LftMatrix):
+        return x
+    arr = np.atleast_2d(np.asarray(x, dtype=float))
+    return _Array(arr, *arr.shape)
+
+
+def _place(m: np.ndarray, r: int, c: int, ro: int, co: int, do: int, b) -> None:
+    """Copy block b's A, B, C and D into the coefficient matrix ``m`` of an
+    r x c LFT, its A at (ro, co) and its channels from ``do`` on."""
+    h, w, n, bm = b.rows, b.cols, len(b.delta), b.m
+    m[ro : ro + h, co : co + w] = bm[:h, :w]
+    if n:
+        m[ro : ro + h, c + do : c + do + n] = bm[:h, w:]
+        m[r + do : r + do + n, co : co + w] = bm[h:, :w]
+        m[r + do : r + do + n, c + do : c + do + n] = bm[h:, w:]
+
+
 def block(rows: Sequence[Sequence[LftMatrix]]) -> LftMatrix:
     """Block matrix of a grid of LFTs (or constant arrays), in one pass.
 
     The blocks of a grid row share its row count, and every grid row
     spans the same number of columns.  The Delta channels are those of
     the blocks in row-major order; each block's A, B, C and D are copied
-    into place in one coefficient matrix.
+    into place in one coefficient matrix, a constant array's straight
+    from the array.
     """
-    grid = [[_as_lft(b) for b in row] for row in rows]
+    grid = [[_block_part(b) for b in row] for row in rows]
     heights = [row[0].rows for row in grid]
     c = sum(b.cols for b in grid[0])
     for row, h in zip(grid, heights):
@@ -925,14 +955,9 @@ def block(rows: Sequence[Sequence[LftMatrix]]) -> LftMatrix:
     for row, h in zip(grid, heights):
         co = 0
         for b in row:
-            w, n, bm = b.cols, len(b.delta), b.m
-            m[ro : ro + h, co : co + w] = bm[:h, :w]
-            if n:
-                m[ro : ro + h, c + do : c + do + n] = bm[:h, w:]
-                m[r + do : r + do + n, co : co + w] = bm[h:, :w]
-                m[r + do : r + do + n, c + do : c + do + n] = bm[h:, w:]
-            co += w
-            do += n
+            _place(m, r, c, ro, co, do, b)
+            co += b.cols
+            do += len(b.delta)
         ro += h
     return LftMatrix(m, r, c, delta)
 
@@ -946,13 +971,18 @@ def vstack(blocks: Iterable[LftMatrix]) -> LftMatrix:
 
 
 def blockdiag(blocks: Sequence[LftMatrix]) -> LftMatrix:
-    blocks = [_as_lft(b) for b in blocks]
-    return block(
-        [
-            [b if i == j else zeros(b.rows, o.cols) for j, o in enumerate(blocks)]
-            for i, b in enumerate(blocks)
-        ]
-    )
+    """Block-diagonal matrix of LFTs (or constant arrays), channels in block
+    order; the off-diagonal blocks are left as the zeros they start as."""
+    parts = [_block_part(b) for b in blocks]
+    r = sum(b.rows for b in parts)
+    c = sum(b.cols for b in parts)
+    delta = tuple(p for b in parts for p in b.delta)
+    m = np.zeros((r + len(delta), c + len(delta)))
+    ro = co = do = 0
+    for b in parts:
+        _place(m, r, c, ro, co, do, b)
+        ro, co, do = ro + b.rows, co + b.cols, do + len(b.delta)
+    return LftMatrix(m, r, c, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -1072,6 +1102,14 @@ def _controllable_basis(
     return q, k
 
 
+def _channel_groups(delta: tuple) -> dict:
+    """Parameter name -> its channel indices, in order of first channel."""
+    groups: dict[str, list[int]] = {}
+    for i, p in enumerate(delta):
+        groups.setdefault(p.name, []).append(i)
+    return groups
+
+
 def reduce_lft(m: LftMatrix) -> LftMatrix:
     """Kalman reduction of the Delta channels, one parameter at a time.
 
@@ -1091,7 +1129,9 @@ def reduce_lft(m: LftMatrix) -> LftMatrix:
     and a channel below the tolerance still carries about 1e-9 of the
     value (p**-2 + 19683 / p keeps 1 channel, not 2).
 
-    Each pass gathers a parameter's rows and columns once.  The
+    Each pass groups the channels by parameter in one sweep, again only
+    after a drop moves them, and gathers a parameter's rows and columns
+    once.  The
     observability step works on the transposed array, where its rows and
     columns are the transposes of those two gathers, so it reads them
     again only after the controllability step changed the basis.  A
@@ -1106,8 +1146,9 @@ def reduce_lft(m: LftMatrix) -> LftMatrix:
         # balanced() copies, so the in-place changes of basis touch no
         # caller's array; a pass without drops changes nothing
         big, delta = m.m, m.delta
-        for name in [p.name for p in m.params()]:
-            idx = [i for i, p in enumerate(delta) if p.name == name]
+        groups = _channel_groups(delta)
+        for name in list(groups):
+            idx = groups[name]
             zrows = None  # not gathered yet, or stale after a change of basis
             for observe in (False, True):
                 n = len(idx)
@@ -1138,6 +1179,7 @@ def reduce_lft(m: LftMatrix) -> LftMatrix:
                 sel_c = [*range(c), *[c + i for i in keep]]
                 big = big[np.ix_(sel_r, sel_c)]
                 delta = tuple(delta[i] for i in keep)
+                groups = _channel_groups(delta)  # later channels moved up
                 if k == 0:
                     break
                 idx, zrows = idx[:k], None

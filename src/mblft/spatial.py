@@ -183,17 +183,20 @@ def as_lft(x) -> "_lft.LftMatrix":
 
 
 def skew_lft(v) -> "_lft.LftMatrix":
-    """Skew matrix of a 3x1 LFT column; ``skew`` of a constant one."""
+    """Skew matrix of a 3x1 LFT column; ``skew`` of a constant one.
+
+    Column j of skew(v) is v x e_j = skew(e_j)^T v, so the LFT holds three
+    copies of v's channels, one per column.  Its A block is ``skew`` of v's,
+    as the constant path computes it.
+    """
     v = as_lft(v)
     if v.shape != (3, 1):
         raise ValueError("skew_lft expects a 3x1 column")
     if not v.ndelta:
         return _lft.constant(skew(v.a))
-    z = _lft.zeros(1, 1)
-    c = [v.submatrix([i], [0]) for i in range(3)]
-    return _lft.block(
-        [[z, -c[2], c[1]], [c[2], z, -c[0]], [-c[1], c[0], z]]
-    )
+    out = _lft.hstack([_lft.constant(skew(e).T) @ v for e in np.eye(3)])
+    out.m[:3, :3] = skew(v.a)
+    return out
 
 
 def tau_lft(offset_pc) -> "_lft.LftMatrix":
@@ -203,7 +206,7 @@ def tau_lft(offset_pc) -> "_lft.LftMatrix":
     if not off.ndelta and off.shape == (3, 1):
         return _lft.constant(tau_matrix(off.a))
     return _lft.block(
-        [[_lft.eye(3), skew_lft(off)], [_lft.zeros(3, 3), _lft.eye(3)]]
+        [[np.eye(3), skew_lft(off)], [np.zeros((3, 3)), np.eye(3)]]
     )
 
 

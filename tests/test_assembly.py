@@ -299,13 +299,18 @@ def test_balloon_reduction_independent_of_blas_threads():
 
 
 _LINEARIZE_ALL = """
-import pathlib, sys
+import contextlib, pathlib, sys
 from mblft import cli
 out = pathlib.Path(sys.argv[1])
+(out / "equilibrium").mkdir()
 for model in sys.argv[2:]:
-    target = out / (pathlib.Path(model).stem + ".json")
-    if cli.main(["linearize", model, "-o", str(target)]):
+    stem = pathlib.Path(model).stem
+    if cli.main(["linearize", model, "-o", str(out / (stem + ".json"))]):
         sys.exit(1)
+    with open(out / "equilibrium" / (stem + ".txt"), "w") as stdout:
+        with contextlib.redirect_stdout(stdout):
+            if cli.main(["equilibrium", model]):
+                sys.exit(1)
 grids = {
     "two_link_arm": "t_t1=0.45:1.0:5,t_t2=0.45:2.4:5",
     "balloon_planar": "l6=10:60:20",
@@ -328,12 +333,16 @@ def _exports_at_threads(out: pathlib.Path, threads: str) -> dict:
 
 
 def test_cli_exports_independent_of_blas_threads(tmp_path):
-    """``linearize`` exports and ``sample`` outputs (the arm's README grid,
-    the balloon's l6 grid) are byte-identical at 1 and 2 BLAS threads."""
+    """``linearize`` exports, ``equilibrium`` stdout and ``sample`` outputs
+    (the arm's README grid, the balloon's l6 grid) are byte-identical at 1
+    and 2 BLAS threads."""
     one = _exports_at_threads(tmp_path / "one", "1")
     two = _exports_at_threads(tmp_path / "two", "2")
     exports = ["balloon_planar.json", "pendulum.json", "two_link_arm.json"]
     assert [name for name in one if "/" not in name] == exports
+    reports = [name for name in one if name.startswith("equilibrium/")]
+    assert reports == [f"equilibrium/{e[:-5]}.txt" for e in exports]
+    assert all(b"root_reaction: [" in one[name] for name in reports)
     assert sum(name.startswith("two_link_arm_sample/point_") for name in one) == 25
     assert sum(name.startswith("balloon_planar_sample/point_") for name in one) == 20
     assert one == two
@@ -425,6 +434,35 @@ def test_chain_delta_size(tmp_path):
     lm = assemble(load_model(write_chain(tmp_path, 8)))
     assert lm.a.ndelta <= 268
     assert lm.b.ndelta <= 50
+
+
+@pytest.mark.parametrize(
+    "name, calls",
+    [
+        ("pendulum.yaml", 9),
+        ("two_link_arm.yaml", 11),
+        ("balloon_planar.yaml", 20),
+        ("chain4", 12),
+    ],
+)
+def test_reduce_lft_calls_per_assemble(name, calls, monkeypatch, tmp_path):
+    """The assembly reduces only where a reduction can remove a channel:
+    step 1 makes no call, and step 2 leaves the root's wrench, read at
+    nominal only, as it is."""
+    path = write_chain(tmp_path, 4) if name == "chain4" else MODELS / name
+    model = load_model(path)
+    seen = []
+    reduce = lft.reduce_lft
+
+    def counting(m):
+        seen.append(m.ndelta)
+        return reduce(m)
+
+    monkeypatch.setattr(lft, "reduce_lft", counting)
+    ctx = assembly.step1_geometry(model)
+    assert seen == []
+    assembly.step3_linearize(model, assembly.step2_wrenches(model, ctx))
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize(
