@@ -26,7 +26,8 @@ has -(tau(-p) J_b)^T in its columns. They are realized as
     A = [[-M^-1 [C K]], [G, 0]],   B = [[-M^-1 B_hat], [0]],
 
 where G holds the (constant) equilibrium kinematics diag(I, Gamma^-1),
-and M^-1 [C K] and M^-1 B_hat are left divisions of [M | C | K] and [M | B_hat].
+and M^-1 [C K] and M^-1 B_hat are left divisions of the reduced
+[M | C | K] and [M | B_hat].
 """
 
 from __future__ import annotations
@@ -534,7 +535,7 @@ def _transport_to_joint(tau_c: lft.LftMatrix, child: lft.LftMatrix) -> lft.LftMa
     return lft.reduce_lft(out) if tau_c.ndelta else out
 
 
-def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSolution:
+def step2_wrenches(ctx: GeometryContext) -> EquilibriumSolution:
     """Leaf-to-root pass: equilibrium interface wrenches and joint torques.
 
     Each body's inbound wrench is reduced before its parent uses it.  The
@@ -542,6 +543,7 @@ def step2_wrenches(model: MultibodyModel, ctx: GeometryContext) -> EquilibriumSo
     free-root trim check, and no later step carries its channels."""
     inbound: dict[str, lft.LftMatrix] = {}
     joint_load: dict[str, lft.LftMatrix] = {}
+    model = ctx.model
     tree = model.tree
 
     def visit(name: str) -> lft.LftMatrix:
@@ -808,9 +810,7 @@ def _root_maps(ctx: GeometryContext) -> tuple:
     return jhat0, phi0
 
 
-def step3_linearize(
-    model: MultibodyModel, eq: EquilibriumSolution, reduce: bool = True
-) -> LinearLftModel:
+def step3_linearize(eq: EquilibriumSolution) -> LinearLftModel:
     """Assemble the linearized LFT state-space model around the equilibrium.
 
     An interface wrench W = M nudot + C nu + K chi is carried as one LFT,
@@ -820,8 +820,12 @@ def step3_linearize(
     loads; its inbound wrench sums L over its subtree through E^T, so the
     system rows are W_sys = S^T (I - E)^-T L = J^T L, plus the joints'
     shaft and friction terms.
+
+    A and B are left divisions of reduced LFTs, which keep their channels
+    (LFTs are closed under inversion), so neither is reduced again: each
+    leaves balanced, a fixed point of ``lft.reduce_lft``.
     """
-    ctx = eq.geometry
+    model, ctx = eq.model, eq.geometry
     tree = model.tree
     nq, k, mask = tree.nq, tree.k, tree.mask
     if nq == 0:
@@ -894,9 +898,11 @@ def step3_linearize(
             i = index[spec[1]]
             gain = sp.tau_lft(-ctx.geo[spec[1]].body.port_position_lft(spec[2])).T
             gains[i] = gains[i] + gain @ lft.constant(sel)
-    b_sys = lft.reduce_lft(lft.constant(b_const) - ops.jac.T @ lft.vstack(gains))
-    m_sys = lft.reduce_lft(w_sys.submatrix(range(nq), range(nq)))
-    if np.linalg.cond(m_sys.nominal) > 1e13:
+    b_hat = lft.constant(b_const) - ops.jac.T @ lft.vstack(gains)
+    # [M | B_hat], not [W_sys | B_hat], which brings A's channels into B; M
+    # and B_hat reduced apart can keep channels only the two make redundant
+    m_b = lft.reduce_lft(lft.hstack([w_sys.submatrix(range(nq), range(nq)), b_hat]))
+    if np.linalg.cond(m_b.nominal[:, :nq]) > 1e13:
         raise AssemblyError("singular generalized mass matrix")
 
     # kinematics chi_dot = G nu
@@ -911,14 +917,9 @@ def step3_linearize(
         g[:k, :k] = full[np.ix_(list(mask), list(mask))]
     g[k:, k:] = np.eye(nq - k)
 
-    # B divides by the reduced M alone: [W_sys | B_hat] would bring A's
-    # channels into B, for B's reduction to remove again nearer its tolerance
     a = lft.block([[-w_sys.left_divide()], [lft.constant(g), lft.zeros(nq, nq)]])
-    b = lft.vstack([-lft.hstack([m_sys, b_sys]).left_divide(), lft.zeros(nq, nu_in)])
-    a, b = a.sorted_by_kind(), b.sorted_by_kind()
-    if reduce:
-        a = lft.reduce_lft(a)
-        b = lft.reduce_lft(b)
+    b = lft.vstack([-m_b.left_divide(), lft.zeros(nq, nu_in)])
+    a, b = a.sorted_by_kind().balanced(), b.sorted_by_kind().balanced()
     a.check_wellposed()
     b.check_wellposed()
 
@@ -963,11 +964,9 @@ def _state_names(tree: TreeLayout) -> tuple:
     )
 
 
-def assemble(model: MultibodyModel, reduce: bool = True) -> LinearLftModel:
+def assemble(model: MultibodyModel) -> LinearLftModel:
     """Run the three assembly steps and return the LFT model."""
-    ctx = step1_geometry(model)
-    eq = step2_wrenches(model, ctx)
-    return step3_linearize(model, eq, reduce=reduce)
+    return step3_linearize(step2_wrenches(step1_geometry(model)))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ Subcommands::
         unknown ``outputs:`` state name, an ill-posed A/B at nominal) are
         reported by ``linearize`` and ``validate``, not here.
 
-    mblft linearize MODEL.yaml -o MODEL.json [--no-reduce] [--strict-bounds]
+    mblft linearize MODEL.yaml -o MODEL.json [--strict-bounds]
         Assemble the linearized LFT state-space model and write it as a
         JSON export; prints the model order and the per-parameter
         occurrence table.
@@ -253,7 +253,7 @@ def _json_text(obj) -> str:
 def cmd_equilibrium(args) -> int:
     prec = _precision()
     model = load_model(args.model)
-    rep = step2_wrenches(model, step1_geometry(model)).report()
+    rep = step2_wrenches(step1_geometry(model)).report()
     out = [f"model: {model.name}", "bodies:"]
     for name, info in rep["bodies"].items():
         out.append(
@@ -293,7 +293,7 @@ def _occurrence_table(lm) -> list:
 def cmd_linearize(args) -> int:
     _precision()  # an invalid MBLFT_PRECISION fails before any work
     model = load_model(args.model)
-    lm = assemble(model, reduce=not args.no_reduce)
+    lm = assemble(model)
     _atomic_write(args.output, _json_text(lm.to_export_dict(args.strict_bounds)))
     print("\n".join([f"model: {model.name}"] + _occurrence_table(lm)))
     print(f"wrote: {args.output}")
@@ -466,10 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl = sub.add_parser("linearize", help="assemble the LFT model and export it")
     pl.add_argument("model", help="model file (YAML)")
     pl.add_argument("-o", "--output", required=True, help="export path (JSON)")
-    pl.add_argument(
-        "--no-reduce", action="store_true",
-        help="skip the final occurrence-reduction pass",
-    )
     pl.add_argument(
         "--strict-bounds", action="store_true",
         help="mark the export so sampling rejects out-of-bounds points",

@@ -28,6 +28,7 @@ from mblft.modelfile import load_model
 
 from _chain import write_chain
 from _frozen import freeze_model
+from test_oracle import BALLOON_WRENCH_INPUTS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MODELS = ROOT / "models"
@@ -366,13 +367,17 @@ def test_validate_independent_of_blas_threads(name):
 
 
 # ---------------------------------------------------------------------------
-# reduction flag
+# reduction
 # ---------------------------------------------------------------------------
 
 
-def test_no_reduce_evaluates_identically(arm):
+def test_no_reduce_evaluates_identically(arm, monkeypatch):
+    """The arm assembled with every reduction left out (``lft.reduce_lft``
+    the identity) evaluates as the reduced one, on no fewer channels."""
     lm_red = assemble(arm)
-    lm_raw = assemble(arm, reduce=False)
+    with monkeypatch.context() as patch:
+        patch.setattr(lft, "reduce_lft", lambda m: m)
+        lm_raw = assemble(arm)
     rng = np.random.default_rng(7)
     for _ in range(10):
         pt = sample_point(lm_red.parameters, rng)
@@ -418,13 +423,48 @@ def test_shipped_delta_structure(name):
         assert not grown, (tag, grown)
 
 
-@pytest.mark.parametrize("name", sorted(_DELTA_CEILING))
-def test_unreduced_a_has_the_reduced_counts(name):
-    """Step 3 forms -M^-1 [C K] as one left division of the reduced W_sys,
-    on W_sys's own channels, so A needs no reduction to reach its counts."""
-    model = load_model(MODELS / name)
-    raw = assemble(model, reduce=False).a
-    assert dict(raw.delta_structure) == dict(assemble(model).a.delta_structure)
+ARM_WRENCH_INPUTS = """
+io:
+  inputs:
+    - {torque: shoulder}
+    - {torque: elbow}
+    - {wrench: link2.tip}
+    - {wrench: payload.ref}
+"""
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "pendulum.yaml",
+        "two_link_arm.yaml",
+        "balloon_planar.yaml",
+        "chain4",
+        "arm_io",
+        "balloon_io",
+    ],
+)
+def test_assembled_a_and_b_are_fixed_points_of_reduce_lft(name, tmp_path):
+    """A and B leave step 3 as left divisions of reduced LFTs, which keep
+    their channels, so a further reduction returns them bit for bit.  With
+    wrench inputs this needs M and B_hat reduced together: reduced apart,
+    B holds 15 channels on the arm where 12 realize it."""
+    if name == "chain4":
+        path = write_chain(tmp_path, 4)
+    elif name.endswith("_io"):
+        base, io = {
+            "arm_io": ("two_link_arm.yaml", ARM_WRENCH_INPUTS),
+            "balloon_io": ("balloon_planar.yaml", BALLOON_WRENCH_INPUTS),
+        }[name]
+        path = tmp_path / f"{name}.yaml"
+        path.write_text((MODELS / base).read_text() + io)
+    else:
+        path = MODELS / name
+    lm = assemble(load_model(path))
+    for m in (lm.a, lm.b):
+        again = lft.reduce_lft(m)
+        assert again.delta == m.delta
+        assert np.array_equal(again.m, m.m)
 
 
 def test_chain_delta_size(tmp_path):
@@ -439,10 +479,10 @@ def test_chain_delta_size(tmp_path):
 @pytest.mark.parametrize(
     "name, calls",
     [
-        ("pendulum.yaml", 9),
-        ("two_link_arm.yaml", 11),
-        ("balloon_planar.yaml", 20),
-        ("chain4", 12),
+        ("pendulum.yaml", 6),
+        ("two_link_arm.yaml", 8),
+        ("balloon_planar.yaml", 17),
+        ("chain4", 9),
     ],
 )
 def test_reduce_lft_calls_per_assemble(name, calls, monkeypatch, tmp_path):
@@ -461,7 +501,7 @@ def test_reduce_lft_calls_per_assemble(name, calls, monkeypatch, tmp_path):
     monkeypatch.setattr(lft, "reduce_lft", counting)
     ctx = assembly.step1_geometry(model)
     assert seen == []
-    assembly.step3_linearize(model, assembly.step2_wrenches(model, ctx))
+    assembly.step3_linearize(assembly.step2_wrenches(ctx))
     assert len(seen) == calls
 
 

@@ -258,7 +258,7 @@ def test_equilibrium_wrench_is_d_times_a6():
         accelerating_trim=True,
     )
     ctx = step1_geometry(model)
-    w = step2_wrenches(model, ctx).inbound["c"].evaluate({})
+    w = step2_wrenches(ctx).inbound["c"].evaluate({})
     p = ctx.geo["c"].dcm.evaluate({})
     a6 = np.concatenate([p.T @ np.array([0.0, 0.0, 9.81]), np.zeros(3)])
     d = direct_dynamics_at_port(child, "ref").evaluate({})

@@ -169,7 +169,7 @@ def test_torque_balances_axial_load_component(seed):
     model = _grounded(
         _joint(axis, angle), forces=(ExternalForce("b", "tip", tuple(force)),)
     )
-    eq = step2_wrenches(model, step1_geometry(model))
+    eq = step2_wrenches(step1_geometry(model))
     body = model.body("b")
     p = _dcm(model.connections[0], angle)
     weight = -body.mass_value({}) * (p.T @ A_REF)
@@ -188,7 +188,7 @@ def test_transmitted_wrench_is_frame_change_only():
     model = _grounded(
         _joint(AXES[0], 0.9), forces=(ExternalForce("b", "tip", tuple(force)),)
     )
-    eq = step2_wrenches(model, step1_geometry(model))
+    eq = step2_wrenches(step1_geometry(model))
     p = _dcm(model.connections[0], 0.9)
     p2 = np.block([[p, np.zeros((3, 3))], [np.zeros((3, 3)), p]])
     np.testing.assert_allclose(
@@ -200,7 +200,7 @@ def test_transmitted_wrench_is_frame_change_only():
 
 def _reported_dcm(model, body="b"):
     """The DCM of the Euler angles that the equilibrium report gives."""
-    rep = step2_wrenches(model, step1_geometry(model)).report()
+    rep = step2_wrenches(step1_geometry(model)).report()
     theta = np.radians(rep["bodies"][body]["euler_deg"])
     return sp.dcm_from_euler(theta)
 
@@ -230,7 +230,7 @@ def test_child_at_gimbal_lock_is_reported(pitch, roll):
         fixed_dcm=fixed,
     )
     model = _grounded(conn)
-    rep = step2_wrenches(model, step1_geometry(model)).report()
+    rep = step2_wrenches(step1_geometry(model)).report()
     t1, t2, t3 = rep["bodies"]["b"]["euler_deg"]
     assert (t2, t3) == (pitch, 0.0)
     assert abs(t1 - math.degrees(roll)) < 1e-9

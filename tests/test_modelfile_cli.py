@@ -553,28 +553,6 @@ def test_json_text_rejects_a_key_that_is_not_a_string(key):
         cli._json_text({"a": {key: 1.0}})
 
 
-def test_cli_no_reduce_equivalent_evaluation(tmp_path):
-    e1, e2 = tmp_path / "red.json", tmp_path / "raw.json"
-    cli.main(["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(e1)])
-    cli.main(
-        ["linearize", str(MODELS / "two_link_arm.yaml"), "-o", str(e2), "--no-reduce"]
-    )
-    from mblft import lft
-
-    d1, d2 = json.loads(e1.read_text()), json.loads(e2.read_text())
-    a1 = lft.LftMatrix.from_dict(d1["A"])
-    a2 = lft.LftMatrix.from_dict(d2["A"])
-    assert a2.ndelta >= a1.ndelta
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        pt = {
-            name: float(rng.uniform(p["lower"], p["upper"]))
-            for name, p in d1["parameters"].items()
-        }
-        v1, v2 = a1.evaluate(pt), a2.evaluate(pt)
-        assert np.linalg.norm(v1 - v2) / np.linalg.norm(v2) <= 1e-8
-
-
 def test_cli_schema_error_exit_code(tmp_path, capsys):
     bad = _write(tmp_path, MINIMAL.replace("mass", "masss"))
     rc = cli.main(["equilibrium", str(bad)])

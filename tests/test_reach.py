@@ -86,15 +86,14 @@ def _defined() -> dict:
 
 
 def _run_commands(tmp_path) -> None:
-    """Every command on every shipped model: equilibrium, linearize with and
-    without reduction, validate at one random point, and sample with a grid
-    (models with parameters) and with a point file."""
+    """Every command on every shipped model: equilibrium, linearize,
+    validate at one random point, and sample with a grid (models with
+    parameters) and with a point file."""
     for model in ("pendulum", "two_link_arm", "balloon_planar"):
         path = str(MODELS / f"{model}.yaml")
         export = tmp_path / f"{model}.json"
         for args in (
             ["equilibrium", path],
-            ["linearize", path, "-o", str(tmp_path / "unreduced.json"), "--no-reduce"],
             ["linearize", path, "-o", str(export)],
             ["validate", path, "--points", "1"],
         ):
