@@ -146,7 +146,6 @@ class MultibodyModel:
     root_damping: object = None  # 6x6, wrench -root_damping @ x' at root ref
     inputs: tuple = ()  # ("torque", joint) | ("wrench", body, port)
     outputs: tuple = ()  # state names; empty = all states
-    accelerating_trim: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "bodies", tuple(self.bodies))
@@ -442,7 +441,6 @@ class EquilibriumSolution:
     """Equilibrium geometry and loads (Param-valued)."""
 
     geometry: GeometryContext
-    inbound: dict  # body name -> 6x1 LftMatrix (frame j, at ref port)
     joint_load: dict  # joint name -> 6x1 LftMatrix S_c (child frame, at joint)
     root_reaction: lft.LftMatrix  # 6x1: ground reaction or free-root residual
 
@@ -541,7 +539,6 @@ def step2_wrenches(ctx: GeometryContext) -> EquilibriumSolution:
     Each body's inbound wrench is reduced before its parent uses it.  The
     root's is not: only its nominal value is read, by the report and the
     free-root trim check, and no later step carries its channels."""
-    inbound: dict[str, lft.LftMatrix] = {}
     joint_load: dict[str, lft.LftMatrix] = {}
     model = ctx.model
     tree = model.tree
@@ -564,25 +561,17 @@ def step2_wrenches(ctx: GeometryContext) -> EquilibriumSolution:
             ibar = ibar + cg.tau_q.T @ (cg.p2 @ s_c)
         if name != tree.root:
             ibar = lft.reduce_lft(ibar)
-        if name != GROUND:
-            inbound[name] = ibar
         return ibar
 
     root_in = visit(tree.root)
-    eq = EquilibriumSolution(
-        geometry=ctx,
-        inbound=inbound,
-        joint_load=joint_load,
-        root_reaction=root_in,
-    )
-    if model.root.kind == "free" and not model.accelerating_trim:
+    if model.root.kind == "free":
         res = root_in.nominal.ravel()[list(tree.mask)]
         if np.max(np.abs(res)) > 1e-6:
             raise TrimError(
                 f"free root is not in equilibrium (residual {res}); balance "
-                "the external forces or set accelerating_trim=True"
+                "the external forces"
             )
-    return eq
+    return EquilibriumSolution(geometry=ctx, joint_load=joint_load, root_reaction=root_in)
 
 
 # ---------------------------------------------------------------------------
@@ -920,8 +909,6 @@ def step3_linearize(eq: EquilibriumSolution) -> LinearLftModel:
     a = lft.block([[-w_sys.left_divide()], [lft.constant(g), lft.zeros(nq, nq)]])
     b = lft.vstack([-m_b.left_divide(), lft.zeros(nq, nu_in)])
     a, b = a.sorted_by_kind().balanced(), b.sorted_by_kind().balanced()
-    a.check_wellposed()
-    b.check_wellposed()
 
     state_names = _state_names(tree)
     if model.outputs:

@@ -1055,8 +1055,10 @@ def rotation_about_axis(axis: np.ndarray, t: HalfTanParam) -> LftMatrix:
 # ---------------------------------------------------------------------------
 
 # Rank decisions in reduce_lft: singular values below this fraction of the
-# balanced coupling norm of a parameter's channels count as zero.
+# balanced coupling norm of a parameter's channels count as zero, and
+# those below _WEAK times it wait until no stronger direction is left.
 _REDUCE_RTOL = 1e-12
+_WEAK = 1e6
 
 
 def _norm(x: np.ndarray) -> float:
@@ -1066,124 +1068,120 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _left_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The square left factor U and the singular values of ``x``.
+def _reachable_bases(big: np.ndarray, r: int, c: int, spans: list, tols: list) -> list:
+    """Orthonormal bases of the reachable channels of the r x c LFT ``big``,
+    one per parameter's channel block a:b of ``spans``.
 
-    The staircase never reads V^T, so the full one (the costly part of a
-    wide x's SVD) is not asked for when U is square without it; LAPACK's
-    gesdd computes U and the singular values the same way either way.
+    The reachable channels span the least subspace V = V_1 + V_2 + ...
+    with range(C_j) in V_j and D_jk V_k in V_j for all blocks j, k (Beck &
+    D'Andrea): the first step takes the columns of C, each later one D
+    times the directions the last step added.  Block j keeps an
+    orthogonal Q_j, its reachable directions first, and seeks new ones in
+    their complement.  A direction counts as zero within ``tols[j]``; one
+    within ``_WEAK`` times that waits, scaled by its singular value, until
+    no stronger one is left, so that round-off along a direction that a
+    later step adds is not taken for a channel of its own.  A residual
+    within the tolerance needs no SVD, nor does a single direction left.
+    Returns Q_j's first k_j columns, or None if all of block j is reachable.
     """
-    u, s, _ = np.linalg.svd(x, full_matrices=x.shape[0] > x.shape[1])
-    return u, s
+    dm = big[r:, c:]
+    qs: list = [None] * len(spans)  # None: the identity, while k_j = 0
+    ks = [0] * len(spans)
+    waiting: list = [None] * len(spans)
+    x, scale = big[r:, :c], _WEAK  # a direction above scale * tol is strong
+    while True:
+        added = []
+        for j, (a, b) in enumerate(spans):
+            k, q, tol = ks[j], qs[j], tols[j]
+            if k == b - a:
+                continue
+            y = x[a:b] if waiting[j] is None else np.hstack([x[a:b], waiting[j]])
+            y = y if q is None else q[:, k:].T @ y
+            waiting[j] = None
+            norm = _norm(y)
+            if norm <= tol:
+                continue
+            if k == b - a - 1:  # one direction left: its singular value is the norm
+                s = np.array([norm])
+                q = np.ones((1, 1)) if q is None else q
+            else:
+                u, s, _ = np.linalg.svd(y, full_matrices=y.shape[0] > y.shape[1])
+                if q is None:
+                    q = qs[j] = u
+                else:
+                    q[:, k:] = q[:, k:] @ u
+            new = np.count_nonzero(s > scale * tol)
+            held = np.count_nonzero(s > tol) - new
+            if held:
+                waiting[j] = q[:, k + new : k + new + held] * s[new : new + held]
+            if new:
+                added.append(dm[:, a:b] @ q[:, k : k + new])
+                ks[j] += new
+        if added:
+            x, scale = np.hstack(added), _WEAK
+        elif scale > 1.0 and any(w is not None for w in waiting):
+            x, scale = dm[:, :0], 1.0  # no strong direction left: take the waiting ones
+        else:
+            break
+    return [
+        None if k == b - a else (np.zeros((b - a, 0)) if q is None else q[:, :k])
+        for (a, b), k, q in zip(spans, ks, qs)
+    ]
 
 
-def _controllable_basis(
-    a: np.ndarray, e: np.ndarray, tol: float
-) -> tuple[np.ndarray, int]:
-    """Orthogonal Q and the dimension k of the Krylov space of (a, e).
-
-    Staircase form: the first k columns of Q span
-    span{e, a e, a^2 e, ...}, with every rank decided against ``tol``.
-    When the first SVD decides the whole space (k = 0 or k = n), Q is
-    returned as it comes, without the change of basis of ``a``.
-    """
-    n = a.shape[0]
-    q, s = _left_svd(e)
-    k = new = np.count_nonzero(s > tol)
-    if 0 < k < n:
-        a = q.T @ a @ q
-    while 0 < new and k < n:
-        u, s = _left_svd(a[k:, k - new : k])
-        new = np.count_nonzero(s > tol)
-        a[k:, :] = u.T @ a[k:, :]
-        a[:, k:] = a[:, k:] @ u
-        q[:, k:] = q[:, k:] @ u
-        k += new
-    return q, k
-
-
-def _channel_groups(delta: tuple) -> dict:
-    """Parameter name -> its channel indices, in order of first channel."""
-    groups: dict[str, list[int]] = {}
-    for i, p in enumerate(delta):
-        groups.setdefault(p.name, []).append(i)
-    return groups
+def _restrict(big: np.ndarray, r: int, c: int, spans: list, bases: list) -> np.ndarray:
+    """``big`` on each block's basis V_j: rows by V_j^T, then columns by V_j."""
+    parts = [big[:r]]
+    for (a, b), v in zip(spans, bases):
+        parts.append(big[r + a : r + b] if v is None else v.T @ big[r + a : r + b])
+    big = np.vstack(parts)
+    parts = [big[:, :c]]
+    for (a, b), v in zip(spans, bases):
+        parts.append(big[:, c + a : c + b] if v is None else big[:, c + a : c + b] @ v)
+    return np.hstack(parts)
 
 
 def reduce_lft(m: LftMatrix) -> LftMatrix:
-    """Kalman reduction of the Delta channels, one parameter at a time.
+    """Structured (n-D) Kalman reduction of the Delta channels.
 
-    The channels are first balanced exactly (power-of-two diagonal
-    scaling, see ``LftMatrix.balanced``).  Then each parameter's repeated
-    channels are treated as the states of a 1-D system in its delta:
-    the uncontrollable part of (D_jj, [C_j, D_j,rest]) and the
-    unobservable part of (D_jj, [B_j; D_rest,j]) are removed by an
-    orthogonal change of those channels, worked on the rows and then on
-    the columns of one coefficient array.  Rank decisions count a
-    singular value as zero below 1e-12 times the balanced norm of the
-    parameter's rows and columns, so they do not depend on how the
-    channels happen to be scaled, nor on the BLAS thread count.  The
-    passes repeat until no channel is removed.  The result evaluates to
-    the same matrix, with occurrence counts that never increase: up to
-    round-off, except where a parameter's coefficients span many decades
-    and a channel below the tolerance still carries about 1e-9 of the
-    value (p**-2 + 19683 / p keeps 1 channel, not 2).
-
-    Each pass groups the channels by parameter in one sweep, again only
-    after a drop moves them, and gathers a parameter's rows and columns
-    once.  The
-    observability step works on the transposed array, where its rows and
-    columns are the transposes of those two gathers, so it reads them
-    again only after the controllability step changed the basis.  A
-    single channel needs no staircase: it is controllable exactly when
-    the 2-norm of its row outside D_jj, the one singular value the
-    staircase would compute, exceeds the tolerance, and it is kept or
-    dropped without a change of basis.
+    Each round balances the channels exactly (``LftMatrix.balanced``),
+    groups them by parameter and keeps the reachable channels
+    (``_reachable_bases``), then, on the transposed array, the observable
+    ones, by an orthogonal change of basis of each parameter that loses
+    some.  It sees all parameters at once, so redundancy that spans
+    several goes too (g + g keeps g's channels).  A direction counts as
+    zero below 1e-12 times the balanced norm of its parameter's rows and
+    columns, so no decision depends on how the channels happen to be
+    scaled, nor on the BLAS thread count.  Rounds repeat until one removes nothing, and
+    return its balanced input as it is.  The result evaluates to the same
+    matrix, with occurrence counts that never increase: up to round-off,
+    except where a parameter's coefficients span many decades and a
+    channel below the tolerance still carries about 1e-9 of the value
+    (p**-2 + 19683 / p keeps 1 channel, not 2).
     """
     r, c = m.rows, m.cols
     while m.ndelta:
         m = m.balanced()
-        # balanced() copies, so the in-place changes of basis touch no
-        # caller's array; a pass without drops changes nothing
-        big, delta = m.m, m.delta
-        groups = _channel_groups(delta)
-        for name in list(groups):
-            idx = groups[name]
-            zrows = None  # not gathered yet, or stale after a change of basis
-            for observe in (False, True):
-                n = len(idx)
-                rows, cols = [r + i for i in idx], [c + i for i in idx]
-                if zrows is None:
-                    zrows, zcols = big[rows, :], big[:, cols]
-                    tol = _REDUCE_RTOL * max(_norm(zrows), _norm(zcols))
-                # observability is controllability of the transpose, whose
-                # rows and columns of the parameter are zcols.T and zrows.T
-                if observe:
-                    view, vrows, vcols, zr = big.T, cols, rows, zcols.T
-                else:
-                    view, vrows, vcols, zr = big, rows, cols, zrows
-                others = np.ones(zr.shape[1], dtype=bool)
-                others[vcols] = False
-                if n == 1:
-                    k = int(_norm(zr[:, others]) > tol)
-                else:
-                    q, k = _controllable_basis(zr[:, vcols], zr[:, others], tol)
-                    if 0 < k < n:
-                        view[vrows, :] = q.T @ zr
-                        view[:, vcols] = view[:, vcols] @ q
-                if k == n:
-                    continue
-                # drop idx[k:]; the kept idx[:k] come first, so keep their places
-                keep = [i for i in range(len(delta)) if i not in idx[k:]]
-                sel_r = [*range(r), *[r + i for i in keep]]
-                sel_c = [*range(c), *[c + i for i in keep]]
-                big = big[np.ix_(sel_r, sel_c)]
-                delta = tuple(delta[i] for i in keep)
-                groups = _channel_groups(delta)  # later channels moved up
-                if k == 0:
-                    break
-                idx, zrows = idx[:k], None
-        if len(delta) == m.ndelta:
+        groups: dict = {}  # name -> channels, in order of first channel
+        for i, p in enumerate(m.delta):
+            groups.setdefault(p.name, []).append(i)
+        order = [i for idx in groups.values() for i in idx]
+        big = m.m[np.ix_([*range(r), *(r + i for i in order)], [*range(c), *(c + i for i in order)])]
+        sizes = [len(idx) for idx in groups.values()]
+        for observe in (False, True):
+            spans = [(e - n, e) for n, e in zip(sizes, np.cumsum(sizes).tolist())]
+            tols = [_REDUCE_RTOL * max(_norm(big[r + a : r + b]), _norm(big[:, c + a : c + b]))
+                    for a, b in spans]
+            # observability is reachability of the transpose, copied in C order
+            # (numpy picks its BLAS routine, and so its rounding, by memory order)
+            view, vr, vc = (big.T.copy(), c, r) if observe else (big, r, c)
+            bases = _reachable_bases(view, vr, vc, spans, tols)
+            if any(v is not None for v in bases):
+                view = _restrict(view, vr, vc, spans, bases)
+                big = view.T if observe else view
+                sizes = [n if v is None else v.shape[1] for n, v in zip(sizes, bases)]
+        if sum(sizes) == m.ndelta:
             break
-        m = LftMatrix(big, r, c, delta)
+        params = [m.delta[idx[0]] for idx in groups.values()]
+        m = LftMatrix(big, r, c, tuple(p for p, n in zip(params, sizes) for _ in range(n)))
     return m

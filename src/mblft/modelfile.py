@@ -51,8 +51,6 @@ _UNITS = {
     "friction": ("N*m*s/rad",),
     "shaft_inertia": ("kg*m^2",),
     "root_damping": ("N*s/m,N*m*s/rad",),
-    "linear_density": ("kg/m",),
-    "dimensionless": ("1", "-"),
     "angle": ("deg", "rad"),
 }
 
@@ -504,10 +502,9 @@ def _parse_boundary(section, params, bodies):
 
 def _parse_root(section):
     if section is None:
-        return RootSpec(kind="ground"), False
+        return RootSpec(kind="ground")
     ctx = "root"
-    section = _take(ctx, section, required=("kind",),
-                    optional=("euler", "position", "accelerating_trim"))
+    section = _take(ctx, section, required=("kind",), optional=("euler", "position"))
     kind = section["kind"]
     if kind not in ("ground", "free"):
         raise _err(ctx, section, f"kind must be 'ground' or 'free', got {kind!r}")
@@ -520,10 +517,7 @@ def _parse_root(section):
     if "position" in section:
         pctx, pnode = f"{ctx}.position", section["position"]
         position = _numbers(pctx, pnode, "value", _value(pctx, pnode, "length"), 3)
-    trim = section.get("accelerating_trim", False)
-    if not isinstance(trim, bool):
-        raise _err(ctx, section, "'accelerating_trim' must be a boolean")
-    return RootSpec(kind=kind, euler=euler, position=position), trim
+    return RootSpec(kind=kind, euler=euler, position=position)
 
 
 def _parse_io(section) -> tuple:
@@ -567,7 +561,7 @@ def parse_model(doc) -> MultibodyModel:
     bodies = _parse_bodies(doc["bodies"], params)
     conns = _parse_connections(doc["connections"], params)
     accel, forces, damping = _parse_boundary(doc["boundary"], params, bodies)
-    root, trim = _parse_root(doc.get("root"))
+    root = _parse_root(doc.get("root"))
     inputs, outputs = _parse_io(doc.get("io"))
     try:
         return MultibodyModel(
@@ -580,7 +574,6 @@ def parse_model(doc) -> MultibodyModel:
             root_damping=damping,
             inputs=inputs,
             outputs=outputs,
-            accelerating_trim=trim,
         )
     except ValueError as e:
         raise ModelFileError(f"model: {e}") from None

@@ -81,5 +81,4 @@ def freeze_model(model: MultibodyModel, point) -> MultibodyModel:
         root_damping=model.root_damping,
         inputs=model.inputs,
         outputs=model.outputs,
-        accelerating_trim=model.accelerating_trim,
     )

@@ -433,6 +433,22 @@ io:
 """
 
 
+def _model_path(name, tmp_path):
+    """A shipped model file; ``chain<N>``, the N-link chain; or ``arm_io``
+    and ``balloon_io``, the arm and the balloon with wrench inputs."""
+    if name.startswith("chain"):
+        return write_chain(tmp_path, int(name[len("chain"):]))
+    if name.endswith("_io"):
+        base, io = {
+            "arm_io": ("two_link_arm.yaml", ARM_WRENCH_INPUTS),
+            "balloon_io": ("balloon_planar.yaml", BALLOON_WRENCH_INPUTS),
+        }[name]
+        path = tmp_path / f"{name}.yaml"
+        path.write_text((MODELS / base).read_text() + io)
+        return path
+    return MODELS / name
+
+
 @pytest.mark.parametrize(
     "name",
     [
@@ -449,18 +465,7 @@ def test_assembled_a_and_b_are_fixed_points_of_reduce_lft(name, tmp_path):
     their channels, so a further reduction returns them bit for bit.  With
     wrench inputs this needs M and B_hat reduced together: reduced apart,
     B holds 15 channels on the arm where 12 realize it."""
-    if name == "chain4":
-        path = write_chain(tmp_path, 4)
-    elif name.endswith("_io"):
-        base, io = {
-            "arm_io": ("two_link_arm.yaml", ARM_WRENCH_INPUTS),
-            "balloon_io": ("balloon_planar.yaml", BALLOON_WRENCH_INPUTS),
-        }[name]
-        path = tmp_path / f"{name}.yaml"
-        path.write_text((MODELS / base).read_text() + io)
-    else:
-        path = MODELS / name
-    lm = assemble(load_model(path))
+    lm = assemble(load_model(_model_path(name, tmp_path)))
     for m in (lm.a, lm.b):
         again = lft.reduce_lft(m)
         assert again.delta == m.delta
@@ -474,6 +479,35 @@ def test_chain_delta_size(tmp_path):
     lm = assemble(load_model(write_chain(tmp_path, 8)))
     assert lm.a.ndelta <= 268
     assert lm.b.ndelta <= 50
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "pendulum.yaml",
+        "two_link_arm.yaml",
+        "balloon_planar.yaml",
+        "arm_io",
+        "balloon_io",
+        "chain4",
+        "chain8",
+    ],
+)
+def test_delta_structure_holds_with_the_tolerance_ten_times_off(name, monkeypatch, tmp_path):
+    """Every rank decision of an assembly has a margin of more than ten
+    either way: the Delta channels per parameter of A and B stay the same
+    with the reduction tolerance ten times larger or ten times smaller."""
+    path = _model_path(name, tmp_path)
+
+    def structure():
+        lm = assemble(load_model(path))
+        return lm.a.delta_structure, lm.b.delta_structure
+
+    want = structure()
+    rtol = lft._REDUCE_RTOL
+    for factor in (10.0, 0.1):
+        monkeypatch.setattr(lft, "_REDUCE_RTOL", rtol * factor)
+        assert structure() == want, factor
 
 
 @pytest.mark.parametrize(

@@ -248,17 +248,26 @@ def test_newton_euler_matches_first_principles():
 
 
 def test_equilibrium_wrench_is_d_times_a6():
-    """Step 2's static wrench of a leaf body is D_ref [P^T a; 0]."""
+    """Step 2's static wrench of a leaf body is D_ref [P^T a; 0]: the body
+    hangs at its ref port from a turned ground, so tau_c = I and its
+    joint load is that wrench."""
     child = _child()
-    model = _free(
-        _body(role=DynamicsRole.FORWARD),
-        child,
-        euler=(0.35, -0.2, 0.6),
+    hinge = RevoluteJoint(
+        name="j",
+        parent_port=("ground", "ref"),
+        child_port=("c", "ref"),
+        axis=(0.6, 0.8, 0.0),
+        angle_eq=0.4,
+    )
+    model = MultibodyModel(
+        name="hinge",
+        bodies=(child,),
+        connections=(hinge,),
         acceleration=(0.0, 0.0, 9.81),
-        accelerating_trim=True,
+        root=RootSpec("ground", euler=(0.35, -0.2, 0.6)),
     )
     ctx = step1_geometry(model)
-    w = step2_wrenches(ctx).inbound["c"].evaluate({})
+    w = step2_wrenches(ctx).joint_load["j"].evaluate({})
     p = ctx.geo["c"].dcm.evaluate({})
     a6 = np.concatenate([p.T @ np.array([0.0, 0.0, 9.81]), np.zeros(3)])
     d = direct_dynamics_at_port(child, "ref").evaluate({})

@@ -631,7 +631,7 @@ def _exprs():
 # p0**-4 * (p0**2 + (27 * p0)**3), which is p0**-2 + 19683 / p0, keeps 1
 # of its 9 channels where it needs 2, and reads 1.3e-9 relative off at
 # p0 = 0.5.  p0**27 * (p0 + p0**2)**9 keeps 46 of its 54 (45 realize
-# it), yet reads 5.7e-9 off at p0 = 1.5.  The tolerance sits above that;
+# it), yet reads 6.5e-10 off at p0 = 1.5.  The tolerance sits above that;
 # tighten it once the rank decision keeps such channels.
 _TREE_RTOL = 1e-6
 _P0, _P1 = (lft.Ref(p) for p in _TREE_PARAMS)
@@ -639,8 +639,8 @@ _P0, _P1 = (lft.Ref(p) for p in _TREE_PARAMS)
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_exprs())
-# a single reduction pass leaves a channel that the next pass removes
 @example((_P1 * _P0 + (_P0 + 1.0)) / (_P1 * _P0 + (_P0 + 1.0)))
+# one round of the reduction leaves 4 channels that the next cuts to 1
 @example(_P0 ** -4 * (_P0 ** 2 + (27.0 * _P0) ** 3))
 @example(_P0 ** 27 * (_P0 + _P0 ** 2) ** 9)
 def test_reduce_is_idempotent_and_exact_on_expression_trees(expr):
@@ -710,64 +710,98 @@ def _reference_balanced(m):
     return lft.LftMatrix(big, r, c, m.delta)
 
 
-def _reference_controllable_basis(a, e, tol):
-    """A frozen copy of the staircase of ``lft._controllable_basis``: full
-    SVD factors, ranks counted with ``np.sum``, ``q.T @ a @ q`` always."""
-    n = a.shape[0]
-    q, s, _ = np.linalg.svd(e, full_matrices=True)
-    k = new = int(np.sum(s > tol))
-    a = q.T @ a @ q
-    while 0 < new and k < n:
-        u, s, _ = np.linalg.svd(a[k:, k - new : k], full_matrices=True)
-        new = int(np.sum(s > tol))
-        a[k:, :] = u.T @ a[k:, :]
-        a[:, k:] = a[:, k:] @ u
-        q[:, k:] = q[:, k:] @ u
-        k += new
-    return q, k
+def _reference_blocks(m):
+    """The channel counts of ``m``'s parameters and, for channels grouped
+    by parameter, their slices."""
+    names = dict.fromkeys(p.name for p in m.delta)
+    sizes = [sum(1 for p in m.delta if p.name == n) for n in names]
+    return sizes, [slice(sum(sizes[:j]), sum(sizes[: j + 1])) for j in range(len(sizes))]
+
+
+def _reference_reachable_part(m, tols):
+    """The reachable channels of ``m``, whose channels come grouped by
+    parameter, each parameter's on an orthonormal basis when it loses some.
+
+    A frozen copy of the n-D Kalman step of ``lft.reduce_lft``: one Krylov
+    loop over all parameters, an explicit identity for each basis to
+    start from and full SVD factors.  A direction counts as zero within
+    its parameter's tolerance, and one within 1e6 times it waits until no
+    stronger one is left.  Blocks are slices, as the same products on
+    gathered copies may round differently."""
+    sizes, blocks = _reference_blocks(m)
+    q = [np.eye(n) for n in sizes]
+    k = [0] * len(sizes)
+    held = [np.zeros((n, 0)) for n in sizes]
+    x, strong = m.c, True
+    while True:
+        images = []
+        for j, b in enumerate(blocks):
+            if k[j] == sizes[j]:
+                continue
+            y = q[j][:, k[j]:].T @ np.hstack([x[b], held[j]])
+            held[j] = np.zeros((sizes[j], 0))
+            norm = np.linalg.norm(y)
+            if norm <= tols[j]:
+                continue
+            if k[j] == sizes[j] - 1:
+                s = np.array([norm])
+            else:
+                u, s, _ = np.linalg.svd(y, full_matrices=True)
+                q[j][:, k[j]:] = q[j][:, k[j]:] @ u
+            new = int(np.sum(s > (1e6 if strong else 1.0) * tols[j]))
+            weak = int(np.sum(s > tols[j])) - new
+            held[j] = q[j][:, k[j] + new : k[j] + new + weak] * s[new : new + weak]
+            if new:
+                images.append(m.d[:, b] @ q[j][:, k[j] : k[j] + new])
+                k[j] += new
+        if images:
+            x, strong = np.hstack(images), True
+        elif strong and any(h.shape[1] for h in held):
+            x, strong = np.zeros((m.ndelta, 0)), False
+        else:
+            break
+    if k == sizes:
+        return m
+    r, c = m.rows, m.cols
+    rows, delta = [m.a, m.b], []
+    for j, b in enumerate(blocks):
+        z = m.m[r:][b]
+        rows.append(z if k[j] == sizes[j] else q[j][:, : k[j]].T @ z)
+        delta += [m.delta[b.start]] * k[j]
+    big = np.vstack([np.hstack(rows[:2])] + rows[2:])
+    cols = [big[:, :c]]
+    for j, b in enumerate(blocks):
+        w = big[:, c:][:, b]
+        cols.append(w if k[j] == sizes[j] else w @ q[j][:, : k[j]])
+    return lft.LftMatrix(np.hstack(cols), r, c, tuple(delta))
 
 
 def _reference_reduce(m):
-    """reduce_lft spelled out on LftMatrix objects, with a staircase (SVD)
-    for every parameter and side and the observability side on ``m.T``.
-    It calls no code of ``lft.reduce_lft`` or ``LftMatrix.balanced``, so a
-    change inside either cannot pass unseen."""
+    """reduce_lft spelled out on LftMatrix objects: each round groups the
+    balanced channels by parameter and keeps the reachable part, then the
+    observable part as the reachable part of ``m.T``.  It calls no code of
+    ``lft.reduce_lft``, its helpers or ``LftMatrix.balanced``, so a change
+    inside any of them cannot pass unseen."""
 
-    def controllable_part(m, name):
-        idx = [i for i, p in enumerate(m.delta) if p.name == name]
-        if not idx:
-            return m
-        r, c = m.rows, m.cols
-        rows, cols = [r + i for i in idx], [c + i for i in idx]
-        zrows = m.m[rows, :]
-        others = np.ones(zrows.shape[1], dtype=bool)
-        others[cols] = False
-        tol = lft._REDUCE_RTOL * max(
-            np.linalg.norm(zrows), np.linalg.norm(m.m[:, cols])
-        )
-        q, k = _reference_controllable_basis(
-            zrows[:, cols], zrows[:, others], tol
-        )
-        if k == len(idx):
-            return m
-        big = m.m.copy()
-        big[rows, :] = q.T @ zrows
-        big[:, cols] = big[:, cols] @ q
-        keep = [i for i in range(m.ndelta) if i not in idx[k:]]
-        sel_r = [*range(r), *[r + i for i in keep]]
-        sel_c = [*range(c), *[c + i for i in keep]]
-        return lft.LftMatrix(
-            big[np.ix_(sel_r, sel_c)], r, c, tuple(m.delta[i] for i in keep)
-        )
+    def tolerances(m):
+        return [
+            lft._REDUCE_RTOL * max(
+                np.linalg.norm(m.m[m.rows :][b]), np.linalg.norm(m.m[:, m.cols :][:, b])
+            )
+            for b in _reference_blocks(m)[1]
+        ]
 
     while m.ndelta:
         m = _reference_balanced(m)
-        before = m.ndelta
-        for name in [p.name for p in m.params()]:
-            m = controllable_part(m, name)
-            m = controllable_part(m.T, name).T
-        if m.ndelta == before:
+        first = {}
+        for i, p in enumerate(m.delta):
+            first.setdefault(p.name, i)
+        h = m.reorder_delta(sorted(range(m.ndelta), key=lambda i: first[m.delta[i].name]))
+        h = _reference_reachable_part(h, tolerances(h))
+        h = _reference_reachable_part(h.T, tolerances(h)).T
+        if h.ndelta == m.ndelta:
             break
+        m = h
     return m
 
 
@@ -826,6 +860,29 @@ def test_assembly_reductions_match_reference_bit_for_bit(name, monkeypatch):
             np.testing.assert_array_equal(
                 lft._channel_scales(h), _reference_channel_scales(h)
             )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_reduce_removes_redundancy_across_parameters(seed):
+    """g + g of a dense two-parameter g needs only g's channels, though
+    each parameter's channels of the sum are reachable and observable
+    when the other parameter's count as plain inputs and outputs."""
+    rng = np.random.default_rng(seed)
+    params = _params(2)
+    g = _dense_lft(rng, 3, 3, params)
+    red = lft.reduce_lft(g + g)
+    assert red.delta_structure == lft.reduce_lft(g).delta_structure == [("p0", 3), ("p1", 3)]
+    for _ in range(5):
+        pt = _point(params, rng)
+        np.testing.assert_allclose(red.evaluate(pt), 2.0 * g.evaluate(pt), rtol=1e-12, atol=1e-12)
+
+
+def test_reduce_removes_a_constant_quotient():
+    """(p1 p0 + p0 + 1) / (p1 p0 + p0 + 1) is 1: it keeps no channel."""
+    e = _P1 * _P0 + (_P0 + 1.0)
+    red = lft.reduce_lft(lft.lift_scalar(e / e))
+    assert red.ndelta == 0
+    np.testing.assert_allclose(red.a, [[1.0]], rtol=1e-14)
 
 
 def test_reduce_collapses_linear_duplicates():
