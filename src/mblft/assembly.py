@@ -383,9 +383,9 @@ def step1_geometry(model: MultibodyModel) -> GeometryContext:
     Nothing here is reduced.  A DCM or frame acceleration down the tree
     takes each joint's angle channels once, through that joint's own
     rotation, and a reduction of them removed no channel on the shipped
-    models or on generated chains.  Wherever one could, steps 2 and 3
-    reduce every LFT that carries these channels into A and B; the report
-    reads the DCMs at nominal only."""
+    models or on generated chains.  An LFT is reduced once, where a later
+    step builds on it: step 2's joint loads and step 3's W_sys and
+    [M | B_hat]; the report reads the DCMs at nominal only."""
     forces = _resolved_forces(model)
     tree = model.tree
     euler0 = np.asarray(model.root.euler, dtype=float)
@@ -457,14 +457,26 @@ class EquilibriumSolution:
             return np.asarray(root.euler, dtype=float)
         return sp.euler_from_dcm(dcm, lock_ok=True)
 
+    @cached_property
+    def _nominal_parts(self) -> list:
+        """Every DCM, joint load and the root reaction at nominal, from one
+        evaluation of their block diagonal (one plan, one gated solve),
+        shared by the free-root trim check and every report."""
+        nominal = {name: p.nominal for name, p in self.model.parameters().items()}
+        blocks = [rec.dcm for rec in self.geometry.geo.values()]
+        blocks += [*self.joint_load.values(), self.root_reaction]
+        value = lft.blockdiag(blocks).evaluate(nominal)
+        parts, row, col = [], 0, 0
+        for b in blocks:
+            parts.append(value[row : row + b.rows, col : col + b.cols])
+            row, col = row + b.rows, col + b.cols
+        return parts
+
     def report(self) -> dict:
-        """The equilibrium at the nominal point only, so no value here has
-        an LFT of its own.  Every DCM, joint load and the root reaction are
-        read from one evaluation of their block diagonal, with one
-        evaluation plan and one gated solve.  Each body's reference-port
-        position follows from the nominal DCMs and port positions, and each
-        joint's torque (the driving C_m that holds it) is r6 . (nominal
-        joint load)."""
+        """The equilibrium at nominal only (``_nominal_parts``), so no value
+        here has an LFT of its own.  Each body's reference-port position
+        follows from the nominal DCMs and port positions, and each joint's
+        torque (the driving C_m that holds it) is r6 . (nominal joint load)."""
         model, g = self.model, self.geometry
         nominal = {name: p.nominal for name, p in model.parameters().items()}
 
@@ -472,13 +484,7 @@ class EquilibriumSolution:
             entries = model.body(body).port_position(name)
             return np.array([lft.as_expr(v).value(nominal) for v in entries])
 
-        blocks = [rec.dcm for rec in g.geo.values()]
-        blocks += [*self.joint_load.values(), self.root_reaction]
-        value = lft.blockdiag(blocks).evaluate(nominal)
-        parts, row, col = [], 0, 0
-        for b in blocks:
-            parts.append(value[row : row + b.rows, col : col + b.cols])
-            row, col = row + b.rows, col + b.cols
+        parts = self._nominal_parts
         dcm = dict(zip(g.geo, parts))
         pos = {model.tree.root: np.asarray(model.root.position, dtype=float)}
         for c in model.tree.order:
@@ -519,26 +525,12 @@ def _resolved_forces(model: MultibodyModel) -> list:
     return out
 
 
-def _transport_to_joint(tau_c: lft.LftMatrix, child: lft.LftMatrix) -> lft.LftMatrix:
-    """tau_c^T @ child: a child's reduced wrench moved to its joint point,
-    in step 2 (step 3 moves wrenches by its operator E instead).
-
-    Reduced only when tau_c carries Delta channels.  A constant tau_c is
-    an invertible transport: it leaves the child's C and D as they are
-    and maps its B one to one, so it makes none of the child's channels
-    uncontrollable or unobservable, and a reduction would remove none (on
-    the shipped models it returns the product bit for bit).
-    """
-    out = tau_c.T @ child
-    return lft.reduce_lft(out) if tau_c.ndelta else out
-
-
 def step2_wrenches(ctx: GeometryContext) -> EquilibriumSolution:
     """Leaf-to-root pass: equilibrium interface wrenches and joint torques.
 
-    Each body's inbound wrench is reduced before its parent uses it.  The
-    root's is not: only its nominal value is read, by the report and the
-    free-root trim check, and no later step carries its channels."""
+    Only each revolute joint's load S_c = tau_c^T (child's wrench) is
+    reduced, as step 3 multiplies it; its n-D reduction sees the whole
+    subtree's channels at once.  The root's wrench is read at nominal only."""
     joint_load: dict[str, lft.LftMatrix] = {}
     model = ctx.model
     tree = model.tree
@@ -553,25 +545,22 @@ def step2_wrenches(ctx: GeometryContext) -> EquilibriumSolution:
                 ibar = ibar - tau_p.T @ lft.vstack([fbar, lft.zeros(3, 1)])
         for c in tree.children.get(name, []):
             cb = c.child_port[0]
-            child_in = visit(cb)
             cg = ctx.conn[cb]
-            s_c = _transport_to_joint(cg.tau_c, child_in)
+            s_c = cg.tau_c.T @ visit(cb)
             if isinstance(c, RevoluteJoint):
-                joint_load[c.name] = s_c
+                s_c = joint_load[c.name] = lft.reduce_lft(s_c)
             ibar = ibar + cg.tau_q.T @ (cg.p2 @ s_c)
-        if name != tree.root:
-            ibar = lft.reduce_lft(ibar)
         return ibar
 
-    root_in = visit(tree.root)
+    sol = EquilibriumSolution(ctx, joint_load, root_reaction=visit(tree.root))
     if model.root.kind == "free":
-        res = root_in.nominal.ravel()[list(tree.mask)]
+        res = sol._nominal_parts[-1].ravel()[list(tree.mask)]
         if np.max(np.abs(res)) > 1e-6:
             raise TrimError(
                 f"free root is not in equilibrium (residual {res}); balance "
                 "the external forces"
             )
-    return EquilibriumSolution(geometry=ctx, joint_load=joint_load, root_reaction=root_in)
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +764,7 @@ def _spatial_operators(ctx: GeometryContext) -> _Operators:
             )
     jac = lft.hstack([lft.block(e_grid), lft.vstack(s_rows)]).left_divide()
     q = lft.hstack([lft.block(r_grid), lft.vstack(z_rows)]).left_divide()
-    return _Operators(index, lft.reduce_lft(jac), lft.reduce_lft(q))
+    return _Operators(index, jac, q)
 
 
 def _joint_row(tree: TreeLayout, joint: RevoluteJoint) -> np.ndarray:
@@ -810,9 +799,10 @@ def step3_linearize(eq: EquilibriumSolution) -> LinearLftModel:
     system rows are W_sys = S^T (I - E)^-T L = J^T L, plus the joints'
     shaft and friction terms.
 
-    A and B are left divisions of reduced LFTs, which keep their channels
-    (LFTs are closed under inversion), so neither is reduced again: each
-    leaves balanced, a fixed point of ``lft.reduce_lft``.
+    A and B are left divisions of the only LFTs step 3 reduces, W_sys and
+    [M | B_hat] (J, [Phi | Y] and L enter unreduced).  A division keeps its
+    channels (LFTs are closed under inversion), so neither is reduced
+    again: each leaves balanced, a fixed point of ``lft.reduce_lft``.
     """
     model, ctx = eq.model, eq.geometry
     tree = model.tree
@@ -855,7 +845,7 @@ def step3_linearize(eq: EquilibriumSolution) -> LinearLftModel:
     extra = lft.block(
         [[np.zeros((6, nq)), damping[i], stiff[i]] for i in range(n)]
     )
-    own = lft.reduce_lft(d @ x + extra)
+    own = d @ x + extra
 
     # shaft inertia (its own rate and its parent's angular acceleration
     # about the axis) and friction on each joint's row

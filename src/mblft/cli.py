@@ -30,9 +30,10 @@ Subcommands::
         point and N random parameter points.
 
 Exit codes: 0 success, 2 model-file/schema error (a model-file number
-that is not a finite real among them), 3 numerical error of finite inputs
-(trim failure, singularity, ill-posedness, overflow, division by zero),
-4 validation failure.
+that is not a finite real among them) or unwritable output (a closed
+stdout, as in ``mblft ... | head``, prints one error line, no traceback),
+3 numerical error of finite inputs (trim failure, singularity,
+ill-posedness, overflow, division by zero), 4 validation failure.
 Output precision is controlled by the MBLFT_PRECISION environment
 variable (significant digits, default 15).  Given the same files, flags
 and seed, all outputs are byte-identical between runs.
@@ -493,7 +494,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as e:
+        # the interpreter flushes stdout once more at exit: into devnull
+        with open(os.devnull, "w") as sink:
+            os.dup2(sink.fileno(), sys.stdout.fileno())
+        print(f"error: standard output closed ({e.strerror})", file=sys.stderr)
+        return EXIT_SCHEMA
     except ModelFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

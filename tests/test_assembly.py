@@ -513,16 +513,17 @@ def test_delta_structure_holds_with_the_tolerance_ten_times_off(name, monkeypatc
 @pytest.mark.parametrize(
     "name, calls",
     [
-        ("pendulum.yaml", 6),
-        ("two_link_arm.yaml", 8),
-        ("balloon_planar.yaml", 17),
-        ("chain4", 9),
+        ("pendulum.yaml", 3),
+        ("two_link_arm.yaml", 4),
+        ("balloon_planar.yaml", 13),
+        ("chain4", 6),
     ],
 )
 def test_reduce_lft_calls_per_assemble(name, calls, monkeypatch, tmp_path):
-    """The assembly reduces only where a reduction can remove a channel:
-    step 1 makes no call, and step 2 leaves the root's wrench, read at
-    nominal only, as it is."""
+    """The assembly reduces an LFT once, where a later step builds on it:
+    step 1 makes no call, step 2 one per revolute joint (its load, which
+    step 3 multiplies), and step 3 two (W_sys and [M | B_hat], which it
+    divides)."""
     path = write_chain(tmp_path, 4) if name == "chain4" else MODELS / name
     model = load_model(path)
     seen = []
@@ -535,42 +536,28 @@ def test_reduce_lft_calls_per_assemble(name, calls, monkeypatch, tmp_path):
     monkeypatch.setattr(lft, "reduce_lft", counting)
     ctx = assembly.step1_geometry(model)
     assert seen == []
-    assembly.step3_linearize(assembly.step2_wrenches(ctx))
-    assert len(seen) == calls
+    eq = assembly.step2_wrenches(ctx)
+    assert len(seen) == len(model.tree.joints)
+    assembly.step3_linearize(eq)
+    assert len(seen) == len(model.tree.joints) + 2 == calls
 
 
-@pytest.mark.parametrize(
-    "name", ["pendulum.yaml", "two_link_arm.yaml", "balloon_planar.yaml"]
-)
-def test_constant_transport_of_a_child_wrench_needs_no_reduction(name, monkeypatch):
-    """Step 2 moves each child's reduced wrench to its joint point with
-    tau_c^T and reduces the product only when tau_c carries Delta
-    channels.  For every constant tau_c of a shipped model, a reduction
-    of that product would return it unchanged, bit for bit."""
-    model = load_model(MODELS / name)
-    calls = []
-    transport = assembly._transport_to_joint
+def test_free_root_equilibrium_is_evaluated_once(monkeypatch):
+    """The free-root trim check and the report read the balloon's nominal
+    equilibrium from one evaluation: one gated solve in all."""
+    model = load_model(MODELS / "balloon_planar.yaml")
+    ctx = assembly.step1_geometry(model)
+    solves = []
+    solve = lft._solve_with_cond
 
-    def recording(tau_c, child):
-        out = transport(tau_c, child)
-        calls.append((tau_c, child, out))
-        return out
+    def counting(*args):
+        solves.append(args[0].shape)
+        return solve(*args)
 
-    monkeypatch.setattr(assembly, "_transport_to_joint", recording)
-    assemble(model)
-    monkeypatch.undo()
-    # one call per connection, all in step 2 (6 x 1)
-    assert [child.shape for _, child, _ in calls] == [(6, 1)] * len(model.connections)
-    assert any(not tau_c.ndelta for tau_c, _, _ in calls)
-    for tau_c, child, out in calls:
-        if tau_c.ndelta:
-            continue
-        product = tau_c.T @ child
-        assert out.delta == product.delta
-        np.testing.assert_array_equal(out.m, product.m)
-        red = lft.reduce_lft(product)
-        assert red.delta == product.delta
-        np.testing.assert_array_equal(red.m, product.m)
+    monkeypatch.setattr(lft, "_solve_with_cond", counting)
+    rep = assembly.step2_wrenches(ctx).report()
+    assert len(solves) == 1
+    assert max(map(abs, rep["root_reaction"])) <= 1e-6
 
 
 def test_modes_frequency_and_damping():

@@ -5,6 +5,8 @@ import math
 import os
 import pathlib
 import stat
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -257,6 +259,33 @@ def test_cli_equilibrium_skips_step3(name, capsys, monkeypatch):
     monkeypatch.setenv("MBLFT_PRECISION", "15")
     assert cli.main(["equilibrium", str(MODELS / name)]) == 0
     assert capsys.readouterr().out == "\n".join(want) + "\n"
+
+
+def test_cli_closed_stdout_exits_2_without_a_traceback():
+    """A standard output whose reader has gone, as in ``mblft ... | head``,
+    is an output that cannot be written: exit 2 and one error line on
+    stderr, with no traceback and no "Exception ignored" at exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(pathlib.Path(cli.__file__).parents[1]),
+         *filter(None, [os.environ.get("PYTHONPATH")])]
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from mblft import cli; sys.exit(cli.main(sys.argv[1:]))",
+             "equilibrium", str(MODELS / "pendulum.yaml")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
 
 
 def test_cli_linearize_and_sample_grid(tmp_path, capsys):
